@@ -14,6 +14,10 @@ the smallest spectral radius along the grid.  Windows wider than that would
 see the artificial boundary of the truncation rather than the modeled
 operator, so certificates above the ceiling would certify the truncation,
 not the family.
+
+Each sample memoizes its edge moduli by (edge, window masks), so ranges that
+overlap, as at neighbouring grid points of the discrete-spectrum scan, norm
+every distinct edge once.
 """
 
 from __future__ import annotations
@@ -161,16 +165,10 @@ def level_candidates(abs_eigenvalues: np.ndarray, lo: float, hi: float,
     return out
 
 
-def _window_projections(smp: FamilySample, indices, level: float):
-    """Window projections P_y and compressions A_y P_y along the indices."""
-    projections = []
-    compressions = []
-    for y in indices:
-        dec = smp.decompositions[y]
-        mask = np.abs(dec.eigenvalues) <= level
-        projections.append(projector(dec, mask))
-        compressions.append(projector(dec, mask, weights=dec.eigenvalues))
-    return projections, compressions
+def _window_operators(smp: FamilySample, y: int, mask: np.ndarray):
+    """Window projection P_y and compression A_y P_y at grid point y."""
+    dec = smp.decompositions[y]
+    return y, projector(dec, mask), projector(dec, mask, weights=dec.eigenvalues)
 
 
 def certify_adapted_pair(smp: FamilySample, grid_range: GridRange, level: float,
@@ -183,6 +181,9 @@ def certify_adapted_pair(smp: FamilySample, grid_range: GridRange, level: float,
     spectrum, ``RankJump`` when the window rank changes between two adjacent
     points, and ``ModulusExceeded`` when a cap is given and either continuity
     modulus lands above it.
+
+    Edge moduli are looked up in ``smp.edge_moduli`` first; a miss builds the
+    two fibres' window operators and stores the two norms.
     """
     if level <= 0:
         raise ValueError("window level must be positive")
@@ -192,19 +193,32 @@ def certify_adapted_pair(smp: FamilySample, grid_range: GridRange, level: float,
     ranks = level_ranks(smp, level)
     prev_rank = None
     for y in grid_range.indices():
-        if margins[y] < tau_edge:
+        if not margins[y] >= tau_edge:
             raise EdgeOnSpectrum(level, float(margins[y]), grid_index=y)
         if prev_rank is not None and ranks[y] != prev_rank:
             raise RankJump(y - 1, y, int(prev_rank), int(ranks[y]))
         prev_rank = ranks[y]
 
-    projections, compressions = _window_projections(smp, grid_range.indices(), level)
+    lo, hi = grid_range.lo_index, grid_range.hi_index
+    masks = np.abs(smp.eigenvalue_matrix[lo:hi + 1]) <= level
+    rows = [m.tobytes() for m in masks]
+    memo = smp.edge_moduli
+    held = None  # the right fibre of the last miss, reused as the next left one
     proj_modulus = 0.0
     rest_modulus = 0.0
-    for a, b in zip(projections, projections[1:]):
-        proj_modulus = max(proj_modulus, hermitian_norm(b - a))
-    for a, b in zip(compressions, compressions[1:]):
-        rest_modulus = max(rest_modulus, hermitian_norm(b - a))
+    for y in range(lo, hi):
+        key = (y, rows[y - lo], rows[y + 1 - lo])
+        moduli = memo.get(key)
+        if moduli is None:
+            if held is None or held[0] != y:
+                held = _window_operators(smp, y, masks[y - lo])
+            _, proj_a, comp_a = held
+            held = _window_operators(smp, y + 1, masks[y + 1 - lo])
+            _, proj_b, comp_b = held
+            moduli = memo[key] = (hermitian_norm(proj_b - proj_a),
+                                  hermitian_norm(comp_b - comp_a))
+        proj_modulus = max(proj_modulus, moduli[0])
+        rest_modulus = max(rest_modulus, moduli[1])
     if cap is not None:
         if proj_modulus > cap:
             raise ModulusExceeded("projection", proj_modulus, cap)
@@ -272,7 +286,7 @@ def find_adapted_pair(smp: FamilySample, x_index: int, b: float,
     for cand in cands:
         margins = level_margins(smp, cand.level)
         ranks = level_ranks(smp, cand.level)
-        if margins[x_index] < tau_edge:
+        if not margins[x_index] >= tau_edge:
             continue
         grown = _grow_range(margins, ranks, x_index, tau_edge)
         return certify_adapted_pair(smp, grown, cand.level, tau_edge=tau_edge)
@@ -316,7 +330,7 @@ def covering_construction(smp: FamilySample, x_index: int, c: float,
         raise ValueError("the target level c must be positive")
     ev_x = smp.eigenvalue_matrix[x_index]
     margin = float(np.min(np.abs(np.abs(ev_x) - c)))
-    if margin < tau_edge:
+    if not margin >= tau_edge:
         raise EdgeOnSpectrum(c, margin, grid_index=x_index)
 
     base_ceiling = truncation_ceiling(smp)

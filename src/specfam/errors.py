@@ -25,6 +25,22 @@ class NotHermitianError(SpecfamError, ValueError):
         )
 
 
+class NonFiniteEntry(SpecfamError, ValueError):
+    """A matrix entry is NaN or infinite, so no spectrum can be trusted."""
+
+    def __init__(self, entry: tuple[int, int], value: complex,
+                 grid_index: int | None = None):
+        self.entry = entry
+        self.value = value
+        self.grid_index = grid_index
+        where = f" at grid index {grid_index}" if grid_index is not None else ""
+        super().__init__(f"matrix entry {entry} is not finite ({value}){where}")
+
+    def at_grid_index(self, grid_index: int) -> "NonFiniteEntry":
+        """The same error, naming the grid point whose matrix holds the entry."""
+        return NonFiniteEntry(self.entry, self.value, grid_index)
+
+
 class FamilyModelError(SpecfamError, ValueError):
     """Invalid family specification or a grid point where the model is singular."""
 

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import FamilyModelError
+from .errors import FamilyModelError, NonFiniteEntry
 from .spectral import (
     HermitianOperator,
     RealWindow,
@@ -133,6 +133,16 @@ class FamilySample:
         mat.setflags(write=False)
         return mat
 
+    @cached_property
+    def edge_moduli(self) -> dict[tuple[int, bytes, bytes], tuple[float, float]]:
+        """Memo of adjacent-point window moduli, filled by ``certify_adapted_pair``.
+
+        Maps (left grid index, left window mask bytes, right window mask bytes)
+        to the (projection, restriction) norms across that edge.  Only floats
+        are kept: the projectors they come from are rebuilt on a miss.
+        """
+        return {}
+
     def shifted(self, lam: float) -> "FamilySample":
         """The family minus ``lam``; decompositions shift with it exactly."""
         return FamilySample(self.grid, tuple(op.shifted(lam) for op in self.operators))
@@ -231,12 +241,16 @@ def load_matrix_path(path: str) -> tuple[ParameterGrid, list[np.ndarray]]:
     if len(raw) != len(grid_points):
         raise FamilyModelError("matrix count does not match grid length")
     matrices = []
-    for m in raw:
+    for y, m in enumerate(raw):
         arr = np.asarray(m, dtype=float)
         if arr.shape != (dim, dim, 2):
             raise FamilyModelError(
                 f"each matrix must be {dim}x{dim} of [re, im] pairs, got shape {arr.shape}"
             )
+        finite = np.isfinite(arr)
+        if not finite.all():
+            i, j, _ = (int(k) for k in np.argwhere(~finite)[0])
+            raise NonFiniteEntry((i, j), complex(arr[i, j, 0], arr[i, j, 1]), grid_index=y)
         matrices.append(arr[..., 0] + 1j * arr[..., 1])
     return ParameterGrid(np.asarray(grid_points)), matrices
 
@@ -309,7 +323,13 @@ def sample(spec: FamilySpec, grid: ParameterGrid | None = None) -> FamilySample:
     if grid is None:
         raise FamilyModelError("a parameter grid is required for generated families")
     gen = _make_generator(spec)
-    return FamilySample(grid, tuple(gen(x) for x in grid.points))
+    ops = []
+    for y, x in enumerate(grid.points):
+        try:
+            ops.append(gen(x))
+        except NonFiniteEntry as exc:
+            raise exc.at_grid_index(y) from None
+    return FamilySample(grid, tuple(ops))
 
 
 def _truncation_offset(kind: str, dim_small: int, dim_big: int) -> int:

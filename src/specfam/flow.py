@@ -64,9 +64,9 @@ def _endpoint_margins(smp: FamilySample, tau_edge: float) -> tuple[float, float]
     ev = smp.eigenvalue_matrix
     first = float(np.min(np.abs(ev[0])))
     last = float(np.min(np.abs(ev[-1])))
-    if first < tau_edge:
+    if not first >= tau_edge:
         raise EndpointOnSpectrum(0, first)
-    if last < tau_edge:
+    if not last >= tau_edge:
         raise EndpointOnSpectrum(len(smp) - 1, last)
     return first, last
 
@@ -96,7 +96,7 @@ def flow_by_tracking(smp: FamilySample,
     for i in range(n - 1):
         movement = float(np.max(np.abs(ev[i + 1] - ev[i])))
         bound = _movement_bound(ev[i], tau_edge)
-        if movement >= bound:
+        if not movement < bound:
             raise AmbiguousMatching(i, movement, bound)
 
     signs = np.zeros_like(ev, dtype=int)

@@ -18,12 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EdgeOnSpectrum, NotHermitianError
+from .errors import EdgeOnSpectrum, NonFiniteEntry, NotHermitianError
 
 #: relative hermiticity tolerance, scaled by the largest entry magnitude
 TAU_HERMITIAN_REL = 1e-10
-#: unitarity tolerance for eigenvector matrices
-TAU_UNITARY = 1e-9
 #: idempotency / hermiticity tolerance for spectral projections
 TAU_PROJECTION = 1e-9
 #: reconstruction and oracle-agreement tolerance
@@ -36,7 +34,8 @@ TAU_EDGE_DEFAULT = 1e-8
 class HermitianOperator:
     """A finite self-adjoint matrix.
 
-    The stored entries are exactly Hermitian: after validating that the input
+    The stored entries are finite and exactly Hermitian: after refusing NaN
+    and infinite entries (``NonFiniteEntry``) and validating that the input
     deviates from its adjoint by at most ``TAU_HERMITIAN_REL`` times the
     largest entry, the constructor replaces it with the average of the matrix
     and its conjugate transpose.
@@ -50,6 +49,10 @@ class HermitianOperator:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         if m.shape[0] < 1:
             raise ValueError("operator dimension must be at least 1")
+        finite = np.isfinite(m)
+        if not finite.all():
+            i, j = (int(k) for k in np.argwhere(~finite)[0])
+            raise NonFiniteEntry((i, j), complex(m[i, j]))
         scale = float(np.max(np.abs(m))) if m.size else 0.0
         deviation = np.abs(m - m.conj().T)
         worst = float(deviation.max())
@@ -198,7 +201,7 @@ def spectral_projection(op: HermitianOperator, window: RealWindow,
     """
     dec = decompose(op)
     margin = window_margin(dec.eigenvalues, window)
-    if margin < tau_edge:
+    if not margin >= tau_edge:
         offending = min(
             window.finite_endpoints(),
             key=lambda e: float(np.min(np.abs(dec.eigenvalues - e))),
@@ -213,12 +216,6 @@ def bounded_transform_scalar(values):
     """The contraction t 1-> t(1+t^2)^(-1/2), elementwise."""
     v = np.asarray(values, dtype=float)
     return v / np.sqrt(1.0 + v * v)
-
-
-def bounded_transform_inverse_scalar(values):
-    """Inverse of the bounded transform on (-1, 1): t -> t(1-t^2)^(-1/2)."""
-    v = np.asarray(values, dtype=float)
-    return v / np.sqrt(1.0 - v * v)
 
 
 def bounded_transform(op: HermitianOperator) -> HermitianOperator:

@@ -208,7 +208,7 @@ def strict_adaptedness_certify(smp: FamilySample, x_index: int, epsilon: float,
         raise ValueError("epsilon must be positive")
     margins = level_margins(smp, epsilon)
     ranks = level_ranks(smp, epsilon)
-    if margins[x_index] < tau_edge:
+    if not margins[x_index] >= tau_edge:
         raise EdgeOnSpectrum(epsilon, float(margins[x_index]), grid_index=x_index)
     rng = _grow_range(margins, ranks, x_index, tau_edge)
     uppers = []

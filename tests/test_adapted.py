@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import specfam.adapted
 from specfam import (
+    FamilySample,
     FamilySpec,
     GridRange,
+    HermitianOperator,
     ParameterGrid,
     RealWindow,
     adapted_from_covering,
@@ -17,8 +21,9 @@ from specfam import (
     truncation_ceiling,
 )
 from specfam.errors import EdgeOnSpectrum, ModulusExceeded, NoGap, RankJump
+from specfam.spectral import hermitian_norm, projector
 
-from conftest import constant_sample
+from conftest import constant_sample, random_hermitian, with_nan_eigenvalue
 
 
 def linear_sample(start, end, points, dim=3):
@@ -54,6 +59,12 @@ class TestCertifyAdaptedPair:
         with pytest.raises(EdgeOnSpectrum) as err:
             certify_adapted_pair(smp, GridRange(0, 4), 1.0)
         assert err.value.grid_index == 0
+
+    def test_nan_eigenvalue_fails_the_edge_gate(self):
+        smp = with_nan_eigenvalue([-2.0, 2.0, 0.5], 2)
+        with pytest.raises(EdgeOnSpectrum) as err:
+            certify_adapted_pair(smp, GridRange(2, 2), 1.0)
+        assert err.value.grid_index == 2
 
     def test_cap_enforced(self):
         smp = sample(FamilySpec("harmonic_perturbed", 10, {"coupling": (0.0, 1.0)}),
@@ -214,3 +225,133 @@ class TestDiscreteSpectrumCertify:
             report = discrete_spectrum_certify(smp, levels)
             assert report.routes_agree, f"routes disagree for seed {seed}"
             assert report.passed
+
+
+#: one small family per built-in generator
+GENERATOR_CASES = [
+    (FamilySpec("dirac_circle", 11, {"alpha": (0.0, 0.5)}),
+     ParameterGrid.linspace(-0.4, 0.4, 17)),
+    (FamilySpec("harmonic_perturbed", 8, {"coupling": (0.0, 1.0)}),
+     ParameterGrid.linspace(0.0, 1.0, 17)),
+    (FamilySpec("tangent_blowup", 5),
+     ParameterGrid(np.concatenate([np.linspace(0.05, 0.45, 8), np.linspace(0.55, 0.95, 9)]))),
+    (FamilySpec("linear_crossing", 5), ParameterGrid.linspace(0.0, 1.0, 17)),
+    (FamilySpec("random_crossings", 6, {"seed": 3}), ParameterGrid.linspace(0.0, 1.0, 17)),
+]
+
+
+def scan_levels(smp):
+    ceiling = truncation_ceiling(smp)
+    return [0.2 * ceiling, 0.5 * ceiling]
+
+
+def memo_keys(smp, cert):
+    """The (edge, window mask pair) keys that a certificate's range and level touch."""
+    lo, hi = cert.range.lo_index, cert.range.hi_index
+    rows = [r.tobytes() for r in np.abs(smp.eigenvalue_matrix[lo:hi + 1]) <= cert.level]
+    return {(lo + k, rows[k], rows[k + 1]) for k in range(len(rows) - 1)}
+
+
+class TestEdgeModuliMemo:
+    @pytest.mark.parametrize("spec, grid", GENERATOR_CASES,
+                             ids=[spec.kind for spec, _ in GENERATOR_CASES])
+    def test_warm_memo_matches_fresh_sample(self, spec, grid):
+        warm = sample(spec, grid)
+        discrete_spectrum_certify(warm, scan_levels(warm), include_definitional=False)
+        filled = len(warm.edge_moduli)
+        assert filled > 0
+        report = discrete_spectrum_certify(warm, scan_levels(warm),
+                                           include_definitional=False)
+        assert len(warm.edge_moduli) == filled  # every edge came from the memo
+        certs = [c for per_x in report.certificates.values() for c in per_x if c]
+        assert certs
+        for cert in certs:
+            assert certify_adapted_pair(sample(spec, grid), cert.range, cert.level) == cert
+
+        moving = max(certs, key=lambda c: max(c.projection_modulus, c.restriction_modulus))
+        modulus = max(moving.projection_modulus, moving.restriction_modulus)
+        assert modulus > 0.0
+        refusals = []
+        for smp in (warm, sample(spec, grid)):
+            with pytest.raises(ModulusExceeded) as err:
+                certify_adapted_pair(smp, moving.range, moving.level, cap=modulus / 2)
+            refusals.append((err.value.which, err.value.modulus, err.value.cap))
+        assert refusals[0] == refusals[1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6),
+           points=st.integers(4, 8), drift=st.floats(0.0, 0.5),
+           fraction=st.floats(0.05, 0.95))
+    def test_memo_entries_equal_dense_oracle(self, seed, dim, points, drift, fraction):
+        rng = np.random.default_rng(seed)
+        base = random_hermitian(rng, dim).entries
+        slope = random_hermitian(rng, dim).entries
+        smp = FamilySample(ParameterGrid.linspace(0.0, 1.0, points),
+                           tuple(HermitianOperator(base + drift * x * slope)
+                                 for x in np.linspace(0.0, 1.0, points)))
+        # an inner range first, so the full range meets memo hits between misses
+        level = fraction * truncation_ceiling(smp)
+        for grid_range in (GridRange(1, points - 2), GridRange(0, points - 1)):
+            try:
+                certify_adapted_pair(smp, grid_range, level)
+            except (EdgeOnSpectrum, RankJump):
+                pass
+        for x in range(points):
+            try:
+                find_adapted_pair(smp, x, 1e-3)
+            except (NoGap, EdgeOnSpectrum, RankJump):
+                pass
+        for (y, left, right), moduli in smp.edge_moduli.items():
+            dec_a, dec_b = smp.decompositions[y], smp.decompositions[y + 1]
+            m_a = np.frombuffer(left, dtype=bool)
+            m_b = np.frombuffer(right, dtype=bool)
+            oracle = (
+                hermitian_norm(projector(dec_b, m_b) - projector(dec_a, m_a)),
+                hermitian_norm(projector(dec_b, m_b, weights=dec_b.eigenvalues)
+                               - projector(dec_a, m_a, weights=dec_a.eigenvalues)),
+            )
+            assert moduli == oracle
+
+    def test_derived_samples_keep_their_own_memo(self):
+        smp = sample(FamilySpec("harmonic_perturbed", 8, {"coupling": (0.0, 1.0)}),
+                     ParameterGrid.linspace(0.0, 1.0, 9))
+        level = 1.0
+        certify_adapted_pair(smp, GridRange(0, 8), level)
+        before = dict(smp.edge_moduli)
+        assert before
+
+        shifted = smp.shifted(0.3)
+        assert shifted.edge_moduli == {}
+        find_adapted_pair(shifted, 4, 0.5)
+        assert shifted.edge_moduli
+
+        bounded = smp.bounded_transformed()
+        assert bounded.edge_moduli == {}
+        # the transform is odd and increasing, so its windows select the same
+        # eigenvectors and the memo keys coincide; the restriction norms do not
+        certify_adapted_pair(bounded, GridRange(0, 8), level / np.sqrt(1 + level**2))
+        assert bounded.edge_moduli.keys() == before.keys()
+        for key, (proj, rest) in bounded.edge_moduli.items():
+            assert proj == before[key][0]
+            assert rest != before[key][1]
+
+        assert smp.edge_moduli == before
+        assert len({id(smp.edge_moduli), id(shifted.edge_moduli),
+                    id(bounded.edge_moduli)}) == 3
+
+    def test_discrete_scan_norms_each_distinct_edge_once(self, monkeypatch):
+        calls = []
+
+        def counting_norm(m):
+            calls.append(m.shape)
+            return hermitian_norm(m)
+
+        monkeypatch.setattr(specfam.adapted, "hermitian_norm", counting_norm)
+        smp = sample(FamilySpec("dirac_circle", 41), ParameterGrid.linspace(-0.49, 0.49, 21))
+        report = discrete_spectrum_certify(smp, [0.4, 1.4, 2.4], include_definitional=False)
+        certs = [c for per_x in report.certificates.values() for c in per_x if c]
+        distinct = set().union(*(memo_keys(smp, c) for c in certs))
+        assert set(smp.edge_moduli) == distinct
+        assert len(calls) == 2 * len(distinct)
+        # the scan revisits edges, so the memo saved norms
+        assert len(distinct) < sum(len(c.range) - 1 for c in certs)

@@ -13,7 +13,7 @@ from specfam import (
     sample,
     truncation_check,
 )
-from specfam.errors import EdgeOnSpectrum, FamilyModelError
+from specfam.errors import EdgeOnSpectrum, FamilyModelError, NonFiniteEntry
 
 from conftest import constant_sample
 
@@ -71,6 +71,14 @@ class TestGenerators:
         ev = smp.eigenvalue_matrix[0]
         assert ev.min() < 0 < ev.max()
 
+    def test_non_finite_fiber_names_grid_index(self):
+        spec = FamilySpec("dirac_circle", 5,
+                          {"alpha": lambda x: np.nan if x > 0.6 else x})
+        with pytest.raises(NonFiniteEntry) as err:
+            sample(spec, ParameterGrid.linspace(0.0, 1.0, 5))
+        assert err.value.grid_index == 3
+        assert "grid index 3" in str(err.value)
+
     def test_unknown_kind(self):
         with pytest.raises(FamilyModelError):
             FamilySpec("moebius", 3)
@@ -119,6 +127,19 @@ class TestMatrixPathFile:
         spec = FamilySpec("matrix_path_file", 2, {"path": str(path)})
         with pytest.raises(FamilyModelError):
             sample(spec, ParameterGrid(np.array([0.0, 2.0])))
+
+    def test_non_finite_entry_names_grid_index(self, tmp_path):
+        mats = []
+        for value in (0.5, np.inf, -0.5):
+            m = np.diag([value, 2.0, -2.0]).astype(complex)
+            mats.append(np.stack([m.real, m.imag], axis=-1).tolist())
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"dim": 3, "grid": [0.0, 0.5, 1.0], "matrices": mats}))
+        with pytest.raises(NonFiniteEntry) as err:
+            sample(FamilySpec("matrix_path_file", 3, {"path": str(path)}))
+        assert err.value.grid_index == 1
+        assert err.value.entry == (0, 0)
+        assert "grid index 1" in str(err.value)
 
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "family.json"

@@ -11,9 +11,9 @@ from specfam import (
     flow_by_tracking,
     sample,
 )
-from specfam.errors import AmbiguousMatching, EndpointOnSpectrum
+from specfam.errors import AmbiguousMatching, EndpointOnSpectrum, NonFiniteEntry
 
-from conftest import constant_sample
+from conftest import constant_sample, with_nan_eigenvalue
 
 
 def random_sample(seed, dim=8, points=121, width=0.77):
@@ -61,6 +61,18 @@ class TestTracking:
         smp = sample(FamilySpec("dirac_circle", 7), grid)
         with pytest.raises(AmbiguousMatching):
             flow_by_tracking(smp)
+
+    def test_nan_fiber_refused(self):
+        fibers = [np.diag([v, 2.0, -2.0]) for v in (0.5, np.nan, -0.5)]
+        with pytest.raises(NonFiniteEntry):
+            flow_by_tracking(FamilySample(ParameterGrid.linspace(0.0, 1.0, 3),
+                                          tuple(HermitianOperator(m) for m in fibers)))
+
+    def test_nan_eigenvalue_fails_the_gates(self):
+        with pytest.raises(AmbiguousMatching):
+            flow_by_tracking(with_nan_eigenvalue([-1.0, 1.0], 2))
+        with pytest.raises(EndpointOnSpectrum):
+            flow_by_tracking(with_nan_eigenvalue([-1.0, 1.0], 0))
 
 
 class TestPartition:

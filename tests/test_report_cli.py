@@ -87,13 +87,16 @@ class TestValidateConfig:
             validate_config(config)
         assert str(err.value) == "analyses[0].params.x_index is required"
 
-    def test_repo_schema_matches_packaged_copy(self):
+    def test_documented_schema_is_the_packaged_one(self):
         from importlib import resources
         packaged = resources.files("specfam").joinpath(
             "schemas/config.schema.json").read_text()
-        repo = (Path(__file__).resolve().parents[1]
-                / "schemas" / "config.schema.json").read_text()
-        assert packaged == repo
+        root = Path(__file__).resolve().parents[1]
+        documented = "src/specfam/schemas/config.schema.json"
+        for doc in ("README.md", "docs/formats.md"):
+            assert f"`{documented}`" in (root / doc).read_text()
+        assert (root / documented).read_text() == packaged
+        assert not (root / "schemas").exists()
 
 
 class TestCertificateSerialization:

@@ -16,7 +16,7 @@ from specfam import (
     spectral_projection,
     zero_operator,
 )
-from specfam.errors import EdgeOnSpectrum, NotHermitianError
+from specfam.errors import EdgeOnSpectrum, NonFiniteEntry, NotHermitianError
 from specfam.spectral import TAU_PROJECTION, TAU_RECONSTRUCT, hermitian_norm
 
 from conftest import random_hermitian
@@ -60,6 +60,20 @@ class TestDecompose:
             HermitianOperator([[0.0, 1.0], [0.0, 0.0]])
         assert "1" in str(err.value)
         assert err.value.deviation == pytest.approx(1.0)
+
+    def test_rejects_nan_entry(self):
+        with pytest.raises(NonFiniteEntry) as err:
+            HermitianOperator(np.diag([np.nan, 2.0, -2.0]))
+        assert err.value.entry == (0, 0)
+        assert err.value.grid_index is None
+        assert isinstance(err.value, ValueError)
+
+    def test_rejects_inf_entry(self):
+        m = np.zeros((3, 3), dtype=complex)
+        m[1, 2] = m[2, 1] = complex(1.0, np.inf)
+        with pytest.raises(NonFiniteEntry) as err:
+            HermitianOperator(m)
+        assert err.value.entry == (1, 2)
 
     def test_symmetrizes_small_noise(self):
         m = np.array([[1.0, 0.5 + 1e-12], [0.5, 2.0]])
