@@ -18,6 +18,10 @@ not the family.
 Each sample memoizes its edge moduli by (edge, window masks), so ranges that
 overlap, as at neighbouring grid points of the discrete-spectrum scan, norm
 every distinct edge once.
+
+The unbounded and the weak (polarized) discrete-spectrum certificates share
+one engine, ``_scan_levels``, and differ only in the level ceiling and the
+shift grid of the definitional sweep.
 """
 
 from __future__ import annotations
@@ -38,6 +42,9 @@ from .spectral import TAU_EDGE_DEFAULT, hermitian_norm, projector
 
 #: fraction of the smallest spectral radius that bounds admissible levels
 CEILING_FRACTION = 0.9
+#: shifts of the definitional sweep, and window levels tried per shift
+SWEEP_COUNT = 33
+EPSILON_COUNT = 32
 
 
 @dataclass(frozen=True)
@@ -250,17 +257,13 @@ def _grow_range(margins: np.ndarray, ranks: np.ndarray, x_index: int,
 
 def find_adapted_pair(smp: FamilySample, x_index: int, b: float,
                       ceiling: float | None = None,
-                      gap_search_span: float | None = None,
-                      prefer: str = "widest",
                       tau_edge: float = TAU_EDGE_DEFAULT) -> AdaptedPairCertificate:
     """Find an adapted pair (range, c) with c > b and x_index inside the range.
 
-    The level is taken at a gap of the symmetrized spectrum at the base
-    point: with ``prefer='widest'`` at the widest gap intersecting
-    (b, b + span], ties resolved toward the smaller level; with
-    ``prefer='smallest'`` at the lowest admissible gap.  The range is then
-    grown greedily from the base point in both directions while margins stay
-    clear and the window rank stays constant.
+    The level is taken at the widest gap of the symmetrized spectrum at the
+    base point that intersects (b, ceiling], ties resolved toward the smaller
+    level.  The range is then grown greedily from the base point in both
+    directions while margins stay clear and the window rank stays constant.
 
     Raises ``NoGap`` when no admissible level exists below the truncation
     ceiling, which signals that the truncation is too small for this ``b``.
@@ -271,18 +274,10 @@ def find_adapted_pair(smp: FamilySample, x_index: int, b: float,
         raise ValueError("base index outside the grid")
     if ceiling is None:
         ceiling = truncation_ceiling(smp)
-    hi = ceiling if gap_search_span is None else min(ceiling, b + gap_search_span)
-    if hi <= b:
+    if ceiling <= b:
         raise NoGap(b, ceiling, x_index)
-    cands = level_candidates(np.abs(smp.eigenvalue_matrix[x_index]), b, hi, tau_edge)
-    if not cands:
-        raise NoGap(b, ceiling, x_index)
-    if prefer == "widest":
-        cands.sort(key=lambda c: (-c.width, c.level))
-    elif prefer == "smallest":
-        cands.sort(key=lambda c: c.level)
-    else:
-        raise ValueError(f"unknown preference {prefer!r}")
+    cands = level_candidates(np.abs(smp.eigenvalue_matrix[x_index]), b, ceiling, tau_edge)
+    cands.sort(key=lambda c: (-c.width, c.level))
     for cand in cands:
         margins = level_margins(smp, cand.level)
         ranks = level_ranks(smp, cand.level)
@@ -445,7 +440,6 @@ class DefinitionalSweep:
     """Shift-sweep record: per shift, which grid points admit no window at all."""
 
     lambdas: tuple[float, ...]
-    epsilon_count: int
     failures: tuple[tuple[float, int], ...]
     failing_points: tuple[int, ...]
     passed: bool
@@ -470,30 +464,27 @@ class DiscreteSpectrumReport:
                 and self.failing_points == self.definitional.failing_points)
 
 
-def definitional_sweep(smp: FamilySample, max_b: float, sweep_count: int = 33,
-                       epsilon_count: int = 32,
+def definitional_sweep(smp: FamilySample, shifts, ceiling: float,
                        tau_edge: float = TAU_EDGE_DEFAULT) -> DefinitionalSweep:
     """Brute-force route through the definition: shift, then look for any window.
 
-    For every shift on a fine grid of [-max_b, max_b] and every grid point,
-    sweep window levels linearly up to the trusted zone and ask only whether
-    some window keeps both endpoints clear of the shifted spectrum.  No gap
-    structure is consulted, which keeps this an independent oracle for the
-    direct search route.  Shifted windows must stay inside the trusted zone
-    of the unshifted family: |shift| + level <= ceiling.
+    For every shift and every grid point, sweep window levels linearly up to
+    the trusted zone and ask only whether some window keeps both endpoints
+    clear of the shifted spectrum.  No gap structure is consulted, which
+    keeps this an independent oracle for the direct search route.  Shifted
+    windows must stay inside the trusted zone of the unshifted family:
+    |shift| + level <= ceiling.
     """
-    ceiling = truncation_ceiling(smp)
-    lambdas = np.linspace(-max_b, max_b, sweep_count)
     ev = smp.eigenvalue_matrix
     n = len(smp)
     failures = []
     failing_points = set()
-    for lam in lambdas:
+    for lam in shifts:
         cap = ceiling - abs(lam)
         ok = np.zeros(n, dtype=bool)
         if cap > tau_edge:
-            for k in range(1, epsilon_count + 1):
-                eps = cap * k / epsilon_count
+            for k in range(1, EPSILON_COUNT + 1):
+                eps = cap * k / EPSILON_COUNT
                 lo_clear = np.min(np.abs(ev - (lam - eps)), axis=1)
                 hi_clear = np.min(np.abs(ev - (lam + eps)), axis=1)
                 ok |= np.minimum(lo_clear, hi_clear) > tau_edge
@@ -503,17 +494,45 @@ def definitional_sweep(smp: FamilySample, max_b: float, sweep_count: int = 33,
             failures.append((float(lam), int(x)))
             failing_points.add(int(x))
     return DefinitionalSweep(
-        lambdas=tuple(float(v) for v in lambdas),
-        epsilon_count=epsilon_count,
+        lambdas=tuple(float(v) for v in shifts),
         failures=tuple(failures),
         failing_points=tuple(sorted(failing_points)),
         passed=not failures,
     )
 
 
+def _scan_levels(smp: FamilySample, b_levels: tuple[float, ...], ceiling: float,
+                 shifts, tau_edge: float) -> DiscreteSpectrumReport:
+    """Both discrete-spectrum routes below ``ceiling``; ``shifts=None`` skips
+    the definitional one."""
+    certificates: dict[float, tuple] = {}
+    failures: list[CertificateFailure] = []
+    for b in b_levels:
+        per_x = []
+        for x in range(len(smp)):
+            try:
+                per_x.append(find_adapted_pair(smp, x, b, ceiling=ceiling,
+                                               tau_edge=tau_edge))
+            except (NoGap, EdgeOnSpectrum, RankJump) as exc:
+                failures.append(CertificateFailure(x, b, type(exc).__name__, str(exc)))
+                per_x.append(None)
+        certificates[b] = tuple(per_x)
+    sweep = None
+    if shifts is not None:
+        sweep = definitional_sweep(smp, shifts, ceiling, tau_edge=tau_edge)
+    return DiscreteSpectrumReport(
+        passed=not failures,
+        b_levels=b_levels,
+        ceiling=float(ceiling),
+        certificates=certificates,
+        failures=tuple(failures),
+        failing_points=tuple(sorted({f.x_index for f in failures})),
+        definitional=sweep,
+    )
+
+
 def discrete_spectrum_certify(smp: FamilySample, b_levels,
                               include_definitional: bool = True,
-                              sweep_count: int = 33,
                               tau_edge: float = TAU_EDGE_DEFAULT) -> DiscreteSpectrumReport:
     """Certify that arbitrarily wide windows exist at every grid point.
 
@@ -526,29 +545,7 @@ def discrete_spectrum_certify(smp: FamilySample, b_levels,
     b_levels = tuple(float(b) for b in b_levels)
     if not b_levels or any(b <= 0 for b in b_levels):
         raise ValueError("b_levels must be positive")
-    ceiling = truncation_ceiling(smp)
-    certificates: dict[float, tuple] = {}
-    failures: list[CertificateFailure] = []
-    for b in b_levels:
-        per_x = []
-        for x in range(len(smp)):
-            try:
-                per_x.append(find_adapted_pair(smp, x, b, tau_edge=tau_edge))
-            except (NoGap, EdgeOnSpectrum, RankJump) as exc:
-                failures.append(CertificateFailure(x, b, type(exc).__name__, str(exc)))
-                per_x.append(None)
-        certificates[b] = tuple(per_x)
-    failing_points = tuple(sorted({f.x_index for f in failures}))
-    sweep = None
+    shifts = None
     if include_definitional:
-        sweep = definitional_sweep(smp, max(b_levels), sweep_count=sweep_count,
-                                   tau_edge=tau_edge)
-    return DiscreteSpectrumReport(
-        passed=not failures,
-        b_levels=b_levels,
-        ceiling=ceiling,
-        certificates=certificates,
-        failures=tuple(failures),
-        failing_points=failing_points,
-        definitional=sweep,
-    )
+        shifts = np.linspace(-max(b_levels), max(b_levels), SWEEP_COUNT)
+    return _scan_levels(smp, b_levels, truncation_ceiling(smp), shifts, tau_edge)

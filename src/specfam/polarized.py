@@ -17,19 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adapted import (
-    CertificateFailure,
-    DefinitionalSweep,
+    SWEEP_COUNT,
+    DiscreteSpectrumReport,
+    _scan_levels,
     discrete_spectrum_certify,
-    find_adapted_pair,
     truncation_ceiling,
 )
-from .errors import (
-    EdgeOnSpectrum,
-    FamilyModelError,
-    NoGap,
-    PolarizationCheckFailed,
-    RankJump,
-)
+from .errors import FamilyModelError, PolarizationCheckFailed
 from .families import FamilySample, essential_sign_check
 from .spectral import (
     TAU_EDGE_DEFAULT,
@@ -98,70 +92,18 @@ def compact_polarization_check(op: HermitianOperator,
                               budget, check)
 
 
-@dataclass(frozen=True)
-class WeakDiscreteReport:
-    passed: bool
-    b_levels: tuple[float, ...]
-    level_ceiling: float
-    certificates: dict
-    failures: tuple[CertificateFailure, ...]
-    failing_points: tuple[int, ...]
-    definitional: DefinitionalSweep | None
-
-    @property
-    def routes_agree(self) -> bool:
-        if self.definitional is None:
-            return True
-        return (self.passed == self.definitional.passed
-                and self.failing_points == self.definitional.failing_points)
-
-
-def _weak_definitional_sweep(smp: FamilySample, level_ceiling: float,
-                             sweep_count: int, epsilon_count: int,
-                             tau_edge: float) -> DefinitionalSweep:
-    # shifts sample the open essential-free zone; shifted windows must stay
-    # inside (-level_ceiling, level_ceiling)
-    lambdas = np.linspace(-level_ceiling, level_ceiling, sweep_count + 2)[1:-1]
-    ev = smp.eigenvalue_matrix
-    n = len(smp)
-    failures = []
-    failing_points = set()
-    for lam in lambdas:
-        cap = level_ceiling - abs(lam)
-        ok = np.zeros(n, dtype=bool)
-        if cap > tau_edge:
-            for k in range(1, epsilon_count + 1):
-                eps = cap * k / epsilon_count
-                lo_clear = np.min(np.abs(ev - (lam - eps)), axis=1)
-                hi_clear = np.min(np.abs(ev - (lam + eps)), axis=1)
-                ok |= np.minimum(lo_clear, hi_clear) > tau_edge
-                if ok.all():
-                    break
-        for x in np.nonzero(~ok)[0]:
-            failures.append((float(lam), int(x)))
-            failing_points.add(int(x))
-    return DefinitionalSweep(
-        lambdas=tuple(float(v) for v in lambdas),
-        epsilon_count=epsilon_count,
-        failures=tuple(failures),
-        failing_points=tuple(sorted(failing_points)),
-        passed=not failures,
-    )
-
-
 def weak_discrete_spectrum_certify(smp: FamilySample, b_levels,
                                    check: PolarizationCheck | None = None,
                                    level_ceiling: float | None = None,
                                    include_definitional: bool = True,
-                                   sweep_count: int = 33,
-                                   tau_edge: float = TAU_EDGE_DEFAULT) -> WeakDiscreteReport:
+                                   tau_edge: float = TAU_EDGE_DEFAULT) -> DiscreteSpectrumReport:
     """Adapted pairs at every grid point with levels confined to (b, 1).
 
     Every fiber must pass the polarization test first.  The level search is
     capped at ``level_ceiling`` (by default 1 - eta, the inner edge of the
     essential band: wider windows would swallow the band, the finite shadow
-    of infinite rank).  A companion shift sweep over the essential-free zone
-    plays the definitional oracle, exactly as in the unbounded setting.
+    of infinite rank).  A companion shift sweep over the open essential-free
+    zone plays the definitional oracle, exactly as in the unbounded setting.
     """
     if check is None:
         check = PolarizationCheck()
@@ -179,32 +121,10 @@ def weak_discrete_spectrum_certify(smp: FamilySample, b_levels,
             )
     if level_ceiling is None:
         level_ceiling = 1.0 - check.eta
-
-    certificates: dict[float, tuple] = {}
-    failures: list[CertificateFailure] = []
-    for b in b_levels:
-        per_x = []
-        for x in range(len(smp)):
-            try:
-                per_x.append(find_adapted_pair(smp, x, b, ceiling=level_ceiling,
-                                               tau_edge=tau_edge))
-            except (NoGap, EdgeOnSpectrum, RankJump) as exc:
-                failures.append(CertificateFailure(x, b, type(exc).__name__, str(exc)))
-                per_x.append(None)
-        certificates[b] = tuple(per_x)
-    failing_points = tuple(sorted({f.x_index for f in failures}))
-    sweep = None
+    shifts = None
     if include_definitional:
-        sweep = _weak_definitional_sweep(smp, level_ceiling, sweep_count, 32, tau_edge)
-    return WeakDiscreteReport(
-        passed=not failures,
-        b_levels=b_levels,
-        level_ceiling=float(level_ceiling),
-        certificates=certificates,
-        failures=tuple(failures),
-        failing_points=failing_points,
-        definitional=sweep,
-    )
+        shifts = np.linspace(-level_ceiling, level_ceiling, SWEEP_COUNT + 2)[1:-1]
+    return _scan_levels(smp, b_levels, level_ceiling, shifts, tau_edge)
 
 
 @dataclass(frozen=True)

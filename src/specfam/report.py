@@ -244,7 +244,7 @@ def _error_payload(exc: Exception) -> dict:
     return payload
 
 
-def _run_one(kind: str, params: dict, smp, spec, grid, tau_edge=None):
+def _run_one(kind: str, params: dict, smp, spec, grid):
     """Returns (passed, payload, csv_tables)."""
     csv_tables: dict[str, tuple[list[str], list[list]]] = {}
     if kind == "certify-adapted":
@@ -318,7 +318,7 @@ def _run_one(kind: str, params: dict, smp, spec, grid, tau_edge=None):
         payload = {
             "passed": report.passed,
             "routes_agree": report.routes_agree,
-            "level_ceiling": report.level_ceiling,
+            "level_ceiling": report.ceiling,
             "failing_points": list(report.failing_points),
         }
         return report.passed and report.routes_agree, payload, csv_tables
@@ -376,51 +376,58 @@ def run_analysis(config: dict, output_dir=None, threads: int = 1,
 
     spec = _build_spec(config)
     grid = _build_grid(config)
-    smp = sample(spec, grid)
-    if threads > 1:
+    try:
+        smp = sample(spec, grid)
+    except (FamilyModelError, ValueError) as exc:
+        # the family itself is refused: every analysis reports that refusal
+        smp, refusal = None, exc
+    if smp is not None and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(decompose, smp.operators))
 
     entries = []
-    all_passed = True
     csv_files: dict[str, tuple[list[str], list[list]]] = {}
     for i, analysis in enumerate(config["analyses"]):
         kind = analysis["kind"]
         params = analysis.get("params", {})
-        entry = {"kind": kind, "params": jsonable(params)}
-        try:
-            passed, payload, tables = _run_one(kind, params, smp, spec, grid)
-            entry["passed"] = passed
-            entry["result"] = payload
-            for name, table in tables.items():
-                csv_files[f"{name}_{i}"] = table
-            if not passed:
-                all_passed = False
-        except (CertificationError, FamilyModelError, ValueError) as exc:
-            entry["passed"] = False
-            entry["error"] = _error_payload(exc)
-            all_passed = False
+        entry = {"kind": kind, "params": jsonable(params), "passed": False}
+        if smp is None:
+            entry["error"] = _error_payload(refusal)
+        else:
+            try:
+                entry["passed"], entry["result"], tables = _run_one(
+                    kind, params, smp, spec, grid)
+                for name, table in tables.items():
+                    csv_files[f"{name}_{i}"] = table
+            except (CertificationError, FamilyModelError, ValueError) as exc:
+                entry["error"] = _error_payload(exc)
         entries.append(entry)
         if not quiet:
             status = "pass" if entry["passed"] else "FAIL"
             print(f"[{status}] {kind}")
+    all_passed = all(entry["passed"] for entry in entries)
 
+    if smp is not None:
+        dim, grid_points = smp.dim, smp.grid.points
+    else:
+        dim, grid_points = spec.dim, (grid.points if grid is not None else [])
     report = {
         "version": __version__,
         "seed": config.get("seed", 0),
         "config": config,
-        "family": {"kind": spec.kind, "dim": smp.dim},
-        "grid_points": [float(x) for x in smp.grid.points],
+        "family": {"kind": spec.kind, "dim": dim},
+        "grid_points": [float(x) for x in grid_points],
         "analyses": entries,
         "all_passed": all_passed,
     }
     report_path = out / "report.json"
     report_path.write_text(canonical_json(jsonable(report)) + "\n", encoding="utf-8")
 
-    ev = smp.eigenvalue_matrix
-    header = ["x"] + [f"lambda_{j + 1}" for j in range(smp.dim)]
-    rows = [[smp.grid[y]] + [float(v) for v in ev[y]] for y in range(len(smp))]
-    _write_csv(out / "eigenvalues.csv", header, rows)
+    if smp is not None:
+        ev = smp.eigenvalue_matrix
+        header = ["x"] + [f"lambda_{j + 1}" for j in range(smp.dim)]
+        rows = [[smp.grid[y]] + [float(v) for v in ev[y]] for y in range(len(smp))]
+        _write_csv(out / "eigenvalues.csv", header, rows)
     for name, (head, rows_) in csv_files.items():
         _write_csv(out / f"{name}.csv", head, rows_)
 

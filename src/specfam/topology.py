@@ -20,6 +20,7 @@ import numpy as np
 from .adapted import (
     GridRange,
     find_adapted_pair,
+    level_candidates,
     level_margins,
     level_ranks,
     shrink_toward,
@@ -228,30 +229,6 @@ def strict_adaptedness_certify(smp: FamilySample, x_index: int, epsilon: float,
     )
 
 
-def _positive_gap_levels(eigenvalues: np.ndarray, hi: float,
-                         tau_edge: float) -> list[float]:
-    """Ascending midpoints of the positive spectral gaps below ``hi``."""
-    ev = np.sort(eigenvalues)
-    gaps = []
-    prev = 0.0
-    for w in ev:
-        if w <= 0.0:
-            continue
-        if w > prev:
-            gaps.append((prev, float(w)))
-        prev = max(prev, float(w))
-    out = []
-    for g_lo, g_hi in gaps:
-        eff_hi = min(g_hi, hi)
-        if g_lo >= eff_hi:
-            continue
-        mid = 0.5 * (g_lo + eff_hi)
-        if min(mid - g_lo, g_hi - mid) <= tau_edge:
-            continue
-        out.append(mid)
-    return out
-
-
 @dataclass(frozen=True)
 class RieszContinuityCertificate:
     """Verified bound chain for transform continuity around a base point.
@@ -305,7 +282,8 @@ def _riesz_chain_certify(smp: FamilySample, x_index: int, delta: float, cap: flo
     strict_result = None
     pair = None
     saw_strict_pass = False
-    for eps in _positive_gap_levels(ev_x, ceiling, tau_edge):
+    for cand in level_candidates(ev_x[ev_x > 0.0], 0.0, ceiling, tau_edge):
+        eps = cand.level
         try:
             candidate = strict_adaptedness_certify(smp, x_index, eps, cap,
                                                    tau_edge=tau_edge)

@@ -9,6 +9,7 @@ from specfam import (
     GridRange,
     HermitianOperator,
     ParameterGrid,
+    PolarizationCheck,
     RealWindow,
     adapted_from_covering,
     certify_adapted_pair,
@@ -19,6 +20,7 @@ from specfam import (
     sample,
     spectral_projection,
     truncation_ceiling,
+    weak_discrete_spectrum_certify,
 )
 from specfam.errors import EdgeOnSpectrum, ModulusExceeded, NoGap, RankJump
 from specfam.spectral import hermitian_norm, projector
@@ -225,6 +227,19 @@ class TestDiscreteSpectrumCertify:
             report = discrete_spectrum_certify(smp, levels)
             assert report.routes_agree, f"routes disagree for seed {seed}"
             assert report.passed
+
+    def test_each_route_keeps_its_own_shift_grid(self):
+        # the two routes share one engine; each sweep is the oracle its own
+        # route is compared against, so neither grid may drift to the other
+        report = discrete_spectrum_certify(constant_sample([-2.0, -1.0, 1.0, 2.0]),
+                                           [0.4, 1.4])
+        assert np.array_equal(report.definitional.lambdas,
+                              np.linspace(-1.4, 1.4, 33))
+        weak = weak_discrete_spectrum_certify(
+            constant_sample([1.0, -1.0, 0.2, -0.2]), [0.5],
+            check=PolarizationCheck(eta=0.05, interior_budget=2))
+        assert np.array_equal(weak.definitional.lambdas,
+                              np.linspace(-0.95, 0.95, 35)[1:-1])
 
 
 #: one small family per built-in generator

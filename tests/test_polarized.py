@@ -63,7 +63,7 @@ class TestWeakDiscreteSpectrum:
             smp, [0.5, 0.9], check=PolarizationCheck(0.05, 2))
         assert report.passed
         assert report.routes_agree
-        assert report.level_ceiling == pytest.approx(0.95)
+        assert report.ceiling == pytest.approx(0.95)
         for b in report.b_levels:
             for cert in report.certificates[b]:
                 assert b < cert.level < 0.95

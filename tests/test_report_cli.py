@@ -5,9 +5,25 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from specfam import canonical_json, jsonable, run_analysis, validate_config
+from specfam import (
+    FamilySpec,
+    ParameterGrid,
+    canonical_json,
+    jsonable,
+    run_analysis,
+    sample,
+    validate_config,
+)
 from specfam.cli import main
 from specfam.errors import ConfigError
+
+
+def write_matrix_path(path, grid, matrices):
+    """Write the explicit-matrix JSON format read by ``matrix_path_file``."""
+    mats = [np.stack([m.real, m.imag], axis=-1).tolist() for m in matrices]
+    path.write_text(json.dumps({"dim": len(matrices[0]), "grid": list(grid),
+                                "matrices": mats}))
+    return path
 
 
 def base_config(**overrides):
@@ -179,6 +195,63 @@ class TestRunAnalysis:
         assert ((tmp_path / "a" / "report.json").read_bytes()
                 == (tmp_path / "b" / "report.json").read_bytes())
 
+    def test_weak_polarized_analysis_with_sweep(self, tmp_path):
+        smp = sample(FamilySpec("dirac_circle", 11, {}),
+                     ParameterGrid(np.linspace(0.2, 0.3, 21))).bounded_transformed()
+        path = write_matrix_path(tmp_path / "family.json", smp.grid.points.tolist(),
+                                 [op.entries for op in smp.operators])
+        config = {
+            "family": {"kind": "matrix_path_file", "dim": 11,
+                       "params": {"path": str(path)}},
+            "seed": 0,
+            "analyses": [{"kind": "polarized",
+                          "params": {"b_levels": [0.3, 0.6], "eta": 0.3,
+                                     "interior_budget": 6}}],
+        }
+        bundle = run_analysis(config, output_dir=tmp_path / "out")
+        entry = bundle.report["analyses"][0]
+        assert entry["passed"]
+        assert entry["result"]["routes_agree"]
+        assert entry["result"]["level_ceiling"] == 0.7
+
+    def test_pole_while_sampling_still_writes_report(self, tmp_path):
+        config = base_config(
+            family={"kind": "tangent_blowup", "dim": 5, "params": {}},
+            grid={"start": 0.3, "end": 0.7, "points": 5},
+            analyses=[{"kind": "flow", "params": {}},
+                      {"kind": "distances", "params": {}}],
+        )
+        bundle = run_analysis(config, output_dir=tmp_path)
+        assert not bundle.all_passed
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["all_passed"] is False
+        assert report["family"] == {"kind": "tangent_blowup", "dim": 5}
+        assert report["grid_points"] == np.linspace(0.3, 0.7, 5).tolist()
+        for entry in report["analyses"]:
+            assert entry["passed"] is False
+            assert entry["error"]["type"] == "FamilyModelError"
+            assert "result" not in entry
+        assert not (tmp_path / "eigenvalues.csv").exists()
+
+    def test_non_finite_matrix_file_still_writes_report(self, tmp_path):
+        matrices = [np.diag([v, 2.0, -2.0]).astype(complex)
+                    for v in (0.5, np.nan, -0.5)]
+        path = write_matrix_path(tmp_path / "family.json", [0.0, 0.5, 1.0], matrices)
+        config = {
+            "family": {"kind": "matrix_path_file", "dim": 3,
+                       "params": {"path": str(path)}},
+            "seed": 0,
+            "analyses": [{"kind": "flow", "params": {}}],
+        }
+        bundle = run_analysis(config, output_dir=tmp_path / "out")
+        assert not bundle.all_passed
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["grid_points"] == []
+        error = report["analyses"][0]["error"]
+        assert error["type"] == "NonFiniteEntry"
+        assert error["grid_index"] == 1
+        assert not (tmp_path / "out" / "eigenvalues.csv").exists()
+
 
 class TestCli:
     def test_analyze_exit_codes(self, tmp_path):
@@ -205,6 +278,17 @@ class TestCli:
                                       str(tmp_path / "out3")])
         assert result.exit_code == 2
         assert "analyses[0].params.delta out of (0, 0.5)" in result.output
+
+    def test_analyze_refused_family_exits_1_with_report(self, tmp_path):
+        pole = tmp_path / "pole.json"
+        pole.write_text(json.dumps(base_config(
+            family={"kind": "tangent_blowup", "dim": 5, "params": {}},
+            grid={"start": 0.3, "end": 0.7, "points": 5},
+        )))
+        result = CliRunner().invoke(main, ["analyze", str(pole), "--output-dir",
+                                           str(tmp_path / "out"), "--quiet"])
+        assert result.exit_code == 1
+        assert (tmp_path / "out" / "report.json").exists()
 
     def test_analyze_threads_reproducible(self, tmp_path):
         runner = CliRunner()
