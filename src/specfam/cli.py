@@ -127,3 +127,7 @@ def demo(family_kind, output):
     path.write_text(canonical_json(DEMO_CONFIGS[family_kind]) + "\n",
                     encoding="utf-8")
     click.echo(f"wrote {path}")
+
+
+if __name__ == "__main__":
+    main()

@@ -230,8 +230,11 @@ class _RandomPath:
 
 def load_matrix_path(path: str) -> tuple[ParameterGrid, list[np.ndarray]]:
     """Read the explicit-matrix JSON format: dim, grid, matrices of [re, im] pairs."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise FamilyModelError(f"cannot read matrix path file {path}: {exc}") from exc
     try:
         dim = int(doc["dim"])
         grid_points = [float(v) for v in doc["grid"]]

@@ -1,8 +1,8 @@
 """Spectral flow along the grid by two independent algorithms.
 
 ``flow_by_tracking`` follows sorted eigenvalue branches between adjacent grid
-points and counts signed crossings of zero.  ``flow_by_partition`` covers the
-grid by adapted segments and telescopes window-rank differences instead.
+points and counts signed crossings of zero.  ``flow_by_partition`` telescopes
+window-rank differences over a partition into adapted segments, its witness.
 The two routes share no counting logic, so their exact agreement is a strong
 cross-check; both require zero off the spectrum at the grid endpoints.
 """
@@ -15,9 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adapted import (
-    GridRange,
-    AdaptedPairCertificate,
-    certify_adapted_pair,
     level_candidates,
     level_margins,
     level_ranks,
@@ -48,7 +45,6 @@ class FlowPartition:
 
     breakpoints: tuple[int, ...]
     levels: tuple[float, ...]
-    certificates: tuple[AdaptedPairCertificate, ...]
 
 
 @dataclass(frozen=True)
@@ -135,15 +131,17 @@ def flow_by_partition(smp: FamilySample,
     The flow contribution of a segment is the change in the number of
     eigenvalues in (0, level] between its endpoints; counting is half-open
     at zero, which the endpoint margins make unambiguous.
+
+    ``edge_ok`` is each segment's adaptedness proof: on every edge both
+    margins clear ``tau_edge``, the window ranks agree, and the branches move
+    less than the margin sum, the least a branch needs to cross +-level
+    between samples.  For a segment's continuity moduli, call
+    ``certify_adapted_pair(smp, GridRange(lo, hi), level)`` on the witness.
     """
     margins_ends = _endpoint_margins(smp, tau_edge)
     ev = smp.eigenvalue_matrix
     n = len(smp)
     ceiling = truncation_ceiling(smp)
-    # max branch movement per grid edge: a branch can cross +-level between
-    # two samples only by moving at least the sum of its sampled clearances,
-    # so requiring movement below the sampled margin sum makes the sampled
-    # window rank trustworthy along the whole edge
     moves = np.max(np.abs(np.diff(ev, axis=0)), axis=1)
 
     def edge_ok(i, margins, ranks):
@@ -153,7 +151,6 @@ def flow_by_partition(smp: FamilySample,
 
     breakpoints = [0]
     levels: list[float] = []
-    certificates: list[AdaptedPairCertificate] = []
     start = 0
     flow = 0
     while start < n - 1:
@@ -171,15 +168,12 @@ def flow_by_partition(smp: FamilySample,
         end = start + 1
         while end + 1 < n and edge_ok(end, margins, ranks):
             end += 1
-        segment = GridRange(start, end)
-        certificates.append(certify_adapted_pair(smp, segment, level,
-                                                 tau_edge=tau_edge))
         breakpoints.append(end)
         levels.append(level)
         flow += (_count_strictly_positive_upto(ev[end], level)
                  - _count_strictly_positive_upto(ev[start], level))
         start = end
 
-    partition = FlowPartition(tuple(breakpoints), tuple(levels), tuple(certificates))
+    partition = FlowPartition(tuple(breakpoints), tuple(levels))
     return FlowResult(flow=flow, method="partition", endpoint_margins=margins_ends,
                       partition=partition)

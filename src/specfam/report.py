@@ -54,8 +54,6 @@ def jsonable(obj):
         if np.iscomplexobj(obj):
             return jsonable(np.stack([obj.real, obj.imag], axis=-1))
         return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, GridRange):
-        return {"lo_index": obj.lo_index, "hi_index": obj.hi_index}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):

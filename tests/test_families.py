@@ -147,6 +147,12 @@ class TestMatrixPathFile:
         with pytest.raises(FamilyModelError):
             sample(FamilySpec("matrix_path_file", 2, {"path": str(path)}))
 
+    def test_missing_file_is_a_model_error(self, tmp_path):
+        missing = tmp_path / "absent.json"
+        with pytest.raises(FamilyModelError) as err:
+            sample(FamilySpec("matrix_path_file", 3, {"path": str(missing)}))
+        assert str(missing) in str(err.value)
+
 
 class TestTruncationCheck:
     def test_dirac_window_spectrum_identical(self):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specfam import (
     FamilySample,
     FamilySpec,
+    GridRange,
     HermitianOperator,
     ParameterGrid,
     certify_adapted_pair,
@@ -11,6 +13,7 @@ from specfam import (
     flow_by_tracking,
     sample,
 )
+from specfam.adapted import level_ranks
 from specfam.errors import AmbiguousMatching, EndpointOnSpectrum, NonFiniteEntry
 
 from conftest import constant_sample, with_nan_eigenvalue
@@ -20,6 +23,14 @@ def random_sample(seed, dim=8, points=121, width=0.77):
     # a non-period window so the endpoint inertia differs and flows vary
     return sample(FamilySpec("random_crossings", dim, {"seed": seed}),
                   ParameterGrid.linspace(0.0, width, points))
+
+
+def assert_witness_certifies(smp, part):
+    """Every (segment, level) of a partition witness is an adapted pair."""
+    for (lo, hi), level in zip(zip(part.breakpoints, part.breakpoints[1:]),
+                               part.levels):
+        cert = certify_adapted_pair(smp, GridRange(lo, hi), level)
+        assert cert.rank == level_ranks(smp, level)[lo]
 
 
 class TestTracking:
@@ -97,12 +108,7 @@ class TestPartition:
         assert part.breakpoints[0] == 0
         assert part.breakpoints[-1] == len(smp) - 1
         assert all(b < c for b, c in zip(part.breakpoints, part.breakpoints[1:]))
-        for (lo, hi), level, cert in zip(
-                zip(part.breakpoints, part.breakpoints[1:]), part.levels,
-                part.certificates):
-            recheck = certify_adapted_pair(smp, cert.range, level)
-            assert recheck.rank == cert.rank
-            assert (cert.range.lo_index, cert.range.hi_index) == (lo, hi)
+        assert_witness_certifies(smp, part)
 
 
 class TestCrossMethod:
@@ -118,6 +124,17 @@ class TestCrossMethod:
             rev = smp.reversed()
             assert flow_by_tracking(rev).flow == -fwd_t
             assert flow_by_partition(rev).flow == -fwd_t
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(3, 8))
+    def test_routes_agree_reverse_and_witness_certifies(self, seed, dim):
+        smp = random_sample(seed, dim=dim)
+        tracked, partitioned = flow_by_tracking(smp), flow_by_partition(smp)
+        assert tracked.flow == partitioned.flow
+        rev = smp.reversed()
+        assert flow_by_tracking(rev).flow == -tracked.flow
+        assert flow_by_partition(rev).flow == -tracked.flow
+        assert_witness_certifies(smp, partitioned.partition)
 
     def test_concatenation_adds(self):
         smp = random_sample(7, points=121)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -289,6 +292,36 @@ class TestCli:
                                            str(tmp_path / "out"), "--quiet"])
         assert result.exit_code == 1
         assert (tmp_path / "out" / "report.json").exists()
+
+    def test_analyze_missing_matrix_file_exits_1_with_report(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "family": {"kind": "matrix_path_file", "dim": 3,
+                       "params": {"path": str(tmp_path / "absent.json")}},
+            "seed": 0,
+            "analyses": [{"kind": "flow", "params": {}},
+                         {"kind": "distances", "params": {}}],
+        }))
+        result = CliRunner().invoke(main, ["analyze", str(cfg), "--output-dir",
+                                           str(tmp_path / "out"), "--quiet"])
+        assert result.exit_code == 1
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        for entry in report["analyses"]:
+            assert entry["error"]["type"] == "FamilyModelError"
+
+    def test_module_entry_point_runs_the_cli(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(base_config(analyses=[
+            {"kind": "riesz-continuity", "params": {"delta": 0.7, "x_index": 5}}
+        ])))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "specfam.cli", "validate", str(bad)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "analyses[0].params.delta out of (0, 0.5)" in proc.stderr
 
     def test_analyze_threads_reproducible(self, tmp_path):
         runner = CliRunner()
