@@ -15,9 +15,11 @@ see the artificial boundary of the truncation rather than the modeled
 operator, so certificates above the ceiling would certify the truncation,
 not the family.
 
-Each sample memoizes its edge moduli by (edge, window masks), so ranges that
-overlap, as at neighbouring grid points of the discrete-spectrum scan, norm
-every distinct edge once.
+Eigenvalues are sorted, so a window, like the upper part [epsilon, oo) of
+strict adaptedness, is an interval of eigen-indices.  ``_interval_modulus``
+norms edge differences of interval projections and memoizes them on the
+sample by (edge, left interval, right interval), so overlapping ranges, as
+in the discrete-spectrum scan, norm every distinct edge once.
 
 The unbounded and the weak (polarized) discrete-spectrum certificates share
 one engine, ``_scan_levels``, and differ only in the level ceiling and the
@@ -172,10 +174,32 @@ def level_candidates(abs_eigenvalues: np.ndarray, lo: float, hi: float,
     return out
 
 
-def _window_operators(smp: FamilySample, y: int, mask: np.ndarray):
-    """Window projection P_y and compression A_y P_y at grid point y."""
-    dec = smp.decompositions[y]
-    return y, projector(dec, mask), projector(dec, mask, weights=dec.eigenvalues)
+def _interval_modulus(smp: FamilySample, lo: int, starts, stops,
+                      weighted: bool = False) -> float:
+    """Largest adjacent-edge norm from grid point ``lo`` on.
+
+    At point ``lo + k`` the operator is the projection onto the eigen-indices
+    ``[starts[k], stops[k])``, or with ``weighted`` the operator compressed to
+    them.  A norm missing from the sample's store is computed and stored.
+    """
+    memo = smp.restriction_moduli if weighted else smp.projection_moduli
+    starts, stops = starts.tolist(), stops.tolist()
+    keys = list(zip(range(lo, lo + len(starts) - 1), starts, stops, starts[1:], stops[1:]))
+    values = list(map(memo.get, keys))
+    index = np.arange(smp.dim)
+
+    def fibre(k):
+        dec = smp.decompositions[lo + k]
+        return projector(dec, (index >= starts[k]) & (index < stops[k]),
+                         weights=dec.eigenvalues if weighted else None)
+
+    held_at, held = -1, None  # the right fibre of the last miss
+    for k, value in enumerate(values):
+        if value is None:
+            left = held if held_at == k else fibre(k)
+            held_at, held = k + 1, fibre(k + 1)
+            values[k] = memo[keys[k]] = hermitian_norm(held - left)
+    return max(values, default=0.0)
 
 
 def certify_adapted_pair(smp: FamilySample, grid_range: GridRange, level: float,
@@ -189,8 +213,8 @@ def certify_adapted_pair(smp: FamilySample, grid_range: GridRange, level: float,
     points, and ``ModulusExceeded`` when a cap is given and either continuity
     modulus lands above it.
 
-    Edge moduli are looked up in ``smp.edge_moduli`` first; a miss builds the
-    two fibres' window operators and stores the two norms.
+    The window at each point is the eigen-index interval
+    [#(lambda < -level), #(lambda <= level)).
     """
     if level <= 0:
         raise ValueError("window level must be positive")
@@ -207,25 +231,10 @@ def certify_adapted_pair(smp: FamilySample, grid_range: GridRange, level: float,
         prev_rank = ranks[y]
 
     lo, hi = grid_range.lo_index, grid_range.hi_index
-    masks = np.abs(smp.eigenvalue_matrix[lo:hi + 1]) <= level
-    rows = [m.tobytes() for m in masks]
-    memo = smp.edge_moduli
-    held = None  # the right fibre of the last miss, reused as the next left one
-    proj_modulus = 0.0
-    rest_modulus = 0.0
-    for y in range(lo, hi):
-        key = (y, rows[y - lo], rows[y + 1 - lo])
-        moduli = memo.get(key)
-        if moduli is None:
-            if held is None or held[0] != y:
-                held = _window_operators(smp, y, masks[y - lo])
-            _, proj_a, comp_a = held
-            held = _window_operators(smp, y + 1, masks[y + 1 - lo])
-            _, proj_b, comp_b = held
-            moduli = memo[key] = (hermitian_norm(proj_b - proj_a),
-                                  hermitian_norm(comp_b - comp_a))
-        proj_modulus = max(proj_modulus, moduli[0])
-        rest_modulus = max(rest_modulus, moduli[1])
+    starts = (smp.eigenvalue_matrix[lo:hi + 1] < -level).sum(axis=1)
+    stops = starts + ranks[lo:hi + 1]
+    proj_modulus = _interval_modulus(smp, lo, starts, stops)
+    rest_modulus = _interval_modulus(smp, lo, starts, stops, weighted=True)
     if cap is not None:
         if proj_modulus > cap:
             raise ModulusExceeded("projection", proj_modulus, cap)

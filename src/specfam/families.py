@@ -134,22 +134,35 @@ class FamilySample:
         return mat
 
     @cached_property
-    def edge_moduli(self) -> dict[tuple[int, bytes, bytes], tuple[float, float]]:
-        """Memo of adjacent-point window moduli, filled by ``certify_adapted_pair``.
+    def projection_moduli(self) -> dict[tuple[int, int, int, int, int], float]:
+        """Memo of adjacent-edge projection norms, filled by ``adapted._interval_modulus``.
 
-        Maps (left grid index, left window mask bytes, right window mask bytes)
-        to the (projection, restriction) norms across that edge.  Only floats
-        are kept: the projectors they come from are rebuilt on a miss.
+        Maps (left grid index, left start, left stop, right start, right stop)
+        to the norm of the difference of the projections onto eigen-indices
+        [start, stop) at the two ends of the edge.
         """
         return {}
 
+    @cached_property
+    def restriction_moduli(self) -> dict[tuple[int, int, int, int, int], float]:
+        """The same memo for the operator compressed to each interval; never shared."""
+        return {}
+
     def shifted(self, lam: float) -> "FamilySample":
-        """The family minus ``lam``; decompositions shift with it exactly."""
+        """The family minus ``lam``; decompositions shift with it exactly.
+
+        No moduli are shared: an operator not yet decomposed gets its own eigh.
+        """
         return FamilySample(self.grid, tuple(op.shifted(lam) for op in self.operators))
 
     def bounded_transformed(self) -> "FamilySample":
-        """Fiberwise bounded transform; window ranks correspond exactly."""
-        return FamilySample(self.grid, tuple(bounded_transform(op) for op in self.operators))
+        """Fiberwise bounded transform; window ranks correspond exactly.
+
+        The transform keeps every eigenvector, so the projection moduli are shared.
+        """
+        out = FamilySample(self.grid, tuple(bounded_transform(op) for op in self.operators))
+        vars(out)["projection_moduli"] = self.projection_moduli
+        return out
 
     def reversed(self) -> "FamilySample":
         pts = -self.grid.points[::-1]

@@ -26,6 +26,7 @@ from .adapted import (
     shrink_toward,
     truncation_ceiling,
     _grow_range,
+    _interval_modulus,
 )
 from .errors import (
     BoundViolated,
@@ -204,21 +205,20 @@ def strict_adaptedness_certify(smp: FamilySample, x_index: int, epsilon: float,
     The range is the maximal adapted range at level ``epsilon`` around the
     base point; the reported modulus is the largest adjacent-edge projection
     distance over it, and the check passes when that stays below ``cap``.
+    The upper projection at each point is the one onto the eigen-indices
+    [#(lambda < epsilon), dim), normed by ``adapted._interval_modulus``.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    if not 0 <= x_index < len(smp):
+        raise ValueError("base index outside the grid")
     margins = level_margins(smp, epsilon)
     ranks = level_ranks(smp, epsilon)
     if not margins[x_index] >= tau_edge:
         raise EdgeOnSpectrum(epsilon, float(margins[x_index]), grid_index=x_index)
     rng = _grow_range(margins, ranks, x_index, tau_edge)
-    uppers = []
-    for y in rng.indices():
-        dec = smp.decompositions[y]
-        uppers.append(projector(dec, dec.eigenvalues >= epsilon))
-    modulus = 0.0
-    for a, b in zip(uppers, uppers[1:]):
-        modulus = max(modulus, hermitian_norm(b - a))
+    starts = (smp.eigenvalue_matrix[rng.lo_index:rng.hi_index + 1] < epsilon).sum(axis=1)
+    modulus = _interval_modulus(smp, rng.lo_index, starts, np.full_like(starts, smp.dim))
     return StrictAdaptednessResult(
         passed=modulus < cap,
         epsilon=float(epsilon),
@@ -274,6 +274,8 @@ def _riesz_chain_certify(smp: FamilySample, x_index: int, delta: float, cap: flo
     """
     if not 0.0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 1/2)")
+    if not 0 <= x_index < len(smp):
+        raise ValueError("base index outside the grid")
     ceiling = truncation_ceiling(smp)
     if level_ceiling is not None:
         ceiling = min(ceiling, level_ceiling)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import specfam.adapted
+import specfam.topology
 from specfam import (
     FamilySample,
     FamilySpec,
@@ -19,6 +20,7 @@ from specfam import (
     fixed_level_certifier,
     sample,
     spectral_projection,
+    strict_adaptedness_certify,
     truncation_ceiling,
     weak_discrete_spectrum_certify,
 )
@@ -260,11 +262,80 @@ def scan_levels(smp):
     return [0.2 * ceiling, 0.5 * ceiling]
 
 
+def interval_mask(dim, start, stop):
+    mask = np.zeros(dim, dtype=bool)
+    mask[start:stop] = True
+    return mask
+
+
+def window_intervals(smp, lo, hi, level):
+    """Per point of lo..hi, the eigen-index interval [start, stop) of the
+    window |lambda| <= level, checked against the window mask itself."""
+    out = []
+    for ev in smp.eigenvalue_matrix[lo:hi + 1]:
+        mask = np.abs(ev) <= level
+        start = int(np.sum(ev < -level))
+        stop = start + int(np.sum(mask))
+        assert np.array_equal(mask, interval_mask(smp.dim, start, stop))
+        out.append((start, stop))
+    return out
+
+
 def memo_keys(smp, cert):
-    """The (edge, window mask pair) keys that a certificate's range and level touch."""
+    """The interval-keyed edges that a certificate's range and level touch."""
     lo, hi = cert.range.lo_index, cert.range.hi_index
-    rows = [r.tobytes() for r in np.abs(smp.eigenvalue_matrix[lo:hi + 1]) <= cert.level]
-    return {(lo + k, rows[k], rows[k + 1]) for k in range(len(rows) - 1)}
+    bounds = window_intervals(smp, lo, hi, cert.level)
+    return {(lo + k, *bounds[k], *bounds[k + 1]) for k in range(len(bounds) - 1)}
+
+
+def stored(smp):
+    return len(smp.projection_moduli) + len(smp.restriction_moduli)
+
+
+def assert_stores_match_dense_oracle(smp):
+    """Every stored norm equals, bit for bit, the dense norm rebuilt from its key."""
+    for weighted, memo in ((False, smp.projection_moduli), (True, smp.restriction_moduli)):
+        for (y, a_start, a_stop, b_start, b_stop), value in memo.items():
+            dec_a, dec_b = smp.decompositions[y], smp.decompositions[y + 1]
+            oracle = hermitian_norm(
+                projector(dec_b, interval_mask(smp.dim, b_start, b_stop),
+                          weights=dec_b.eigenvalues if weighted else None)
+                - projector(dec_a, interval_mask(smp.dim, a_start, a_stop),
+                            weights=dec_a.eigenvalues if weighted else None))
+            assert value == oracle
+
+
+def jumping_sample(seed, dim, points):
+    """Window [-1, 1] of constant rank 1, while one eigenvalue jumps from -2
+    to +2 between two samples: the window's index interval moves by one."""
+    rng = np.random.default_rng(seed)
+    jump = int(rng.integers(1, points))
+    inner = rng.uniform(-0.5, 0.5, points)
+    outer = rng.uniform(1.5, 3.0, dim - 2) * rng.choice([-1.0, 1.0], dim - 2)
+    turn = [random_hermitian(rng, dim).entries for _ in range(2)]
+    ops = []
+    for k in range(points):
+        basis, _ = np.linalg.qr(turn[0] + 0.1 * k * turn[1])
+        values = np.concatenate([[inner[k], 2.0 if k >= jump else -2.0], outer])
+        ops.append(HermitianOperator((basis * values) @ basis.conj().T))
+    return FamilySample(ParameterGrid.linspace(0.0, 1.0, points), tuple(ops))
+
+
+def count_norms(monkeypatch, *modules):
+    """Route the modules' ``hermitian_norm`` through a counter; returns the call log."""
+    calls = []
+
+    def counting_norm(m):
+        calls.append(m.shape)
+        return hermitian_norm(m)
+
+    for module in modules:
+        monkeypatch.setattr(module, "hermitian_norm", counting_norm)
+    return calls
+
+
+def has_moving_start(memo):
+    return any(a_start != b_start for _, a_start, _, b_start, _ in memo)
 
 
 class TestEdgeModuliMemo:
@@ -273,11 +344,11 @@ class TestEdgeModuliMemo:
     def test_warm_memo_matches_fresh_sample(self, spec, grid):
         warm = sample(spec, grid)
         discrete_spectrum_certify(warm, scan_levels(warm), include_definitional=False)
-        filled = len(warm.edge_moduli)
+        filled = stored(warm)
         assert filled > 0
         report = discrete_spectrum_certify(warm, scan_levels(warm),
                                            include_definitional=False)
-        assert len(warm.edge_moduli) == filled  # every edge came from the memo
+        assert stored(warm) == filled  # every edge came from the memo
         certs = [c for per_x in report.certificates.values() for c in per_x if c]
         assert certs
         for cert in certs:
@@ -316,57 +387,92 @@ class TestEdgeModuliMemo:
                 find_adapted_pair(smp, x, 1e-3)
             except (NoGap, EdgeOnSpectrum, RankJump):
                 pass
-        for (y, left, right), moduli in smp.edge_moduli.items():
-            dec_a, dec_b = smp.decompositions[y], smp.decompositions[y + 1]
-            m_a = np.frombuffer(left, dtype=bool)
-            m_b = np.frombuffer(right, dtype=bool)
-            oracle = (
-                hermitian_norm(projector(dec_b, m_b) - projector(dec_a, m_a)),
-                hermitian_norm(projector(dec_b, m_b, weights=dec_b.eigenvalues)
-                               - projector(dec_a, m_a, weights=dec_a.eigenvalues)),
-            )
-            assert moduli == oracle
+            try:
+                strict_adaptedness_certify(smp, x, level, cap=1.0)
+            except EdgeOnSpectrum:
+                pass
+        assert_stores_match_dense_oracle(smp)
 
-    def test_derived_samples_keep_their_own_memo(self):
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(3, 6),
+           points=st.integers(3, 8))
+    def test_moving_intervals_equal_dense_oracle(self, seed, dim, points):
+        smp = jumping_sample(seed, dim, points)
+        cert = certify_adapted_pair(smp, GridRange(0, points - 1), 1.0)
+        assert cert.rank == 1
+        assert set(smp.projection_moduli) == memo_keys(smp, cert)
+        assert has_moving_start(smp.projection_moduli)
+        assert has_moving_start(smp.restriction_moduli)
+        assert_stores_match_dense_oracle(smp)
+
+        window = set(smp.projection_moduli)
+        strict = strict_adaptedness_certify(smp, 0, 1.0, cap=np.inf)
+        assert strict.range == GridRange(0, points - 1)
+        upper = set(smp.projection_moduli) - window
+        assert {key[2] for key in upper} == {key[4] for key in upper} == {dim}
+        assert has_moving_start(upper)
+        assert_stores_match_dense_oracle(smp)
+
+    def test_repeated_strict_check_norms_nothing(self, monkeypatch):
+        calls = count_norms(monkeypatch, specfam.adapted, specfam.topology)
+        smp = jumping_sample(7, 5, 9)
+        first = strict_adaptedness_certify(smp, 4, 1.0, cap=np.inf)
+        assert len(calls) == len(first.range) - 1 == 8
+        calls.clear()
+        assert strict_adaptedness_certify(smp, 4, 1.0, cap=np.inf) == first
+        assert calls == []
+
+        # the dense loop over upper projectors that the memo replaces
+        uppers = [projector(dec, dec.eigenvalues >= 1.0)
+                  for dec in (smp.decompositions[y] for y in first.range.indices())]
+        dense = max(hermitian_norm(b - a) for a, b in zip(uppers, uppers[1:]))
+        assert first.modulus == dense > 0.5
+
+    def test_bounded_transform_shares_projection_moduli_only(self, monkeypatch):
         smp = sample(FamilySpec("harmonic_perturbed", 8, {"coupling": (0.0, 1.0)}),
                      ParameterGrid.linspace(0.0, 1.0, 9))
         level = 1.0
         certify_adapted_pair(smp, GridRange(0, 8), level)
-        before = dict(smp.edge_moduli)
-        assert before
+        projections = dict(smp.projection_moduli)
+        restrictions = dict(smp.restriction_moduli)
+        assert projections and projections.keys() == restrictions.keys()
 
         shifted = smp.shifted(0.3)
-        assert shifted.edge_moduli == {}
+        assert shifted.projection_moduli == {} and shifted.restriction_moduli == {}
         find_adapted_pair(shifted, 4, 0.5)
-        assert shifted.edge_moduli
+        assert shifted.projection_moduli and shifted.restriction_moduli
+        assert shifted.projection_moduli is not smp.projection_moduli
 
         bounded = smp.bounded_transformed()
-        assert bounded.edge_moduli == {}
-        # the transform is odd and increasing, so its windows select the same
-        # eigenvectors and the memo keys coincide; the restriction norms do not
-        certify_adapted_pair(bounded, GridRange(0, 8), level / np.sqrt(1 + level**2))
-        assert bounded.edge_moduli.keys() == before.keys()
-        for key, (proj, rest) in bounded.edge_moduli.items():
-            assert proj == before[key][0]
-            assert rest != before[key][1]
+        assert bounded.projection_moduli is smp.projection_moduli
+        assert bounded.restriction_moduli == {}
+        # the transform is odd and increasing and keeps every eigenvector, so
+        # its windows select the same intervals: only restrictions are normed
+        calls = count_norms(monkeypatch, specfam.adapted)
+        glevel = level / np.sqrt(1 + level**2)
+        certify_adapted_pair(bounded, GridRange(0, 8), glevel)
+        assert len(calls) == len(restrictions)
+        assert bounded.restriction_moduli.keys() == restrictions.keys()
+        for key, rest in bounded.restriction_moduli.items():
+            assert rest != restrictions[key]
+        assert smp.projection_moduli == projections
+        assert smp.restriction_moduli == restrictions
 
-        assert smp.edge_moduli == before
-        assert len({id(smp.edge_moduli), id(shifted.edge_moduli),
-                    id(bounded.edge_moduli)}) == 3
+        # a sample of the same transformed operators with stores of its own
+        # norms the shared projection entries again, to the same bits
+        fresh = FamilySample(bounded.grid, bounded.operators)
+        certify_adapted_pair(fresh, GridRange(0, 8), glevel)
+        assert fresh.projection_moduli == projections
+        assert fresh.restriction_moduli == bounded.restriction_moduli
 
     def test_discrete_scan_norms_each_distinct_edge_once(self, monkeypatch):
-        calls = []
-
-        def counting_norm(m):
-            calls.append(m.shape)
-            return hermitian_norm(m)
-
-        monkeypatch.setattr(specfam.adapted, "hermitian_norm", counting_norm)
+        calls = count_norms(monkeypatch, specfam.adapted)
         smp = sample(FamilySpec("dirac_circle", 41), ParameterGrid.linspace(-0.49, 0.49, 21))
         report = discrete_spectrum_certify(smp, [0.4, 1.4, 2.4], include_definitional=False)
         certs = [c for per_x in report.certificates.values() for c in per_x if c]
         distinct = set().union(*(memo_keys(smp, c) for c in certs))
-        assert set(smp.edge_moduli) == distinct
+        assert set(smp.projection_moduli) == distinct
+        assert set(smp.restriction_moduli) == distinct
         assert len(calls) == 2 * len(distinct)
         # the scan revisits edges, so the memo saved norms
         assert len(distinct) < sum(len(c.range) - 1 for c in certs)

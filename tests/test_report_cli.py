@@ -309,6 +309,34 @@ class TestCli:
         for entry in report["analyses"]:
             assert entry["error"]["type"] == "FamilyModelError"
 
+    @pytest.mark.parametrize("x_index", [500, -1])
+    def test_x_index_outside_a_matrix_file_grid_is_reported(self, tmp_path, x_index):
+        # the grid comes from the file, so validation cannot bound x_index
+        rng = np.random.default_rng(0)
+        matrices = [np.diag([-1.0 - x, 0.1 + x, 1.0 + x]) for x in rng.uniform(0, 0.1, 9)]
+        path = write_matrix_path(tmp_path / "family.json", np.linspace(0, 1, 9).tolist(),
+                                 matrices)
+        config = {
+            "family": {"kind": "matrix_path_file", "dim": 3,
+                       "params": {"path": str(path)}},
+            "seed": 0,
+            "analyses": [{"kind": "riesz-continuity",
+                          "params": {"delta": 0.2, "x_index": x_index}}],
+        }
+        bundle = run_analysis(config, output_dir=tmp_path / "out")
+        assert not bundle.all_passed
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        error = report["analyses"][0]["error"]
+        assert error == {"type": "ValueError", "message": "base index outside the grid"}
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        result = CliRunner().invoke(main, ["analyze", str(cfg), "--output-dir",
+                                           str(tmp_path / "cli"), "--quiet"])
+        assert result.exit_code == 1
+        assert (tmp_path / "cli" / "report.json").read_bytes() == (
+            tmp_path / "out" / "report.json").read_bytes()
+
     def test_module_entry_point_runs_the_cli(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(base_config(analyses=[

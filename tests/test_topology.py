@@ -13,6 +13,7 @@ from specfam import (
     discrete_spectrum_certify,
     graph_continuity_certify,
     graph_distance,
+    polarized_continuity_certify,
     riesz_continuity_certify,
     riesz_distance,
     sample,
@@ -158,6 +159,14 @@ class TestGraphContinuityCertify:
 
 
 class TestStrictAdaptedness:
+    @pytest.mark.parametrize("x_index", [5, -1])
+    def test_base_index_outside_the_grid_refused(self, x_index):
+        smp = constant_sample([-1.0, 1.0])
+        for certify in (strict_adaptedness_certify, riesz_continuity_certify,
+                        polarized_continuity_certify):
+            with pytest.raises(ValueError, match="base index outside the grid"):
+                certify(smp, x_index, 0.2, cap=0.5)
+
     def test_constant_family_passes(self):
         result = strict_adaptedness_certify(constant_sample([-1.0, 1.0]), 2, 0.5, cap=0.1)
         assert result.passed
