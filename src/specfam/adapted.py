@@ -332,6 +332,8 @@ def covering_construction(smp: FamilySample, x_index: int, c: float,
     """
     if c <= 0:
         raise ValueError("the target level c must be positive")
+    if not 0 <= x_index < len(smp):
+        raise ValueError("base index outside the grid")
     ev_x = smp.eigenvalue_matrix[x_index]
     margin = float(np.min(np.abs(np.abs(ev_x) - c)))
     if not margin >= tau_edge:

@@ -343,7 +343,9 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     for row in rows:
         cells = []
         for cell in row:
-            if isinstance(cell, numbers.Real) and not isinstance(cell, numbers.Integral):
+            # the exact type test first: ABC checks are slow and almost every cell is a float
+            if type(cell) is float or (isinstance(cell, numbers.Real)
+                                       and not isinstance(cell, numbers.Integral)):
                 cells.append(format(float(cell), ".17g"))
             else:
                 cells.append(str(cell))

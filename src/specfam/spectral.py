@@ -7,6 +7,16 @@ handful of operations here, and all of them are plain functions of their
 inputs: values are immutable after construction and safe to share between
 threads.
 
+``diagonal_operator`` builds its operator together with the exact
+decomposition: the stably sorted diagonal and the sorting permutation, so no
+eigensolver runs and no dense eigenbasis is stored.  Projectors, the bounded
+transform and the resolvent of such an operator are diagonal matrices placed
+by that permutation, equal to the ones built from ``eigh``'s eigenbasis.  The
+``dirac_circle`` and ``tangent_blowup`` generators use it.  ``linear_crossing``
+is diagonal too but stays on ``eigh`` for now, because the benchmark's own
+tests pin its decomposition work.  ``random_crossings`` has a fixed basis, but
+an exact decomposition there would change eigenvalue bits and so report bytes.
+
 Tolerances follow the usual backward-error scale of dense Hermitian
 eigensolvers at moderate dimensions.
 """
@@ -72,7 +82,7 @@ class HermitianOperator:
         out = HermitianOperator(self.entries - lam * np.eye(self.dim))
         cached = self.__dict__.get("_decomposition")
         if cached is not None:
-            _install_decomposition(out, cached.eigenvalues - lam, cached.eigenvectors)
+            _install_decomposition(out, cached.eigenvalues - lam, cached.basis, cached.order)
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -81,10 +91,23 @@ class HermitianOperator:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Ascending eigenvalues and a matching orthonormal eigenbasis."""
+    """Ascending eigenvalues and a matching orthonormal eigenbasis.
+
+    The basis is held either densely (``basis``) or, for an operator that is
+    diagonal in the standard basis, as the permutation ``order``: eigenvalue k
+    belongs to standard basis vector ``order[k]``.
+    """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    basis: np.ndarray | None = None
+    order: np.ndarray | None = None
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """The eigenbasis as columns; built on each call, not kept, in permutation form."""
+        if self.basis is not None:
+            return self.basis
+        return np.eye(self.eigenvalues.size, dtype=complex)[:, self.order]
 
 
 @dataclass(frozen=True)
@@ -141,21 +164,29 @@ def zero_operator(dim: int) -> HermitianOperator:
 
 
 def diagonal_operator(values) -> HermitianOperator:
-    return HermitianOperator(np.diag(np.asarray(values, dtype=float)))
+    """The diagonal operator, carrying its exact decomposition (no eigensolver runs)."""
+    op = HermitianOperator(np.diag(np.asarray(values, dtype=float)))
+    diagonal = op.entries.diagonal().real
+    order = np.argsort(diagonal, kind="stable")
+    order.setflags(write=False)
+    _install_decomposition(op, diagonal[order], order=order)
+    return op
 
 
 def _install_decomposition(op: HermitianOperator, eigenvalues: np.ndarray,
-                           eigenvectors: np.ndarray) -> None:
+                           basis: np.ndarray | None = None,
+                           order: np.ndarray | None = None) -> None:
     """Attach a known decomposition (used when it is exact by construction)."""
     w = np.asarray(eigenvalues, dtype=float)
     w.setflags(write=False)
-    object.__setattr__(op, "_decomposition", SpectralDecomposition(w, eigenvectors))
+    object.__setattr__(op, "_decomposition", SpectralDecomposition(w, basis, order))
 
 
 def decompose(op: HermitianOperator) -> SpectralDecomposition:
     """Eigendecomposition with ascending eigenvalues, cached on the operator.
 
-    The LAPACK driver behind ``numpy.linalg.eigh`` is deterministic for a
+    An operator that carries its exact decomposition (``diagonal_operator``)
+    gets it back without an eigensolver.  The LAPACK driver behind ``numpy.linalg.eigh`` is deterministic for a
     fixed input, which fixes the tie-breaking inside degenerate clusters;
     nothing downstream depends on that choice, only on the spanned subspaces.
     """
@@ -177,6 +208,13 @@ def window_margin(eigenvalues: np.ndarray, window: RealWindow) -> float:
     return float(min(np.min(np.abs(eigenvalues - e)) for e in endpoints))
 
 
+def _placed_diagonal(dim: int, index: np.ndarray, values) -> np.ndarray:
+    """The complex dim x dim matrix with ``values`` on the diagonal at ``index``, zero elsewhere."""
+    out = np.zeros((dim, dim), dtype=complex)
+    out[index, index] = values
+    return out
+
+
 def projector(dec: SpectralDecomposition, mask: np.ndarray,
               weights: np.ndarray | None = None) -> np.ndarray:
     """Sum of rank-one projectors over the masked eigenpairs.
@@ -184,6 +222,9 @@ def projector(dec: SpectralDecomposition, mask: np.ndarray,
     With ``weights`` given, returns sum_j w_j v_j v_j* instead, i.e. a
     function of the operator supported on the selected eigenspaces.
     """
+    if dec.order is not None:
+        return _placed_diagonal(dec.order.size, dec.order[mask],
+                                1.0 if weights is None else np.asarray(weights)[mask])
     vecs = dec.eigenvectors[:, mask]
     if weights is None:
         return vecs @ vecs.conj().T
@@ -226,10 +267,13 @@ def bounded_transform(op: HermitianOperator) -> HermitianOperator:
     """
     dec = decompose(op)
     vals = bounded_transform_scalar(dec.eigenvalues)
-    m = (dec.eigenvectors * vals) @ dec.eigenvectors.conj().T
+    if dec.order is not None:
+        m = _placed_diagonal(op.dim, dec.order, vals)
+    else:
+        m = (dec.eigenvectors * vals) @ dec.eigenvectors.conj().T
     out = HermitianOperator(m)
     # the transform is increasing, so the transformed list is still ascending
-    _install_decomposition(out, vals, dec.eigenvectors)
+    _install_decomposition(out, vals, dec.basis, dec.order)
     return out
 
 
@@ -240,6 +284,8 @@ def resolvent_at_i(op: HermitianOperator) -> np.ndarray:
     """
     dec = decompose(op)
     vals = 1.0 / (dec.eigenvalues + 1j)
+    if dec.order is not None:
+        return _placed_diagonal(op.dim, dec.order, vals)
     return (dec.eigenvectors * vals) @ dec.eigenvectors.conj().T
 
 

@@ -187,6 +187,17 @@ class TestCovering:
         with pytest.raises(EdgeOnSpectrum):
             covering_construction(smp, 2, 2.0)
 
+    @pytest.mark.parametrize("x_index", [9, -1])
+    def test_rejects_base_index_outside_the_grid(self, x_index):
+        smp = sample(FamilySpec("dirac_circle", 7, {"alpha": 0.25}),
+                     ParameterGrid.linspace(0.0, 1.0, 9))
+
+        def certifier(lam):
+            pytest.fail("a certificate was requested for an index outside the grid")
+
+        with pytest.raises(ValueError, match="base index outside the grid"):
+            covering_construction(smp, x_index, 1.0, shifted_certifier=certifier)
+
 
 class TestDiscreteSpectrumCertify:
     def test_dirac_passes_with_route_agreement(self):

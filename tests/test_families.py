@@ -7,12 +7,18 @@ import pytest
 from specfam import (
     FamilySample,
     FamilySpec,
+    HermitianOperator,
     ParameterGrid,
     RealWindow,
     essential_sign_check,
+    flow_by_partition,
+    flow_by_tracking,
+    resolvent_at_i,
+    run_analysis,
     sample,
     truncation_check,
 )
+from specfam.spectral import projector
 from specfam.errors import EdgeOnSpectrum, FamilyModelError, NonFiniteEntry
 
 from conftest import constant_sample
@@ -208,3 +214,127 @@ class TestEssentialSignCheck:
         report = essential_sign_check(constant_sample([0.0, 0.0]), k=1)
         assert not report.passed
         assert report.min_negative == 0 and report.min_positive == 0
+
+
+def _eigh_twin(smp):
+    """The same sample with undecomposed operators, so every fibre goes through eigh."""
+    return FamilySample(smp.grid, tuple(HermitianOperator(op.entries)
+                                        for op in smp.operators))
+
+
+def _tie_free_bounds(values):
+    """Eigen-indices where an interval may start or stop without splitting a tie."""
+    return [k for k in range(values.size + 1)
+            if k in (0, values.size) or values[k - 1] != values[k]]
+
+
+def _assert_projectors_match(smp, twin, step=1):
+    """Plain and eigenvalue-weighted projectors agree bit for bit on every
+    interval between tie-free bounds (every ``step``-th bound, plus the last)."""
+    for dec, ref in zip(smp.decompositions, twin.decompositions):
+        bounds = _tie_free_bounds(dec.eigenvalues)
+        bounds = sorted(set(bounds[::step]) | {bounds[-1]})
+        index = np.arange(smp.dim)
+        for start in bounds:
+            for stop in (b for b in bounds if b >= start):
+                mask = (index >= start) & (index < stop)
+                for weights in (None, dec.eigenvalues):
+                    assert (projector(dec, mask, weights).tobytes()
+                            == projector(ref, mask, weights).tobytes())
+
+
+EXACT_SAMPLES = {
+    "dirac41": (FamilySpec("dirac_circle", 41, {"alpha": [0.0, 1.0]}),
+                ParameterGrid.linspace(-0.49, 0.49, 9)),
+    "dirac201": (FamilySpec("dirac_circle", 201, {"alpha": [0.0, 1.0]}),
+                 ParameterGrid.linspace(-0.49, 0.49, 3)),
+    "tangent": (FamilySpec("tangent_blowup", 5), ParameterGrid.linspace(0.05, 0.95, 10)),
+    "tangent_ties": (FamilySpec("tangent_blowup", 5, {"padding": [2, 2, -2, -2]}),
+                     ParameterGrid.linspace(0.05, 0.95, 10)),
+}
+
+
+class TestExactDecompositions:
+    """``dirac_circle`` and ``tangent_blowup`` carry exact decompositions that
+    reproduce the eigh route bit for bit, without eigh and without a dense basis."""
+
+    @pytest.mark.parametrize("name", sorted(EXACT_SAMPLES))
+    def test_installed_eigenvalues_are_eighs(self, name):
+        smp = sample(*EXACT_SAMPLES[name])
+        for op in smp.operators:
+            dec = vars(op)["_decomposition"]
+            assert dec.basis is None and dec.order is not None
+            assert dec.eigenvalues.tobytes() == np.linalg.eigh(op.entries)[0].tobytes()
+
+    @pytest.mark.parametrize("name", sorted(EXACT_SAMPLES))
+    def test_projectors_are_eighs(self, name):
+        smp = sample(*EXACT_SAMPLES[name])
+        # dim 201 takes every 10th bound: all intervals would take half a minute
+        _assert_projectors_match(smp, _eigh_twin(smp), step=10 if smp.dim > 100 else 1)
+
+    def test_ties_are_ordered_differently_by_eigh(self):
+        # why the tied sample compares only intervals that keep tie clusters whole
+        smp = sample(*EXACT_SAMPLES["tangent_ties"])
+        twin = _eigh_twin(smp)
+        assert any(not np.array_equal(dec.eigenvectors, ref.eigenvectors)
+                   for dec, ref in zip(smp.decompositions, twin.decompositions))
+
+    def test_eigenvectors_are_built_on_demand(self):
+        smp = sample(*EXACT_SAMPLES["dirac41"])
+        dec = smp.decompositions[0]
+        v = dec.eigenvectors
+        assert v.dtype == np.linalg.eigh(smp.operators[0].entries)[1].dtype
+        assert np.array_equal(v, np.eye(smp.dim)[:, dec.order])
+        assert dec.eigenvectors is not v
+
+    @pytest.mark.parametrize("name", ["dirac41", "tangent"])
+    def test_derived_samples_keep_the_permutation(self, name):
+        smp = sample(*EXACT_SAMPLES[name])
+        twin = _eigh_twin(smp)
+        for derived, oracle in ((smp.shifted(0.3), twin.shifted(0.3)),
+                                (smp.bounded_transformed(), twin.bounded_transformed())):
+            for dec in derived.decompositions:
+                assert dec.basis is None and dec.order is not None
+            assert (derived.eigenvalue_matrix.tobytes()
+                    == oracle.eigenvalue_matrix.tobytes())
+            for op, ref in zip(derived.operators, oracle.operators):
+                assert op.entries.tobytes() == ref.entries.tobytes()
+            _assert_projectors_match(derived, oracle)
+
+    def test_resolvent_equals_eighs(self):
+        smp = sample(*EXACT_SAMPLES["tangent"])
+        for op, ref in zip(smp.operators, _eigh_twin(smp).operators):
+            assert np.array_equal(resolvent_at_i(op), resolvent_at_i(ref))
+
+    def test_flow_at_dim_201_never_calls_eigh(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        smp = sample(FamilySpec("dirac_circle", 201, {"alpha": [0.0, 1.0]}),
+                     ParameterGrid.linspace(-0.49, 0.49, 101))
+        assert flow_by_tracking(smp).flow == 1
+        assert flow_by_partition(smp).flow == 1
+        for op in smp.operators:
+            assert set(vars(op)) == {"entries", "_decomposition"}
+            assert vars(op)["_decomposition"].basis is None
+
+    def test_non_finite_alpha_still_names_its_grid_index(self, tmp_path):
+        spec = FamilySpec("dirac_circle", 5, {"alpha": [math.nan, 1.0]})
+        with pytest.raises(NonFiniteEntry) as err:
+            sample(spec, ParameterGrid.linspace(0.0, 1.0, 3))
+        assert err.value.grid_index == 0
+        bundle = run_analysis({
+            "family": {"kind": "dirac_circle", "dim": 5, "params": {"alpha": [math.nan, 1.0]}},
+            "grid": {"start": 0.0, "end": 1.0, "points": 3},
+            "seed": 0,
+            "analyses": [{"kind": "flow", "params": {}}],
+        }, output_dir=tmp_path)
+        error = bundle.report["analyses"][0]["error"]
+        assert error["type"] == "NonFiniteEntry"
+        assert error["grid_index"] == 0
+
+    def test_pole_is_still_refused(self):
+        spec = FamilySpec("tangent_blowup", 5, {"padding": [2, 2, -2, -2]})
+        with pytest.raises(FamilyModelError, match="pole"):
+            sample(spec, ParameterGrid(np.array([0.1, 1.5])))

@@ -18,6 +18,7 @@ from specfam import (
     validate_config,
 )
 from specfam.cli import main
+from specfam.report import _write_csv
 from specfam.errors import ConfigError
 
 
@@ -145,6 +146,15 @@ class TestCertificateSerialization:
 def constant_riesz_sample():
     from conftest import constant_sample
     return constant_sample([-9.0, -1.0, 1.0, 9.0])
+
+
+class TestCsvCells:
+    def test_cells_format_by_type(self, tmp_path):
+        path = tmp_path / "cells.csv"
+        _write_csv(path, ["a", "b", "c", "d", "e", "f"],
+                   [[0.1, np.float64(1.0 / 3.0), 7, True, "x", np.int64(-2)]])
+        assert path.read_text() == (
+            "a,b,c,d,e,f\n0.10000000000000001,0.33333333333333331,7,True,x,-2\n")
 
 
 class TestRunAnalysis:
