@@ -7,11 +7,14 @@ handful of operations here, and all of them are plain functions of their
 inputs: values are immutable after construction and safe to share between
 threads.
 
-``diagonal_operator`` builds its operator together with the exact
-decomposition: the stably sorted diagonal and the sorting permutation, so no
-eigensolver runs and no dense eigenbasis is stored.  Projectors, the bounded
-transform and the resolvent read the eigenbasis as the permuted identity
-columns, built on each call and dropped afterwards.  The
+An operator is stored in one of two forms.  ``HermitianOperator(entries)``
+keeps the dense, validated entries.  ``diagonal_operator`` keeps only the real
+diagonal: ``entries`` builds the dense matrix on each read and does not keep
+it.  It also carries the exact decomposition: the stably sorted diagonal and
+the sorting permutation, so no eigensolver runs and no dense eigenbasis is
+stored either.  Projectors, the bounded transform and the resolvent read the
+eigenbasis as the permuted identity columns, built on each call and dropped
+afterwards, so they take one matmul path for both forms.  The
 ``dirac_circle`` and ``tangent_blowup`` generators use it.  ``linear_crossing``
 is diagonal too but stays on ``eigh`` for now, because the benchmark's own
 tests pin its decomposition work.  ``random_crossings`` has a fixed basis, but
@@ -39,16 +42,24 @@ TAU_RECONSTRUCT = 1e-9
 #: default clearance a window endpoint must keep from the spectrum
 TAU_EDGE_DEFAULT = 1e-8
 
+# entries up to this magnitude can be summed pairwise without overflow
+_HALF_MAX = float(np.finfo(float).max) / 2.0
+# beyond this magnitude the bounded transform's t * t can overflow
+_TRANSFORM_SATURATION = 1e154
+
 
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
-    """A finite self-adjoint matrix.
+    """A finite self-adjoint matrix, stored densely or as its real diagonal.
 
-    The stored entries are finite and exactly Hermitian: after refusing NaN
-    and infinite entries (``NonFiniteEntry``) and validating that the input
-    deviates from its adjoint by at most ``TAU_HERMITIAN_REL`` times the
-    largest entry, the constructor replaces it with the average of the matrix
-    and its conjugate transpose.
+    ``HermitianOperator(entries)`` stores dense entries that are finite and
+    exactly Hermitian: after refusing NaN and infinite entries
+    (``NonFiniteEntry``) and validating that the input deviates from its
+    adjoint by at most ``TAU_HERMITIAN_REL`` times the largest entry, the
+    constructor replaces it with the average of the matrix and its conjugate
+    transpose.  ``diagonal_operator`` stores only the finite real diagonal;
+    reading ``entries`` then builds the same read-only dense matrix on each
+    call without keeping it.
     """
 
     entries: np.ndarray
@@ -69,7 +80,12 @@ class HermitianOperator:
         if worst > TAU_HERMITIAN_REL * scale:
             i, j = np.unravel_index(int(deviation.argmax()), deviation.shape)
             raise NotHermitianError(worst, TAU_HERMITIAN_REL * scale, (int(i), int(j)))
-        sym = (m + m.conj().T) / 2.0
+        if scale <= _HALF_MAX:
+            # exact on Hermitian input, subnormal entries included
+            sym = (m + m.conj().T) / 2.0
+        else:
+            # the sum would overflow; halving first rounds only subnormals
+            sym = 0.5 * m + 0.5 * m.conj().T
         sym.setflags(write=False)
         object.__setattr__(self, "entries", sym)
 
@@ -87,6 +103,43 @@ class HermitianOperator:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"HermitianOperator(dim={self.dim})"
+
+
+class _DiagonalOperator(HermitianOperator):
+    """The diagonal form built by ``diagonal_operator``: only the diagonal is stored.
+
+    It always carries its exact decomposition, installed by the caller.
+    """
+
+    def __init__(self, values):
+        # + 0.0 turns -0.0 into 0.0, as the dense form's averaging does
+        d = np.asarray(values, dtype=float) + 0.0
+        if d.ndim != 1:
+            raise ValueError(f"expected a vector of diagonal entries, got shape {d.shape}")
+        if d.size < 1:
+            raise ValueError("operator dimension must be at least 1")
+        finite = np.isfinite(d)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise NonFiniteEntry((i, i), complex(d[i]))
+        d.setflags(write=False)
+        object.__setattr__(self, "_diagonal", d)
+
+    @property
+    def entries(self) -> np.ndarray:
+        m = np.diag(self._diagonal.astype(complex))
+        m.setflags(write=False)
+        return m
+
+    @property
+    def dim(self) -> int:
+        return self._diagonal.size
+
+    def shifted(self, lam: float) -> "HermitianOperator":
+        out = _DiagonalOperator(self._diagonal - lam)
+        dec = self._decomposition
+        _install_decomposition(out, dec.eigenvalues - lam, order=dec.order)
+        return out
 
 
 @dataclass(frozen=True)
@@ -166,12 +219,15 @@ def zero_operator(dim: int) -> HermitianOperator:
 
 
 def diagonal_operator(values) -> HermitianOperator:
-    """The diagonal operator, carrying its exact decomposition (no eigensolver runs)."""
-    op = HermitianOperator(np.diag(np.asarray(values, dtype=float)))
-    diagonal = op.entries.diagonal().real
-    order = np.argsort(diagonal, kind="stable")
+    """The diagonal operator, stored as its diagonal and carrying its exact
+    decomposition: no eigensolver runs and no dense matrix is kept.
+
+    Refuses NaN and infinite values with ``NonFiniteEntry`` naming ``(i, i)``.
+    """
+    op = _DiagonalOperator(values)
+    order = np.argsort(op._diagonal, kind="stable")
     order.setflags(write=False)
-    _install_decomposition(op, diagonal[order], order=order)
+    _install_decomposition(op, op._diagonal[order], order=order)
     return op
 
 
@@ -249,6 +305,11 @@ def spectral_projection(op: HermitianOperator, window: RealWindow,
 def bounded_transform_scalar(values):
     """The contraction t 1-> t(1+t^2)^(-1/2), elementwise."""
     v = np.asarray(values, dtype=float)
+    saturated = np.abs(v) > _TRANSFORM_SATURATION
+    if saturated.any():
+        # t * t would overflow there, and the value has long rounded to sign(t)
+        kept = np.where(saturated, 0.0, v)
+        return np.where(saturated, np.sign(v), kept / np.sqrt(1.0 + kept * kept))
     return v / np.sqrt(1.0 + v * v)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -318,8 +319,15 @@ class TestExactDecompositions:
         assert flow_by_tracking(smp).flow == 1
         assert flow_by_partition(smp).flow == 1
         for op in smp.operators:
-            assert set(vars(op)) == {"entries", "_decomposition"}
-            assert vars(op)["_decomposition"].basis is None
+            # the operator holds its diagonal and the exact decomposition, and
+            # nothing it holds is a matrix: no dense entries, no dense basis
+            assert set(vars(op)) == {"_diagonal", "_decomposition"}
+            dec = vars(op)["_decomposition"]
+            assert dec.basis is None
+            held = [vars(op)["_diagonal"],
+                    *(getattr(dec, f.name) for f in dataclasses.fields(dec))]
+            assert all(np.ndim(a) <= 1 for a in held)
+            assert vars(op)["_diagonal"].shape == (smp.dim,)
 
     def test_non_finite_alpha_still_names_its_grid_index(self, tmp_path):
         spec = FamilySpec("dirac_circle", 5, {"alpha": [math.nan, 1.0]})

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specfam import (
     HermitianOperator,
@@ -17,7 +18,13 @@ from specfam import (
     zero_operator,
 )
 from specfam.errors import EdgeOnSpectrum, NonFiniteEntry, NotHermitianError
-from specfam.spectral import TAU_PROJECTION, TAU_RECONSTRUCT, hermitian_norm
+from specfam.spectral import (
+    TAU_PROJECTION,
+    TAU_RECONSTRUCT,
+    _install_decomposition,
+    hermitian_norm,
+    projector,
+)
 
 from conftest import random_hermitian
 
@@ -79,6 +86,116 @@ class TestDecompose:
         m = np.array([[1.0, 0.5 + 1e-12], [0.5, 2.0]])
         op = HermitianOperator(m)
         assert np.array_equal(op.entries, op.entries.conj().T)
+
+    def test_symmetrizing_keeps_entries_near_the_largest_float(self):
+        op = HermitianOperator([[1e308, 0.0], [0.0, 1.0]])
+        assert op.entries[0, 0] == 1e308
+        assert np.isfinite(op.entries).all()
+        pair = HermitianOperator([[1.0, -1.7e308j], [1.7e308j, 1.0]])
+        assert pair.entries[0, 1] == -1.7e308j
+
+    def test_symmetrizing_keeps_subnormal_entries(self):
+        tiny = 5e-324
+        op = HermitianOperator(np.diag([tiny, 1.0]))
+        assert op.entries[0, 0] == tiny
+
+    def test_diagonal_near_the_largest_float_has_finite_eigenvalues(self):
+        dec = decompose(diagonal_operator([1e308, 1.0, -2.0]))
+        assert dec.eigenvalues.tolist() == [-2.0, 1.0, 1e308]
+
+
+def _dense_twin(d):
+    """``diag(d)`` stored densely, carrying the same exact decomposition as
+    ``diagonal_operator(d)``, so only the stored form differs."""
+    op = HermitianOperator(np.diag(d))
+    diagonal = op.entries.diagonal().real
+    order = np.argsort(diagonal, kind="stable")
+    _install_decomposition(op, diagonal[order], order=order)
+    return op
+
+
+def _bytes(a):
+    return np.asarray(a).tobytes()
+
+
+# ties and signed zeros come from the sampled values; the rest spans subnormals to 1e300
+_DIAGONAL_ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]),
+                            st.floats(-1e300, 1e300))
+
+
+class TestDiagonalForm:
+    """``diagonal_operator`` stores only its diagonal; everything read from it
+    is byte-equal to the dense operator with the same decomposition."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.lists(_DIAGONAL_ENTRY, min_size=1, max_size=6),
+           lam=st.floats(-1e300, 1e300))
+    def test_matches_the_dense_form(self, d, lam):
+        d = np.array(d)
+        op, twin = diagonal_operator(d), _dense_twin(d)
+        assert _bytes(op.entries) == _bytes(twin.entries)
+        assert not op.entries.flags.writeable
+        assert op.dim == twin.dim == d.size
+        dec, ref = decompose(op), decompose(twin)
+        assert _bytes(dec.eigenvalues) == _bytes(ref.eigenvalues)
+        shifted, ref_shifted = op.shifted(lam), twin.shifted(lam)
+        assert vars(shifted).keys() == {"_diagonal", "_decomposition"}
+        assert _bytes(shifted.entries) == _bytes(ref_shifted.entries)
+        assert (_bytes(decompose(shifted).eigenvalues)
+                == _bytes(decompose(ref_shifted).eigenvalues))
+        assert _bytes(bounded_transform(op).entries) == _bytes(bounded_transform(twin).entries)
+        assert _bytes(resolvent_at_i(op)) == _bytes(resolvent_at_i(twin))
+        # the permutation is shared, so every eigen-index interval agrees
+        index = np.arange(d.size)
+        for start in range(d.size + 1):
+            for stop in range(start, d.size + 1):
+                mask = (index >= start) & (index < stop)
+                for weights in (None, dec.eigenvalues):
+                    assert (_bytes(projector(dec, mask, weights))
+                            == _bytes(projector(ref, mask, weights)))
+        # entries are built on each read and never kept
+        assert op.entries is not op.entries
+        assert vars(op).keys() == {"_diagonal", "_decomposition"}
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                                st.floats(-1e100, 1e100).filter(
+                                    lambda x: x == 0.0 or abs(x) >= 1e-100)),
+                      min_size=1, max_size=6))
+    def test_matches_eigh_on_the_dense_entries(self, d):
+        # eigh scales matrices whose largest entry lies outside about
+        # [1e-146, 1e146], which rounds the eigenvalues; inside, it is exact
+        op = diagonal_operator(d)
+        dec = decompose(op)
+        ref = decompose(HermitianOperator(np.diag(d)))
+        assert _bytes(dec.eigenvalues) == _bytes(ref.eigenvalues)
+        # eigh orders tied columns its own way: compare intervals that keep ties whole
+        w = dec.eigenvalues
+        bounds = [k for k in range(w.size + 1) if k in (0, w.size) or w[k - 1] != w[k]]
+        index = np.arange(w.size)
+        for start in bounds:
+            for stop in (b for b in bounds if b >= start):
+                mask = (index >= start) & (index < stop)
+                assert _bytes(projector(dec, mask)) == _bytes(projector(ref, mask))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_names_its_position(self, bad):
+        with pytest.raises(NonFiniteEntry) as err:
+            diagonal_operator([1.0, 2.0, bad, 3.0])
+        assert err.value.entry == (2, 2)
+        assert err.value.grid_index is None
+
+    def test_shape_is_checked(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            diagonal_operator([])
+        with pytest.raises(ValueError, match="vector"):
+            diagonal_operator(np.eye(2))
+
+    def test_stores_a_copy(self):
+        values = np.array([2.0, 1.0])
+        op = diagonal_operator(values)
+        values[0] = 7.0
+        assert op.entries[0, 0] == 2.0
 
 
 class TestSpectralProjection:
