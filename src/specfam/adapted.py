@@ -2,12 +2,12 @@
 discrete-spectrum check.
 
 A pair (grid range, level) is *adapted* to a family when, at every grid point
-of the range, the window [-level, level] has both endpoints clear of the
-spectrum and captures a spectral block of constant rank; the block and the
-restriction of the operator to it must then vary continuously along the
-range.  Continuity is not decidable from finitely many samples, so the
-certificate reports the adjacent-point moduli instead of asserting a
-threshold; callers that need a threshold pass a cap.
+of the range, the window [-level, level] has both endpoints at least
+``TAU_EDGE_DEFAULT`` clear of the spectrum and captures a spectral block of
+constant rank; the block and the restriction of the operator to it must then
+vary continuously along the range.  Continuity is not decidable from finitely
+many samples, so the certificate reports the adjacent-point moduli instead of
+asserting a threshold; callers that need a threshold pass a cap.
 
 Levels are only admitted up to a *truncation ceiling*, a fixed fraction of
 the smallest spectral radius along the grid.  Windows wider than that would
@@ -47,6 +47,8 @@ CEILING_FRACTION = 0.9
 #: shifts of the definitional sweep, and window levels tried per shift
 SWEEP_COUNT = 33
 EPSILON_COUNT = 32
+#: shifted windows a covering may collect before it gives up
+MAX_SHIFTS = 200
 
 
 @dataclass(frozen=True)
@@ -115,10 +117,10 @@ class CoveringCertificate:
     intersection: GridRange
 
 
-def truncation_ceiling(smp: FamilySample, fraction: float = CEILING_FRACTION) -> float:
+def truncation_ceiling(smp: FamilySample) -> float:
     """Largest admissible window level for this sample."""
     ev = smp.eigenvalue_matrix
-    return fraction * float(np.min(np.max(np.abs(ev), axis=1)))
+    return CEILING_FRACTION * float(np.min(np.max(np.abs(ev), axis=1)))
 
 
 def level_margins(smp: FamilySample, level: float) -> np.ndarray:
@@ -144,14 +146,14 @@ class LevelCandidate:
         return self.gap_hi - self.gap_lo
 
 
-def level_candidates(abs_eigenvalues: np.ndarray, lo: float, hi: float,
-                     tau_edge: float = TAU_EDGE_DEFAULT) -> list[LevelCandidate]:
+def level_candidates(abs_eigenvalues: np.ndarray, lo: float,
+                     hi: float) -> list[LevelCandidate]:
     """Candidate levels inside gaps of the symmetrized spectrum.
 
     A gap (g_lo, g_hi) of the absolute eigenvalue list contributes the
     midpoint of its intersection with (lo, hi], provided that midpoint keeps
-    more than ``tau_edge`` clearance from both gap edges.  Gaps beyond the
-    largest absolute eigenvalue are not offered: such windows contain the
+    more than ``TAU_EDGE_DEFAULT`` clearance from both gap edges.  Gaps beyond
+    the largest absolute eigenvalue are not offered: such windows contain the
     whole truncated spectrum and certify nothing about the modeled family.
     """
     values = np.sort(np.asarray(abs_eigenvalues, dtype=float))
@@ -168,7 +170,7 @@ def level_candidates(abs_eigenvalues: np.ndarray, lo: float, hi: float,
         if eff_lo >= eff_hi:
             continue
         level = 0.5 * (eff_lo + eff_hi)
-        if min(level - g_lo, g_hi - level) <= tau_edge:
+        if min(level - g_lo, g_hi - level) <= TAU_EDGE_DEFAULT:
             continue
         out.append(LevelCandidate(level, g_lo, g_hi))
     return out
@@ -203,15 +205,14 @@ def _interval_modulus(smp: FamilySample, lo: int, starts, stops,
 
 
 def certify_adapted_pair(smp: FamilySample, grid_range: GridRange, level: float,
-                         cap: float | None = None,
-                         tau_edge: float = TAU_EDGE_DEFAULT) -> AdaptedPairCertificate:
+                         cap: float | None = None) -> AdaptedPairCertificate:
     """Verify that (grid_range, level) is adapted to the sample.
 
     Scans the range in ascending order and raises on the first failing
-    condition: ``EdgeOnSpectrum`` when +-level comes within ``tau_edge`` of a
-    spectrum, ``RankJump`` when the window rank changes between two adjacent
-    points, and ``ModulusExceeded`` when a cap is given and either continuity
-    modulus lands above it.
+    condition: ``EdgeOnSpectrum`` when +-level comes within
+    ``TAU_EDGE_DEFAULT`` of a spectrum, ``RankJump`` when the window rank
+    changes between two adjacent points, and ``ModulusExceeded`` when a cap is
+    given and either continuity modulus lands above it.
 
     The window at each point is the eigen-index interval
     [#(lambda < -level), #(lambda <= level)).
@@ -224,7 +225,7 @@ def certify_adapted_pair(smp: FamilySample, grid_range: GridRange, level: float,
     ranks = level_ranks(smp, level)
     prev_rank = None
     for y in grid_range.indices():
-        if not margins[y] >= tau_edge:
+        if not margins[y] >= TAU_EDGE_DEFAULT:
             raise EdgeOnSpectrum(level, float(margins[y]), grid_index=y)
         if prev_rank is not None and ranks[y] != prev_rank:
             raise RankJump(y - 1, y, int(prev_rank), int(ranks[y]))
@@ -250,23 +251,21 @@ def certify_adapted_pair(smp: FamilySample, grid_range: GridRange, level: float,
     )
 
 
-def _grow_range(margins: np.ndarray, ranks: np.ndarray, x_index: int,
-                tau_edge: float) -> GridRange:
+def _grow_range(margins: np.ndarray, ranks: np.ndarray, x_index: int) -> GridRange:
     """Maximal contiguous range around x with clear margins and constant rank."""
     n = margins.size
     r0 = ranks[x_index]
     lo = x_index
-    while lo - 1 >= 0 and margins[lo - 1] >= tau_edge and ranks[lo - 1] == r0:
+    while lo - 1 >= 0 and margins[lo - 1] >= TAU_EDGE_DEFAULT and ranks[lo - 1] == r0:
         lo -= 1
     hi = x_index
-    while hi + 1 < n and margins[hi + 1] >= tau_edge and ranks[hi + 1] == r0:
+    while hi + 1 < n and margins[hi + 1] >= TAU_EDGE_DEFAULT and ranks[hi + 1] == r0:
         hi += 1
     return GridRange(lo, hi)
 
 
 def find_adapted_pair(smp: FamilySample, x_index: int, b: float,
-                      ceiling: float | None = None,
-                      tau_edge: float = TAU_EDGE_DEFAULT) -> AdaptedPairCertificate:
+                      ceiling: float | None = None) -> AdaptedPairCertificate:
     """Find an adapted pair (range, c) with c > b and x_index inside the range.
 
     The level is taken at the widest gap of the symmetrized spectrum at the
@@ -285,37 +284,33 @@ def find_adapted_pair(smp: FamilySample, x_index: int, b: float,
         ceiling = truncation_ceiling(smp)
     if ceiling <= b:
         raise NoGap(b, ceiling, x_index)
-    cands = level_candidates(np.abs(smp.eigenvalue_matrix[x_index]), b, ceiling, tau_edge)
+    cands = level_candidates(np.abs(smp.eigenvalue_matrix[x_index]), b, ceiling)
     cands.sort(key=lambda c: (-c.width, c.level))
     for cand in cands:
         margins = level_margins(smp, cand.level)
         ranks = level_ranks(smp, cand.level)
-        if not margins[x_index] >= tau_edge:
+        if not margins[x_index] >= TAU_EDGE_DEFAULT:
             continue
-        grown = _grow_range(margins, ranks, x_index, tau_edge)
-        return certify_adapted_pair(smp, grown, cand.level, tau_edge=tau_edge)
+        grown = _grow_range(margins, ranks, x_index)
+        return certify_adapted_pair(smp, grown, cand.level)
     raise NoGap(b, ceiling, x_index)
 
 
-def fixed_level_certifier(smp: FamilySample, x_index: int, b: float,
-                          tau_edge: float = TAU_EDGE_DEFAULT):
+def fixed_level_certifier(smp: FamilySample, x_index: int, b: float):
     """A shift certifier that always requests the same lower bound ``b``."""
     base_ceiling = truncation_ceiling(smp)
 
     def certify(lam: float) -> AdaptedPairCertificate:
         cap = base_ceiling - abs(lam)
-        if cap <= tau_edge:
+        if cap <= TAU_EDGE_DEFAULT:
             raise NoGap(b, cap, x_index)
-        return find_adapted_pair(smp.shifted(lam), x_index, min(b, 0.5 * cap),
-                                 ceiling=cap, tau_edge=tau_edge)
+        return find_adapted_pair(smp.shifted(lam), x_index, min(b, 0.5 * cap), ceiling=cap)
 
     return certify
 
 
 def covering_construction(smp: FamilySample, x_index: int, c: float,
-                          shifted_certifier=None,
-                          tau_edge: float = TAU_EDGE_DEFAULT,
-                          max_shifts: int = 200) -> CoveringCertificate:
+                          shifted_certifier=None) -> CoveringCertificate:
     """Cover [-c, c] by windows of shifted copies of the family.
 
     For each shift value the certifier must produce a pair adapted to the
@@ -336,11 +331,11 @@ def covering_construction(smp: FamilySample, x_index: int, c: float,
         raise ValueError("base index outside the grid")
     ev_x = smp.eigenvalue_matrix[x_index]
     margin = float(np.min(np.abs(np.abs(ev_x) - c)))
-    if not margin >= tau_edge:
+    if not margin >= TAU_EDGE_DEFAULT:
         raise EdgeOnSpectrum(c, margin, grid_index=x_index)
 
     base_ceiling = truncation_ceiling(smp)
-    floor = 10.0 * tau_edge
+    floor = 10.0 * TAU_EDGE_DEFAULT
 
     if shifted_certifier is None:
         def certifier(lam: float, needed: float) -> AdaptedPairCertificate:
@@ -350,8 +345,7 @@ def covering_construction(smp: FamilySample, x_index: int, c: float,
             request = min(needed, 0.999 * cap)
             while request > floor:
                 try:
-                    return find_adapted_pair(smp.shifted(lam), x_index, request,
-                                             ceiling=cap, tau_edge=tau_edge)
+                    return find_adapted_pair(smp.shifted(lam), x_index, request, ceiling=cap)
                 except NoGap:
                     request /= 2.0
             raise NoGap(needed, cap, x_index)
@@ -366,15 +360,15 @@ def covering_construction(smp: FamilySample, x_index: int, c: float,
     covered_hi = cert0.level
     covered_lo = -cert0.level
     while covered_hi <= c:
-        if len(entries) >= max_shifts:
-            raise CoveringFailed(f"more than {max_shifts} shifts needed to reach {c}")
+        if len(entries) >= MAX_SHIFTS:
+            raise CoveringFailed(f"more than {MAX_SHIFTS} shifts needed to reach {c}")
         lam = covered_hi
         cert = certifier(lam, c - lam + floor)
         entries.append((lam, cert))
         covered_hi = lam + cert.level
     while covered_lo >= -c:
-        if len(entries) >= max_shifts:
-            raise CoveringFailed(f"more than {max_shifts} shifts needed to reach {-c}")
+        if len(entries) >= MAX_SHIFTS:
+            raise CoveringFailed(f"more than {MAX_SHIFTS} shifts needed to reach {-c}")
         lam = covered_lo
         cert = certifier(lam, lam + c + floor)
         entries.append((lam, cert))
@@ -419,8 +413,8 @@ def shrink_toward(grid_range: GridRange, x_index: int) -> GridRange | None:
     return GridRange(grid_range.lo_index, grid_range.hi_index - 1)
 
 
-def adapted_from_covering(smp: FamilySample, covering: CoveringCertificate,
-                          tau_edge: float = TAU_EDGE_DEFAULT) -> AdaptedPairCertificate:
+def adapted_from_covering(smp: FamilySample,
+                          covering: CoveringCertificate) -> AdaptedPairCertificate:
     """Build the large-level adapted pair promised by a covering.
 
     The common range of the shifted certificates may reach grid points where
@@ -430,7 +424,7 @@ def adapted_from_covering(smp: FamilySample, covering: CoveringCertificate,
     rng = covering.intersection
     while True:
         try:
-            return certify_adapted_pair(smp, rng, covering.level, tau_edge=tau_edge)
+            return certify_adapted_pair(smp, rng, covering.level)
         except (EdgeOnSpectrum, RankJump):
             shrunk = shrink_toward(rng, covering.base_index)
             if shrunk is None:
@@ -475,8 +469,7 @@ class DiscreteSpectrumReport:
                 and self.failing_points == self.definitional.failing_points)
 
 
-def definitional_sweep(smp: FamilySample, shifts, ceiling: float,
-                       tau_edge: float = TAU_EDGE_DEFAULT) -> DefinitionalSweep:
+def definitional_sweep(smp: FamilySample, shifts, ceiling: float) -> DefinitionalSweep:
     """Brute-force route through the definition: shift, then look for any window.
 
     For every shift and every grid point, sweep window levels linearly up to
@@ -493,12 +486,12 @@ def definitional_sweep(smp: FamilySample, shifts, ceiling: float,
     for lam in shifts:
         cap = ceiling - abs(lam)
         ok = np.zeros(n, dtype=bool)
-        if cap > tau_edge:
+        if cap > TAU_EDGE_DEFAULT:
             for k in range(1, EPSILON_COUNT + 1):
                 eps = cap * k / EPSILON_COUNT
                 lo_clear = np.min(np.abs(ev - (lam - eps)), axis=1)
                 hi_clear = np.min(np.abs(ev - (lam + eps)), axis=1)
-                ok |= np.minimum(lo_clear, hi_clear) > tau_edge
+                ok |= np.minimum(lo_clear, hi_clear) > TAU_EDGE_DEFAULT
                 if ok.all():
                     break
         for x in np.nonzero(~ok)[0]:
@@ -513,7 +506,7 @@ def definitional_sweep(smp: FamilySample, shifts, ceiling: float,
 
 
 def _scan_levels(smp: FamilySample, b_levels: tuple[float, ...], ceiling: float,
-                 shifts, tau_edge: float) -> DiscreteSpectrumReport:
+                 shifts) -> DiscreteSpectrumReport:
     """Both discrete-spectrum routes below ``ceiling``; ``shifts=None`` skips
     the definitional one."""
     certificates: dict[float, tuple] = {}
@@ -522,15 +515,12 @@ def _scan_levels(smp: FamilySample, b_levels: tuple[float, ...], ceiling: float,
         per_x = []
         for x in range(len(smp)):
             try:
-                per_x.append(find_adapted_pair(smp, x, b, ceiling=ceiling,
-                                               tau_edge=tau_edge))
+                per_x.append(find_adapted_pair(smp, x, b, ceiling=ceiling))
             except (NoGap, EdgeOnSpectrum, RankJump) as exc:
                 failures.append(CertificateFailure(x, b, type(exc).__name__, str(exc)))
                 per_x.append(None)
         certificates[b] = tuple(per_x)
-    sweep = None
-    if shifts is not None:
-        sweep = definitional_sweep(smp, shifts, ceiling, tau_edge=tau_edge)
+    sweep = None if shifts is None else definitional_sweep(smp, shifts, ceiling)
     return DiscreteSpectrumReport(
         passed=not failures,
         b_levels=b_levels,
@@ -543,8 +533,7 @@ def _scan_levels(smp: FamilySample, b_levels: tuple[float, ...], ceiling: float,
 
 
 def discrete_spectrum_certify(smp: FamilySample, b_levels,
-                              include_definitional: bool = True,
-                              tau_edge: float = TAU_EDGE_DEFAULT) -> DiscreteSpectrumReport:
+                              include_definitional: bool = True) -> DiscreteSpectrumReport:
     """Certify that arbitrarily wide windows exist at every grid point.
 
     The direct route runs ``find_adapted_pair`` at every grid point for every
@@ -559,4 +548,4 @@ def discrete_spectrum_certify(smp: FamilySample, b_levels,
     shifts = None
     if include_definitional:
         shifts = np.linspace(-max(b_levels), max(b_levels), SWEEP_COUNT)
-    return _scan_levels(smp, b_levels, truncation_ceiling(smp), shifts, tau_edge)
+    return _scan_levels(smp, b_levels, truncation_ceiling(smp), shifts)

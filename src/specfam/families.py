@@ -24,7 +24,6 @@ from .spectral import (
     HermitianOperator,
     RealWindow,
     SpectralDecomposition,
-    TAU_EDGE_DEFAULT,
     bounded_transform,
     decompose,
     diagonal_operator,
@@ -401,8 +400,7 @@ class TruncationReport:
 
 
 def truncation_check(spec: FamilySpec, grid: ParameterGrid | None, dims,
-                     window: RealWindow, tau: float | None = None,
-                     tau_edge: float = TAU_EDGE_DEFAULT) -> TruncationReport:
+                     window: RealWindow, tau: float | None = None) -> TruncationReport:
     """Compare window spectra and projections across increasing truncations.
 
     For each consecutive pair of dimensions the report records the worst
@@ -427,8 +425,8 @@ def truncation_check(spec: FamilySpec, grid: ParameterGrid | None, dims,
             w1 = decompose(op1).eigenvalues
             w2 = decompose(op2).eigenvalues
             worst_h = max(worst_h, _hausdorff(w1[window.mask(w1)], w2[window.mask(w2)]))
-            p1 = spectral_projection(op1, window, tau_edge).projection.entries
-            p2 = spectral_projection(op2, window, tau_edge).projection.entries
+            p1 = spectral_projection(op1, window).projection.entries
+            p2 = spectral_projection(op2, window).projection.entries
             compressed = p2[off:off + d1, off:off + d1]
             worst_p = max(worst_p, hermitian_norm(p1 - compressed))
         steps.append(TruncationStep(d1, d2, worst_h, worst_p,

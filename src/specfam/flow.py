@@ -4,7 +4,8 @@
 points and counts signed crossings of zero.  ``flow_by_partition`` telescopes
 window-rank differences over a partition into adapted segments, its witness.
 The two routes share no counting logic, so their exact agreement is a strong
-cross-check; both require zero off the spectrum at the grid endpoints.
+cross-check; both require zero at least ``TAU_EDGE_DEFAULT`` off the
+spectrum at the grid endpoints.
 """
 
 from __future__ import annotations
@@ -56,28 +57,27 @@ class FlowResult:
     partition: FlowPartition | None = None
 
 
-def _endpoint_margins(smp: FamilySample, tau_edge: float) -> tuple[float, float]:
+def _endpoint_margins(smp: FamilySample) -> tuple[float, float]:
     ev = smp.eigenvalue_matrix
     first = float(np.min(np.abs(ev[0])))
     last = float(np.min(np.abs(ev[-1])))
-    if not first >= tau_edge:
+    if not first >= TAU_EDGE_DEFAULT:
         raise EndpointOnSpectrum(0, first)
-    if not last >= tau_edge:
+    if not last >= TAU_EDGE_DEFAULT:
         raise EndpointOnSpectrum(len(smp) - 1, last)
     return first, last
 
 
-def _movement_bound(row: np.ndarray, tau_edge: float) -> float:
+def _movement_bound(row: np.ndarray) -> float:
     """Half the width of the spectral gap straddling zero at this point."""
-    negatives = row[row < -tau_edge]
-    positives = row[row > tau_edge]
+    negatives = row[row < -TAU_EDGE_DEFAULT]
+    positives = row[row > TAU_EDGE_DEFAULT]
     if negatives.size == 0 or positives.size == 0:
         return math.inf
     return 0.5 * float(positives.min() - negatives.max())
 
 
-def flow_by_tracking(smp: FamilySample,
-                     tau_edge: float = TAU_EDGE_DEFAULT) -> FlowResult:
+def flow_by_tracking(smp: FamilySample) -> FlowResult:
     """Count signed zero crossings of greedily matched eigenvalue branches.
 
     Sorted eigenvalue lists at adjacent points are matched index to index;
@@ -86,18 +86,18 @@ def flow_by_tracking(smp: FamilySample,
     refine the grid).  A branch sitting on zero at an interior point is
     counted through the sign pattern of its definite neighbors.
     """
-    margins = _endpoint_margins(smp, tau_edge)
+    margins = _endpoint_margins(smp)
     ev = smp.eigenvalue_matrix
     n, dim = ev.shape
     for i in range(n - 1):
         movement = float(np.max(np.abs(ev[i + 1] - ev[i])))
-        bound = _movement_bound(ev[i], tau_edge)
+        bound = _movement_bound(ev[i])
         if not movement < bound:
             raise AmbiguousMatching(i, movement, bound)
 
     signs = np.zeros_like(ev, dtype=int)
-    signs[ev > tau_edge] = 1
-    signs[ev < -tau_edge] = -1
+    signs[ev > TAU_EDGE_DEFAULT] = 1
+    signs[ev < -TAU_EDGE_DEFAULT] = -1
     crossings = []
     flow = 0
     for j in range(dim):
@@ -121,8 +121,7 @@ def _count_strictly_positive_upto(row: np.ndarray, level: float) -> int:
     return int(np.sum((row > 0.0) & (row <= level)))
 
 
-def flow_by_partition(smp: FamilySample,
-                      tau_edge: float = TAU_EDGE_DEFAULT) -> FlowResult:
+def flow_by_partition(smp: FamilySample) -> FlowResult:
     """Telescope window-rank differences over a greedy adapted partition.
 
     Each segment uses the smallest admissible window level at its starting
@@ -133,19 +132,19 @@ def flow_by_partition(smp: FamilySample,
     at zero, which the endpoint margins make unambiguous.
 
     ``edge_ok`` is each segment's adaptedness proof: on every edge both
-    margins clear ``tau_edge``, the window ranks agree, and the branches move
-    less than the margin sum, the least a branch needs to cross +-level
-    between samples.  For a segment's continuity moduli, call
+    margins clear ``TAU_EDGE_DEFAULT``, the window ranks agree, and the
+    branches move less than the margin sum, the least a branch needs to cross
+    +-level between samples.  For a segment's continuity moduli, call
     ``certify_adapted_pair(smp, GridRange(lo, hi), level)`` on the witness.
     """
-    margins_ends = _endpoint_margins(smp, tau_edge)
+    margins_ends = _endpoint_margins(smp)
     ev = smp.eigenvalue_matrix
     n = len(smp)
     ceiling = truncation_ceiling(smp)
     moves = np.max(np.abs(np.diff(ev, axis=0)), axis=1)
 
     def edge_ok(i, margins, ranks):
-        return (margins[i] >= tau_edge and margins[i + 1] >= tau_edge
+        return (margins[i] >= TAU_EDGE_DEFAULT and margins[i + 1] >= TAU_EDGE_DEFAULT
                 and ranks[i] == ranks[i + 1]
                 and moves[i] < margins[i] + margins[i + 1])
 
@@ -154,7 +153,7 @@ def flow_by_partition(smp: FamilySample,
     start = 0
     flow = 0
     while start < n - 1:
-        cands = level_candidates(np.abs(ev[start]), 4.0 * tau_edge, ceiling, tau_edge)
+        cands = level_candidates(np.abs(ev[start]), 4.0 * TAU_EDGE_DEFAULT, ceiling)
         chosen = None
         for cand in sorted(cands, key=lambda c: c.level):
             margins = level_margins(smp, cand.level)

@@ -25,12 +25,7 @@ from .adapted import (
 )
 from .errors import FamilyModelError, PolarizationCheckFailed
 from .families import FamilySample, essential_sign_check
-from .spectral import (
-    TAU_EDGE_DEFAULT,
-    HermitianOperator,
-    bounded_transform_scalar,
-    decompose,
-)
+from .spectral import HermitianOperator, bounded_transform_scalar, decompose
 from .topology import RieszContinuityCertificate, _riesz_chain_certify
 
 DEFAULT_BAND_WIDTH = 0.1
@@ -95,8 +90,7 @@ def compact_polarization_check(op: HermitianOperator,
 def weak_discrete_spectrum_certify(smp: FamilySample, b_levels,
                                    check: PolarizationCheck | None = None,
                                    level_ceiling: float | None = None,
-                                   include_definitional: bool = True,
-                                   tau_edge: float = TAU_EDGE_DEFAULT) -> DiscreteSpectrumReport:
+                                   include_definitional: bool = True) -> DiscreteSpectrumReport:
     """Adapted pairs at every grid point with levels confined to (b, 1).
 
     Every fiber must pass the polarization test first.  The level search is
@@ -124,7 +118,7 @@ def weak_discrete_spectrum_certify(smp: FamilySample, b_levels,
     shifts = None
     if include_definitional:
         shifts = np.linspace(-level_ceiling, level_ceiling, SWEEP_COUNT + 2)[1:-1]
-    return _scan_levels(smp, b_levels, level_ceiling, shifts, tau_edge)
+    return _scan_levels(smp, b_levels, level_ceiling, shifts)
 
 
 @dataclass(frozen=True)
@@ -141,9 +135,7 @@ class CorrespondenceReport:
     transformed_levels: tuple[float, ...]
 
 
-def transform_correspondence_check(smp: FamilySample, b_levels, k: int = 1,
-                                   include_definitional: bool = False,
-                                   tau_edge: float = TAU_EDGE_DEFAULT) -> CorrespondenceReport:
+def transform_correspondence_check(smp: FamilySample, b_levels) -> CorrespondenceReport:
     """Check that wide-window certificates transport through the bounded transform.
 
     Runs the unbounded certification at the given levels and the weak
@@ -152,13 +144,14 @@ def transform_correspondence_check(smp: FamilySample, b_levels, k: int = 1,
     is set by the smallest one-sided spectral reach along the grid and the
     level ceiling by the transformed truncation ceiling, so admissible
     windows correspond bijectively.  Also verifies, certificate by
-    certificate, that window ranks agree exactly across the transform.
+    certificate, that window ranks agree exactly across the transform.  The
+    definitional sweeps are not run.
     """
-    sign = essential_sign_check(smp, k)
+    sign = essential_sign_check(smp)
     if not sign.passed:
         raise FamilyModelError(
             "sample must carry both spectrum signs at every grid point "
-            f"(threshold {k}); failing points {sign.failing_points}"
+            f"(threshold {sign.threshold}); failing points {sign.failing_points}"
         )
     ceiling = truncation_ceiling(smp)
     ev = smp.eigenvalue_matrix
@@ -172,13 +165,11 @@ def transform_correspondence_check(smp: FamilySample, b_levels, k: int = 1,
     transformed = smp.bounded_transformed()
     transformed_levels = tuple(float(bounded_transform_scalar(b)) for b in b_levels)
 
-    discrete = discrete_spectrum_certify(smp, b_levels,
-                                         include_definitional=include_definitional,
-                                         tau_edge=tau_edge)
+    discrete = discrete_spectrum_certify(smp, b_levels, include_definitional=False)
     weak = weak_discrete_spectrum_certify(
         transformed, transformed_levels, check=check,
         level_ceiling=float(bounded_transform_scalar(ceiling)),
-        include_definitional=include_definitional, tau_edge=tau_edge,
+        include_definitional=False,
     )
 
     mismatches = []
@@ -214,8 +205,8 @@ def transform_correspondence_check(smp: FamilySample, b_levels, k: int = 1,
 
 
 def polarized_continuity_certify(smp: FamilySample, x_index: int, delta: float,
-                                 cap: float, level_ceiling: float | None = None,
-                                 tau_edge: float = TAU_EDGE_DEFAULT) -> RieszContinuityCertificate:
+                                 cap: float,
+                                 level_ceiling: float | None = None) -> RieszContinuityCertificate:
     """Norm-continuity certificate for a polarized family, windows inside (-1, 1).
 
     The family is already a contraction, so the blockwise transform is the
@@ -231,5 +222,4 @@ def polarized_continuity_certify(smp: FamilySample, x_index: int, delta: float,
         threshold=1.0 - delta,
         transform_name="identity",
         level_ceiling=level_ceiling,
-        tau_edge=tau_edge,
     )

@@ -39,7 +39,9 @@ TAU_HERMITIAN_REL = 1e-10
 TAU_PROJECTION = 1e-9
 #: reconstruction and oracle-agreement tolerance
 TAU_RECONSTRUCT = 1e-9
-#: default clearance a window endpoint must keep from the spectrum
+#: clearance a window endpoint must keep from the spectrum: every certificate,
+#: search, sweep and flow route reads it; only ``spectral_projection`` takes
+#: its own per call
 TAU_EDGE_DEFAULT = 1e-8
 
 # entries up to this magnitude can be summed pairwise without overflow
@@ -74,12 +76,20 @@ class HermitianOperator:
         if not finite.all():
             i, j = (int(k) for k in np.argwhere(~finite)[0])
             raise NonFiniteEntry((i, j), complex(m[i, j]))
-        scale = float(np.max(np.abs(m))) if m.size else 0.0
-        deviation = np.abs(m - m.conj().T)
+        scale = float(np.max(np.abs(m)))
+        factor, c, c_scale = 1.0, m, scale
+        if scale > _HALF_MAX:
+            # a modulus or a difference may overflow to inf here and switch the
+            # check off, so check a quarter of the matrix, scaled exactly
+            factor = 4.0
+            c = m / factor
+            c_scale = float(np.max(np.abs(c)))
+        deviation = np.abs(c - c.conj().T)
         worst = float(deviation.max())
-        if worst > TAU_HERMITIAN_REL * scale:
+        if worst > TAU_HERMITIAN_REL * c_scale:
             i, j = np.unravel_index(int(deviation.argmax()), deviation.shape)
-            raise NotHermitianError(worst, TAU_HERMITIAN_REL * scale, (int(i), int(j)))
+            raise NotHermitianError(factor * worst, factor * TAU_HERMITIAN_REL * c_scale,
+                                    (int(i), int(j)))
         if scale <= _HALF_MAX:
             # exact on Hermitian input, subnormal entries included
             sym = (m + m.conj().T) / 2.0

@@ -124,8 +124,8 @@ def _compressed_resolvent(dec, level: float) -> np.ndarray:
     return projector(dec, mask, weights=1.0 / (dec.eigenvalues + 1j))
 
 
-def graph_continuity_certify(smp: FamilySample, x_index: int, delta: float,
-                             tau_edge: float = TAU_EDGE_DEFAULT) -> GraphContinuityCertificate:
+def graph_continuity_certify(smp: FamilySample, x_index: int,
+                             delta: float) -> GraphContinuityCertificate:
     """Certify resolvent continuity at ``x_index`` with tolerance ``delta``.
 
     Requires an adapted pair with level above 1/delta (``NoGap`` if the
@@ -136,7 +136,7 @@ def graph_continuity_certify(smp: FamilySample, x_index: int, delta: float,
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    pair = find_adapted_pair(smp, x_index, 1.0 / delta, tau_edge=tau_edge)
+    pair = find_adapted_pair(smp, x_index, 1.0 / delta)
     level = pair.level
     rng = pair.range
 
@@ -198,8 +198,7 @@ class StrictAdaptednessResult:
 
 
 def strict_adaptedness_certify(smp: FamilySample, x_index: int, epsilon: float,
-                               cap: float,
-                               tau_edge: float = TAU_EDGE_DEFAULT) -> StrictAdaptednessResult:
+                               cap: float) -> StrictAdaptednessResult:
     """Check norm continuity of the projections onto [epsilon, infinity).
 
     The range is the maximal adapted range at level ``epsilon`` around the
@@ -214,9 +213,9 @@ def strict_adaptedness_certify(smp: FamilySample, x_index: int, epsilon: float,
         raise ValueError("base index outside the grid")
     margins = level_margins(smp, epsilon)
     ranks = level_ranks(smp, epsilon)
-    if not margins[x_index] >= tau_edge:
+    if not margins[x_index] >= TAU_EDGE_DEFAULT:
         raise EdgeOnSpectrum(epsilon, float(margins[x_index]), grid_index=x_index)
-    rng = _grow_range(margins, ranks, x_index, tau_edge)
+    rng = _grow_range(margins, ranks, x_index)
     starts = (smp.eigenvalue_matrix[rng.lo_index:rng.hi_index + 1] < epsilon).sum(axis=1)
     modulus = _interval_modulus(smp, rng.lo_index, starts, np.full_like(starts, smp.dim))
     return StrictAdaptednessResult(
@@ -263,8 +262,7 @@ class RieszContinuityCertificate:
 
 def _riesz_chain_certify(smp: FamilySample, x_index: int, delta: float, cap: float,
                          value_map, threshold: float, transform_name: str,
-                         level_ceiling: float | None = None,
-                         tau_edge: float = TAU_EDGE_DEFAULT) -> RieszContinuityCertificate:
+                         level_ceiling: float | None = None) -> RieszContinuityCertificate:
     """Shared engine: strict adaptedness, outer-block bounds, 7-delta chain.
 
     ``value_map`` is the scalar function applied blockwise (the bounded
@@ -284,11 +282,10 @@ def _riesz_chain_certify(smp: FamilySample, x_index: int, delta: float, cap: flo
     strict_result = None
     pair = None
     saw_strict_pass = False
-    for cand in level_candidates(ev_x[ev_x > 0.0], 0.0, ceiling, tau_edge):
+    for cand in level_candidates(ev_x[ev_x > 0.0], 0.0, ceiling):
         eps = cand.level
         try:
-            candidate = strict_adaptedness_certify(smp, x_index, eps, cap,
-                                                   tau_edge=tau_edge)
+            candidate = strict_adaptedness_certify(smp, x_index, eps, cap)
         except (EdgeOnSpectrum, RankJump):
             continue
         if not candidate.passed:
@@ -296,8 +293,7 @@ def _riesz_chain_certify(smp: FamilySample, x_index: int, delta: float, cap: flo
         saw_strict_pass = True
         b_req = max(eps * (1.0 + 1e-12), threshold)
         try:
-            found = find_adapted_pair(smp, x_index, b_req, ceiling=ceiling,
-                                      tau_edge=tau_edge)
+            found = find_adapted_pair(smp, x_index, b_req, ceiling=ceiling)
         except NoGap:
             continue
         strict_result = candidate
@@ -437,8 +433,7 @@ def transform_clearing_level(delta: float) -> float:
 
 
 def riesz_continuity_certify(smp: FamilySample, x_index: int, delta: float,
-                             cap: float,
-                             tau_edge: float = TAU_EDGE_DEFAULT) -> RieszContinuityCertificate:
+                             cap: float) -> RieszContinuityCertificate:
     """Certify transform continuity at ``x_index`` with tolerance ``delta``.
 
     Scans window levels for one whose upper projections are norm continuous
@@ -453,5 +448,4 @@ def riesz_continuity_certify(smp: FamilySample, x_index: int, delta: float,
         value_map=bounded_transform_scalar,
         threshold=transform_clearing_level(delta),
         transform_name="bounded",
-        tau_edge=tau_edge,
     )

@@ -18,14 +18,22 @@ from specfam import (
     discrete_spectrum_certify,
     find_adapted_pair,
     fixed_level_certifier,
+    flow_by_partition,
+    flow_by_tracking,
     sample,
     spectral_projection,
     strict_adaptedness_certify,
     truncation_ceiling,
     weak_discrete_spectrum_certify,
 )
-from specfam.errors import EdgeOnSpectrum, ModulusExceeded, NoGap, RankJump
-from specfam.spectral import hermitian_norm, projector
+from specfam.errors import (
+    EdgeOnSpectrum,
+    EndpointOnSpectrum,
+    ModulusExceeded,
+    NoGap,
+    RankJump,
+)
+from specfam.spectral import TAU_EDGE_DEFAULT, hermitian_norm, projector
 
 from conftest import constant_sample, random_hermitian, with_nan_eigenvalue
 
@@ -487,3 +495,41 @@ class TestEdgeModuliMemo:
         assert len(calls) == 2 * len(distinct)
         # the scan revisits edges, so the memo saved norms
         assert len(distinct) < sum(len(c.range) - 1 for c in certs)
+
+
+class TestEdgeClearance:
+    """Every gate refuses within ``TAU_EDGE_DEFAULT`` of the spectrum, and only
+    there: one eigenvalue sits ``delta`` from the window level or from zero."""
+
+    LEVEL = 0.5
+
+    def test_clearance_is_one_fixed_value(self):
+        # not yet scaled with the operator norm
+        assert TAU_EDGE_DEFAULT == 1e-8
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_window_level(self, factor):
+        smp = constant_sample([-3.0, self.LEVEL + factor * TAU_EDGE_DEFAULT, 3.0])
+        if factor < 1.0:
+            with pytest.raises(EdgeOnSpectrum) as info:
+                certify_adapted_pair(smp, GridRange(0, len(smp) - 1), self.LEVEL)
+            assert info.value.grid_index == 0
+            with pytest.raises(EdgeOnSpectrum) as info:
+                strict_adaptedness_certify(smp, 2, self.LEVEL, cap=0.5)
+            assert info.value.grid_index == 2
+        else:
+            cert = certify_adapted_pair(smp, GridRange(0, len(smp) - 1), self.LEVEL)
+            assert cert.margin >= TAU_EDGE_DEFAULT and cert.rank == 0
+            strict = strict_adaptedness_certify(smp, 2, self.LEVEL, cap=0.5)
+            assert strict.passed and strict.range == GridRange(0, len(smp) - 1)
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    @pytest.mark.parametrize("route", [flow_by_tracking, flow_by_partition])
+    def test_flow_endpoint(self, route, factor):
+        smp = constant_sample([-1.0, factor * TAU_EDGE_DEFAULT, 1.0])
+        if factor < 1.0:
+            with pytest.raises(EndpointOnSpectrum) as info:
+                route(smp)
+            assert info.value.grid_index == 0
+        else:
+            assert route(smp).flow == 0

@@ -149,12 +149,14 @@ def constant_riesz_sample():
 
 
 class TestCsvCells:
-    def test_cells_format_by_type(self, tmp_path):
+    def test_float_cells_at_17_significant_digits(self, tmp_path):
         path = tmp_path / "cells.csv"
-        _write_csv(path, ["a", "b", "c", "d", "e", "f"],
-                   [[0.1, np.float64(1.0 / 3.0), 7, True, "x", np.int64(-2)]])
-        assert path.read_text() == (
-            "a,b,c,d,e,f\n0.10000000000000001,0.33333333333333331,7,True,x,-2\n")
+        rows = [[0.1, np.float64(1.0 / 3.0), -0.0],
+                [1e300, float("nan"), float("-inf")]]
+        _write_csv(path, ["a", "b", "c"], rows)
+        assert path.read_text() == ("a,b,c\n"
+                                    "0.10000000000000001,0.33333333333333331,-0\n"
+                                    "1.0000000000000001e+300,nan,-inf\n")
 
 
 class TestRunAnalysis:

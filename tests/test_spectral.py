@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,32 @@ class TestDecompose:
     def test_diagonal_near_the_largest_float_has_finite_eigenvalues(self):
         dec = decompose(diagonal_operator([1e308, 1.0, -2.0]))
         assert dec.eigenvalues.tolist() == [-2.0, 1.0, 1e308]
+
+    def test_overflowing_modulus_is_still_checked(self):
+        # |z| overflows to inf; that must not switch the Hermiticity gate off
+        z = 1.5e308 + 1.5e308j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotHermitianError) as info:
+                HermitianOperator([[z, 0.0], [0.0, 0.0]])
+        assert info.value.entry == (0, 0)
+        assert info.value.deviation > info.value.tolerance > 0.0
+
+    def test_hermitian_entry_with_overflowing_modulus_is_accepted(self):
+        z = 1.5e308 + 1.5e308j
+        pair = HermitianOperator([[0.0, z], [np.conj(z), 0.0]])
+        assert pair.entries.tolist() == [[0.0, z], [np.conj(z), 0.0]]
+
+    def test_entries_up_to_half_max_are_the_plain_average(self):
+        rng = np.random.default_rng(11)
+        half_max = float(np.finfo(float).max) / 2.0
+        for scale in (1e-300, 1.0, 1e150, half_max):
+            m = random_hermitian(rng, 6).entries
+            m = m * (0.5 * scale / np.max(np.abs(m)))
+            m[2, 2] = scale  # the largest entry modulus, exactly
+            m[0, 1] *= 1.0 + 1e-12  # within tolerance, not exactly Hermitian
+            op = HermitianOperator(m)
+            assert op.entries.tobytes() == ((m + m.conj().T) / 2.0).tobytes()
 
 
 def _dense_twin(d):
