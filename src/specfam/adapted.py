@@ -135,45 +135,27 @@ def level_ranks(smp: FamilySample, level: float) -> np.ndarray:
     return np.sum(np.abs(ev) <= level, axis=1)
 
 
-@dataclass(frozen=True)
-class LevelCandidate:
-    level: float
-    gap_lo: float
-    gap_hi: float
-
-    @property
-    def width(self) -> float:
-        return self.gap_hi - self.gap_lo
-
-
 def level_candidates(abs_eigenvalues: np.ndarray, lo: float,
-                     hi: float) -> list[LevelCandidate]:
-    """Candidate levels inside gaps of the symmetrized spectrum.
+                     hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate levels inside gaps of the symmetrized spectrum, ascending.
 
     A gap (g_lo, g_hi) of the absolute eigenvalue list contributes the
     midpoint of its intersection with (lo, hi], provided that midpoint keeps
     more than ``TAU_EDGE_DEFAULT`` clearance from both gap edges.  Gaps beyond
     the largest absolute eigenvalue are not offered: such windows contain the
     whole truncated spectrum and certify nothing about the modeled family.
+    Returns the levels and the widths g_hi - g_lo of their gaps; disjoint
+    gaps in ascending order give strictly ascending levels.
     """
-    values = np.sort(np.asarray(abs_eigenvalues, dtype=float))
-    gaps = []
-    prev = 0.0
-    for a in values:
-        if a > prev:
-            gaps.append((prev, float(a)))
-        prev = max(prev, float(a))
-    out = []
-    for g_lo, g_hi in gaps:
-        eff_lo = max(g_lo, lo)
-        eff_hi = min(g_hi, hi)
-        if eff_lo >= eff_hi:
-            continue
-        level = 0.5 * (eff_lo + eff_hi)
-        if min(level - g_lo, g_hi - level) <= TAU_EDGE_DEFAULT:
-            continue
-        out.append(LevelCandidate(level, g_lo, g_hi))
-    return out
+    g_hi = np.sort(np.asarray(abs_eigenvalues, dtype=float))
+    g_lo = np.concatenate(([0.0], g_hi))[:-1]
+    gap = g_hi > g_lo
+    g_lo, g_hi = g_lo[gap], g_hi[gap]
+    eff_lo = np.maximum(g_lo, lo)
+    eff_hi = np.minimum(g_hi, hi)
+    levels = 0.5 * (eff_lo + eff_hi)
+    keep = (eff_lo < eff_hi) & (np.minimum(levels - g_lo, g_hi - levels) > TAU_EDGE_DEFAULT)
+    return levels[keep], (g_hi - g_lo)[keep]
 
 
 def _interval_modulus(smp: FamilySample, lo: int, starts, stops,
@@ -273,6 +255,12 @@ def find_adapted_pair(smp: FamilySample, x_index: int, b: float,
     level.  The range is then grown greedily from the base point in both
     directions while margins stay clear and the window rank stays constant.
 
+    No other candidate is ever needed: every candidate sits more than
+    ``TAU_EDGE_DEFAULT`` inside both edges of its gap, and every |lambda| at
+    the base point lies on or beyond one of those edges.  Rounded subtraction
+    is monotone and sign-symmetric, so the base point's own margin always
+    clears, and the grown range contains it.
+
     Raises ``NoGap`` when no admissible level exists below the truncation
     ceiling, which signals that the truncation is too small for this ``b``.
     """
@@ -282,18 +270,12 @@ def find_adapted_pair(smp: FamilySample, x_index: int, b: float,
         raise ValueError("base index outside the grid")
     if ceiling is None:
         ceiling = truncation_ceiling(smp)
-    if ceiling <= b:
+    levels, widths = level_candidates(np.abs(smp.eigenvalue_matrix[x_index]), b, ceiling)
+    if not levels.size:
         raise NoGap(b, ceiling, x_index)
-    cands = level_candidates(np.abs(smp.eigenvalue_matrix[x_index]), b, ceiling)
-    cands.sort(key=lambda c: (-c.width, c.level))
-    for cand in cands:
-        margins = level_margins(smp, cand.level)
-        ranks = level_ranks(smp, cand.level)
-        if not margins[x_index] >= TAU_EDGE_DEFAULT:
-            continue
-        grown = _grow_range(margins, ranks, x_index)
-        return certify_adapted_pair(smp, grown, cand.level)
-    raise NoGap(b, ceiling, x_index)
+    level = float(levels[np.argmax(widths)])  # the first widest is the lowest
+    grown = _grow_range(level_margins(smp, level), level_ranks(smp, level), x_index)
+    return certify_adapted_pair(smp, grown, level)
 
 
 def fixed_level_certifier(smp: FamilySample, x_index: int, b: float):
@@ -329,8 +311,7 @@ def covering_construction(smp: FamilySample, x_index: int, c: float,
         raise ValueError("the target level c must be positive")
     if not 0 <= x_index < len(smp):
         raise ValueError("base index outside the grid")
-    ev_x = smp.eigenvalue_matrix[x_index]
-    margin = float(np.min(np.abs(np.abs(ev_x) - c)))
+    margin = float(level_margins(smp, c)[x_index])
     if not margin >= TAU_EDGE_DEFAULT:
         raise EdgeOnSpectrum(c, margin, grid_index=x_index)
 
@@ -353,26 +334,17 @@ def covering_construction(smp: FamilySample, x_index: int, c: float,
         def certifier(lam: float, needed: float) -> AdaptedPairCertificate:
             return shifted_certifier(lam)
 
-    entries: list[tuple[float, AdaptedPairCertificate]] = []
-
-    cert0 = certifier(0.0, c)
-    entries.append((0.0, cert0))
-    covered_hi = cert0.level
-    covered_lo = -cert0.level
-    while covered_hi <= c:
-        if len(entries) >= MAX_SHIFTS:
-            raise CoveringFailed(f"more than {MAX_SHIFTS} shifts needed to reach {c}")
-        lam = covered_hi
-        cert = certifier(lam, c - lam + floor)
-        entries.append((lam, cert))
-        covered_hi = lam + cert.level
-    while covered_lo >= -c:
-        if len(entries) >= MAX_SHIFTS:
-            raise CoveringFailed(f"more than {MAX_SHIFTS} shifts needed to reach {-c}")
-        lam = covered_lo
-        cert = certifier(lam, lam + c + floor)
-        entries.append((lam, cert))
-        covered_lo = lam - cert.level
+    # each side's sweep tracks its reach ``edge``: the shift -edge mirrors
+    # +edge exactly, since rounding is sign-symmetric
+    entries = [(0.0, certifier(0.0, c))]
+    for side in (1, -1):
+        edge = entries[0][1].level
+        while edge <= c:
+            if len(entries) >= MAX_SHIFTS:
+                raise CoveringFailed(f"more than {MAX_SHIFTS} shifts needed to reach {side * c}")
+            cert = certifier(side * edge, c - edge + floor)
+            entries.append((side * edge, cert))
+            edge = edge + cert.level
 
     entries.sort(key=lambda e: e[0])
     intervals = [(lam - cert.level, lam + cert.level) for lam, cert in entries]

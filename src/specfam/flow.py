@@ -153,17 +153,14 @@ def flow_by_partition(smp: FamilySample) -> FlowResult:
     start = 0
     flow = 0
     while start < n - 1:
-        cands = level_candidates(np.abs(ev[start]), 4.0 * TAU_EDGE_DEFAULT, ceiling)
-        chosen = None
-        for cand in sorted(cands, key=lambda c: c.level):
-            margins = level_margins(smp, cand.level)
-            ranks = level_ranks(smp, cand.level)
+        cands = level_candidates(np.abs(ev[start]), 4.0 * TAU_EDGE_DEFAULT, ceiling)[0]
+        for level in cands.tolist():  # ascending: the lowest level that works
+            margins = level_margins(smp, level)
+            ranks = level_ranks(smp, level)
             if edge_ok(start, margins, ranks):
-                chosen = (cand.level, margins, ranks)
                 break
-        if chosen is None:
+        else:
             raise PartitionFailed(start)
-        level, margins, ranks = chosen
         end = start + 1
         while end + 1 < n and edge_ok(end, margins, ranks):
             end += 1

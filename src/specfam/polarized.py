@@ -214,8 +214,6 @@ def polarized_continuity_certify(smp: FamilySample, x_index: int, delta: float,
     rest of the chain is the one behind ``riesz_continuity_certify`` with the
     level domain reparametrized to (0, 1).
     """
-    if level_ceiling is None:
-        level_ceiling = truncation_ceiling(smp)
     return _riesz_chain_certify(
         smp, x_index, delta, cap,
         value_map=lambda values: np.asarray(values, dtype=float),

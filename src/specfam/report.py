@@ -406,14 +406,14 @@ def run_analysis(config: dict, output_dir=None, threads: int = 1,
     report = {
         "version": __version__,
         "seed": config.get("seed", 0),
-        "config": config,
+        "config": jsonable(config),
         "family": {"kind": spec.kind, "dim": dim},
         "grid_points": [float(x) for x in grid_points],
         "analyses": entries,
         "all_passed": all_passed,
     }
     report_path = out / "report.json"
-    report_path.write_text(canonical_json(jsonable(report)) + "\n", encoding="utf-8")
+    report_path.write_text(canonical_json(report) + "\n", encoding="utf-8")
 
     if smp is not None:
         ev = smp.eigenvalue_matrix

@@ -26,7 +26,14 @@ from specfam import (
     truncation_ceiling,
     weak_discrete_spectrum_certify,
 )
+from specfam.adapted import (
+    MAX_SHIFTS,
+    AdaptedPairCertificate,
+    level_candidates,
+    level_margins,
+)
 from specfam.errors import (
+    CoveringFailed,
     EdgeOnSpectrum,
     EndpointOnSpectrum,
     ModulusExceeded,
@@ -136,6 +143,49 @@ class TestFindAdaptedPair:
             find_adapted_pair(constant_sample([-1.0, 1.0]), 0, 0.0)
 
 
+def drifting_sample(seed, dim, points, drift):
+    """A random Hermitian matrix moving linearly along the grid."""
+    rng = np.random.default_rng(seed)
+    base = random_hermitian(rng, dim).entries
+    slope = random_hermitian(rng, dim).entries
+    return FamilySample(ParameterGrid.linspace(0.0, 1.0, points),
+                        tuple(HermitianOperator(base + drift * x * slope)
+                              for x in np.linspace(0.0, 1.0, points)))
+
+
+class TestCandidateLevels:
+    """The invariant that lets ``find_adapted_pair`` keep its first choice:
+    every candidate level clears the spectrum at the base point."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6),
+           points=st.integers(4, 8), drift=st.floats(0.0, 0.5),
+           x=st.integers(0, 7), fraction=st.floats(0.001, 1.2))
+    def test_candidates_clear_the_base_point(self, seed, dim, points, drift, x, fraction):
+        smp = drifting_sample(seed, dim, points, drift)
+        x %= points
+        ceiling = truncation_ceiling(smp)
+        b = fraction * ceiling
+        levels, widths = level_candidates(np.abs(smp.eigenvalue_matrix[x]), b, ceiling)
+        assert levels.shape == widths.shape
+        assert np.all(np.diff(levels) > 0.0) and np.all(widths > 0.0)
+        assert np.all((levels > b) & (levels <= ceiling))
+        for level in levels:
+            assert level_margins(smp, level)[x] >= TAU_EDGE_DEFAULT
+        if not levels.size:
+            with pytest.raises(NoGap):
+                find_adapted_pair(smp, x, b)
+            return
+        _, best = min(zip((-widths).tolist(), levels.tolist()))
+        pair = find_adapted_pair(smp, x, b)
+        assert pair.level == best
+        assert pair.range.contains(x)
+
+    def test_empty_row_gives_empty_arrays(self):
+        levels, widths = level_candidates(np.array([]), 0.0, 1.0)
+        assert levels.shape == widths.shape == (0,)
+
+
 class TestShiftCovariance:
     def test_window_rank_transport_exact(self, rng):
         from conftest import random_hermitian
@@ -194,6 +244,22 @@ class TestCovering:
         smp = constant_sample([-2.0, 2.0])
         with pytest.raises(EdgeOnSpectrum):
             covering_construction(smp, 2, 2.0)
+
+    @pytest.mark.parametrize("wide, target", [(1e-3, "1.4"), (1.0, "-1.4")])
+    def test_shift_cap_on_each_side(self, wide, target):
+        # windows of 1e-3 at lambda < 0, and of ``wide`` at lambda >= 0: the
+        # side that stays narrow runs into the shift cap and is named
+        smp = constant_sample([-2.0, 2.0])
+        calls = []
+
+        def certifier(lam):
+            calls.append(lam)
+            level = wide if lam >= 0.0 else 1e-3
+            return AdaptedPairCertificate(GridRange(0, len(smp) - 1), level, 0, 1.0, 0.0, 0.0)
+
+        with pytest.raises(CoveringFailed, match=f"needed to reach {target}$"):
+            covering_construction(smp, 2, 1.4, shifted_certifier=certifier)
+        assert len(calls) == MAX_SHIFTS
 
     @pytest.mark.parametrize("x_index", [9, -1])
     def test_rejects_base_index_outside_the_grid(self, x_index):

@@ -243,6 +243,31 @@ class TestRieszContinuityCertify:
         assert cert.final_bound < 1.4
 
 
+class TestStrictLevelBelowWindowLevel:
+    """The upper projection splits as "everything >= strict level" minus the
+    band [strict level, level) only when level > strict level; the search
+    guarantees it, so no certificate may break it."""
+
+    FAMILIES = {
+        "offset_flux": (FamilySpec("dirac_circle", 41, {"alpha": (3.0, 1.0)}),
+                        ParameterGrid.linspace(-0.5, 0.5, 201)),
+        "perturbed_ladder": (FamilySpec("harmonic_perturbed", 24, {"coupling": (0.0, 0.3)}),
+                             ParameterGrid.linspace(0.0, 1.0, 81)),
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_every_certificate(self, family):
+        smp = sample(*self.FAMILIES[family])
+        image = smp.bounded_transformed()
+        n = len(smp)
+        for delta in (0.3, 0.2):
+            for x in (n // 4, n // 2, 3 * n // 4):
+                for cert in (riesz_continuity_certify(smp, x, delta, cap=0.5),
+                             polarized_continuity_certify(image, x, delta, cap=0.5)):
+                    assert cert.level > cert.strict_level
+                    assert cert.upper_split_residual <= 1e-12
+
+
 class TestDirectionalSoundness:
     def test_shifted_family_certifies_where_unshifted_does(self):
         grid = ParameterGrid.linspace(-0.3, 0.3, 31)
