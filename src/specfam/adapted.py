@@ -19,7 +19,11 @@ Eigenvalues are sorted, so a window, like the upper part [epsilon, oo) of
 strict adaptedness, is an interval of eigen-indices.  ``_interval_modulus``
 norms edge differences of interval projections and memoizes them on the
 sample by (edge, left interval, right interval), so overlapping ranges, as
-in the discrete-spectrum scan, norm every distinct edge once.
+in the discrete-spectrum scan, norm every distinct edge once.  An edge whose
+two fibres hold their eigenbasis as a permutation (the diagonal generators
+and their shifts and bounded transforms) is normed as the largest entry of a
+difference of two length-d vectors, with no projector and no eigensolver;
+every other edge builds dense projectors and runs ``eigvalsh``.
 
 The unbounded and the weak (polarized) discrete-spectrum certificates share
 one engine, ``_scan_levels``, and differ only in the level ceiling and the
@@ -159,31 +163,51 @@ def level_candidates(abs_eigenvalues: np.ndarray, lo: float,
 
 
 def _interval_modulus(smp: FamilySample, lo: int, starts, stops,
-                      weighted: bool = False) -> float:
-    """Largest adjacent-edge norm from grid point ``lo`` on.
+                      weighted: bool = False) -> tuple[float, int | None]:
+    """Largest adjacent-edge norm from grid point ``lo`` on, and the left grid
+    index of the first edge attaining it (``None`` when there is no edge).
 
     At point ``lo + k`` the operator is the projection onto the eigen-indices
     ``[starts[k], stops[k])``, or with ``weighted`` the operator compressed to
     them.  A norm missing from the sample's store is computed and stored.
+
+    When both ends of an edge hold their eigenbasis as a permutation, both
+    operators are diagonal in the standard basis: each end is a length-d
+    vector (ones, or the eigenvalues, at the selected standard indices) and
+    the norm is the largest absolute entry of their difference, with no
+    projector and no eigensolver.  That value is exact.  It equals the dense
+    route's bits while that entry lies within about [1e-146, 1e146]; outside
+    that band LAPACK rescales a diagonal matrix and rounds its eigenvalues.
     """
     memo = smp.restriction_moduli if weighted else smp.projection_moduli
     starts, stops = starts.tolist(), stops.tolist()
     keys = list(zip(range(lo, lo + len(starts) - 1), starts, stops, starts[1:], stops[1:]))
     values = list(map(memo.get, keys))
+    decs = smp.decompositions[lo:lo + len(starts)]
     index = np.arange(smp.dim)
 
-    def fibre(k):
-        dec = smp.decompositions[lo + k]
+    def fibre(k, diagonal):
+        dec = decs[k]
+        if diagonal:
+            v = np.zeros(smp.dim)
+            v[dec.order[starts[k]:stops[k]]] = (
+                dec.eigenvalues[starts[k]:stops[k]] if weighted else 1.0)
+            return v
         return projector(dec, (index >= starts[k]) & (index < stops[k]),
                          weights=dec.eigenvalues if weighted else None)
 
-    held_at, held = -1, None  # the right fibre of the last miss
+    held_at, held = None, None  # (point, form) and fibre of the last miss's right end
     for k, value in enumerate(values):
         if value is None:
-            left = held if held_at == k else fibre(k)
-            held_at, held = k + 1, fibre(k + 1)
-            values[k] = memo[keys[k]] = hermitian_norm(held - left)
-    return max(values, default=0.0)
+            diagonal = decs[k].order is not None and decs[k + 1].order is not None
+            left = held if held_at == (k, diagonal) else fibre(k, diagonal)
+            held_at, held = (k + 1, diagonal), fibre(k + 1, diagonal)
+            values[k] = memo[keys[k]] = (float(np.max(np.abs(held - left))) if diagonal
+                                         else hermitian_norm(held - left))
+    if not values:
+        return 0.0, None
+    modulus = max(values)
+    return modulus, lo + values.index(modulus)
 
 
 def certify_adapted_pair(smp: FamilySample, grid_range: GridRange, level: float,
@@ -194,7 +218,8 @@ def certify_adapted_pair(smp: FamilySample, grid_range: GridRange, level: float,
     condition: ``EdgeOnSpectrum`` when +-level comes within
     ``TAU_EDGE_DEFAULT`` of a spectrum, ``RankJump`` when the window rank
     changes between two adjacent points, and ``ModulusExceeded`` when a cap is
-    given and either continuity modulus lands above it.
+    given and either continuity modulus lands above it; the refusal names the
+    first edge attaining that modulus.  A cap must be non-negative.
 
     The window at each point is the eigen-index interval
     [#(lambda < -level), #(lambda <= level)).
@@ -203,6 +228,8 @@ def certify_adapted_pair(smp: FamilySample, grid_range: GridRange, level: float,
         raise ValueError("window level must be positive")
     if grid_range.hi_index >= len(smp):
         raise ValueError("grid range exceeds the sample")
+    if cap is not None and not cap >= 0:
+        raise ValueError("the modulus cap must be non-negative")
     margins = level_margins(smp, level)
     ranks = level_ranks(smp, level)
     prev_rank = None
@@ -216,13 +243,13 @@ def certify_adapted_pair(smp: FamilySample, grid_range: GridRange, level: float,
     lo, hi = grid_range.lo_index, grid_range.hi_index
     starts = (smp.eigenvalue_matrix[lo:hi + 1] < -level).sum(axis=1)
     stops = starts + ranks[lo:hi + 1]
-    proj_modulus = _interval_modulus(smp, lo, starts, stops)
-    rest_modulus = _interval_modulus(smp, lo, starts, stops, weighted=True)
+    proj_modulus, proj_at = _interval_modulus(smp, lo, starts, stops)
+    rest_modulus, rest_at = _interval_modulus(smp, lo, starts, stops, weighted=True)
     if cap is not None:
         if proj_modulus > cap:
-            raise ModulusExceeded("projection", proj_modulus, cap)
+            raise ModulusExceeded("projection", proj_modulus, cap, proj_at)
         if rest_modulus > cap:
-            raise ModulusExceeded("restriction", rest_modulus, cap)
+            raise ModulusExceeded("restriction", rest_modulus, cap, rest_at)
     return AdaptedPairCertificate(
         range=grid_range,
         level=float(level),

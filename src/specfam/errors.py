@@ -85,13 +85,21 @@ class RankJump(CertificationError):
 
 
 class ModulusExceeded(CertificationError):
-    """A continuity modulus exceeds the caller-supplied cap."""
+    """A continuity modulus exceeds the caller-supplied cap.
 
-    def __init__(self, which: str, modulus: float, cap: float):
+    ``left_index`` is the left grid index of the first edge whose norm
+    attains the modulus.
+    """
+
+    def __init__(self, which: str, modulus: float, cap: float, left_index: int):
         self.which = which
         self.modulus = modulus
         self.cap = cap
-        super().__init__(f"{which} modulus {modulus:.6g} exceeds cap {cap:.6g}")
+        self.left_index = left_index
+        super().__init__(
+            f"{which} modulus {modulus:.6g} exceeds cap {cap:.6g} "
+            f"on edge ({left_index}, {left_index + 1})"
+        )
 
 
 class NoGap(CertificationError):

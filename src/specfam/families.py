@@ -139,7 +139,11 @@ class FamilySample:
 
         Maps (left grid index, left start, left stop, right start, right stop)
         to the norm of the difference of the projections onto eigen-indices
-        [start, stop) at the two ends of the edge.
+        [start, stop) at the two ends of the edge.  When both ends are in
+        permutation form the value is the largest entry of a difference of two
+        0/1 vectors, exact and equal to the dense projector's ``eigvalsh``
+        norm; ``adapted._interval_modulus`` says when that also holds for the
+        restriction store.
         """
         return {}
 

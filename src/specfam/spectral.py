@@ -14,8 +14,11 @@ it.  It also carries the exact decomposition: the stably sorted diagonal and
 the sorting permutation, so no eigensolver runs and no dense eigenbasis is
 stored either.  Projectors, the bounded transform and the resolvent read the
 eigenbasis as the permuted identity columns, built on each call and dropped
-afterwards, so they take one matmul path for both forms.  The
-``dirac_circle`` and ``tangent_blowup`` generators use it.  ``linear_crossing``
+afterwards, so they take one matmul path for both forms.  The adjacent-edge
+norms of ``adapted._interval_modulus`` read the permutation directly: when
+both fibres of an edge carry it, the norm is the largest entry of a
+difference of two length-d vectors, with no projector and no eigensolver.
+The ``dirac_circle`` and ``tangent_blowup`` generators use this form.  ``linear_crossing``
 is diagonal too but stays on ``eigh`` for now, because the benchmark's own
 tests pin its decomposition work.  ``random_crossings`` has a fixed basis, but
 an exact decomposition there would change eigenvalue bits and so report bytes.

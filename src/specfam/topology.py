@@ -228,7 +228,7 @@ def strict_adaptedness_certify(smp: FamilySample, x_index: int, epsilon: float,
         raise EdgeOnSpectrum(epsilon, float(margins[x_index]), grid_index=x_index)
     rng = _grow_range(margins, ranks, x_index)
     starts = (smp.eigenvalue_matrix[rng.lo_index:rng.hi_index + 1] < epsilon).sum(axis=1)
-    modulus = _interval_modulus(smp, rng.lo_index, starts, np.full_like(starts, smp.dim))
+    modulus, _ = _interval_modulus(smp, rng.lo_index, starts, np.full_like(starts, smp.dim))
     return StrictAdaptednessResult(
         passed=modulus < cap,
         epsilon=float(epsilon),

@@ -29,6 +29,7 @@ from specfam import (
 from specfam.adapted import (
     MAX_SHIFTS,
     AdaptedPairCertificate,
+    _interval_modulus,
     level_candidates,
     level_margins,
 )
@@ -40,7 +41,7 @@ from specfam.errors import (
     NoGap,
     RankJump,
 )
-from specfam.spectral import TAU_EDGE_DEFAULT, hermitian_norm, projector
+from specfam.spectral import TAU_EDGE_DEFAULT, diagonal_operator, hermitian_norm, projector
 
 from conftest import constant_sample, random_hermitian, with_nan_eigenvalue
 
@@ -93,6 +94,32 @@ class TestCertifyAdaptedPair:
         with pytest.raises(ModulusExceeded):
             certify_adapted_pair(smp, GridRange(0, 8), 1.0,
                                  cap=cert.projection_modulus / 10.0)
+
+    @pytest.mark.parametrize("spec, grid, level, which", [
+        (FamilySpec("harmonic_perturbed", 10, {"coupling": (0.0, 1.0)}),
+         ParameterGrid.linspace(0.0, 1.0, 9), 1.0, "projection"),
+        (FamilySpec("dirac_circle", 11, {"alpha": (0.1, 0.4)}),
+         ParameterGrid.linspace(-0.4, 0.4, 9), 1.5, "restriction"),
+    ], ids=["harmonic_perturbed", "dirac_circle"])
+    def test_cap_refusal_names_the_first_maximal_edge(self, spec, grid, level, which):
+        smp = sample(spec, grid)
+        edges = [certify_adapted_pair(sample(spec, grid), GridRange(y, y + 1), level)
+                 for y in range(len(grid) - 1)]
+        per_edge = {"projection": [c.projection_modulus for c in edges],
+                    "restriction": [c.restriction_modulus for c in edges]}
+        top = max(per_edge[which])
+        cap = top / 2 if which == "projection" else max(per_edge["projection"])
+        assert cap < top
+        with pytest.raises(ModulusExceeded) as err:
+            certify_adapted_pair(smp, GridRange(0, len(grid) - 1), level, cap=cap)
+        left = per_edge[which].index(top)  # the brute-force first argmax
+        assert (err.value.which, err.value.modulus, err.value.left_index) == (which, top, left)
+        assert str(err.value).endswith(f" on edge ({left}, {left + 1})")
+
+    @pytest.mark.parametrize("cap", [-1e-3, float("nan")])
+    def test_cap_must_be_non_negative(self, cap):
+        with pytest.raises(ValueError, match="non-negative"):
+            certify_adapted_pair(constant_sample([-1.0, 1.0]), GridRange(0, 4), 0.5, cap=cap)
 
     def test_monotone_in_range(self):
         smp = sample(FamilySpec("harmonic_perturbed", 10, {"coupling": (0.0, 1.0)}),
@@ -454,12 +481,7 @@ class TestEdgeModuliMemo:
            points=st.integers(4, 8), drift=st.floats(0.0, 0.5),
            fraction=st.floats(0.05, 0.95))
     def test_memo_entries_equal_dense_oracle(self, seed, dim, points, drift, fraction):
-        rng = np.random.default_rng(seed)
-        base = random_hermitian(rng, dim).entries
-        slope = random_hermitian(rng, dim).entries
-        smp = FamilySample(ParameterGrid.linspace(0.0, 1.0, points),
-                           tuple(HermitianOperator(base + drift * x * slope)
-                                 for x in np.linspace(0.0, 1.0, points)))
+        smp = drifting_sample(seed, dim, points, drift)
         # an inner range first, so the full range meets memo hits between misses
         level = fraction * truncation_ceiling(smp)
         for grid_range in (GridRange(1, points - 2), GridRange(0, points - 1)):
@@ -552,15 +574,90 @@ class TestEdgeModuliMemo:
 
     def test_discrete_scan_norms_each_distinct_edge_once(self, monkeypatch):
         calls = count_norms(monkeypatch, specfam.adapted)
-        smp = sample(FamilySpec("dirac_circle", 41), ParameterGrid.linspace(-0.49, 0.49, 21))
-        report = discrete_spectrum_certify(smp, [0.4, 1.4, 2.4], include_definitional=False)
-        certs = [c for per_x in report.certificates.values() for c in per_x if c]
-        distinct = set().union(*(memo_keys(smp, c) for c in certs))
-        assert set(smp.projection_moduli) == distinct
-        assert set(smp.restriction_moduli) == distinct
-        assert len(calls) == 2 * len(distinct)
-        # the scan revisits edges, so the memo saved norms
-        assert len(distinct) < sum(len(c.range) - 1 for c in certs)
+        # dirac_circle's fibres are in permutation form, so its edges take the
+        # diagonal path and no eigensolver; the dense family takes one
+        # ``hermitian_norm`` per distinct edge and modulus
+        for smp, b_levels, norms_per_edge in (
+                (sample(FamilySpec("dirac_circle", 41), ParameterGrid.linspace(-0.49, 0.49, 21)),
+                 [0.4, 1.4, 2.4], 0),
+                (drifting_sample(5, 6, 9, 0.3), None, 2)):
+            calls.clear()
+            report = discrete_spectrum_certify(smp, b_levels or scan_levels(smp),
+                                               include_definitional=False)
+            certs = [c for per_x in report.certificates.values() for c in per_x if c]
+            distinct = set().union(*(memo_keys(smp, c) for c in certs))
+            assert set(smp.projection_moduli) == distinct
+            assert set(smp.restriction_moduli) == distinct
+            assert len(calls) == norms_per_edge * len(distinct)
+            # the scan revisits edges, so the memo saved norms
+            assert len(distinct) < sum(len(c.range) - 1 for c in certs)
+            assert_stores_match_dense_oracle(smp)
+
+
+#: scales of the diagonal entries: inside the band where ``eigvalsh`` returns
+#: a diagonal matrix's entries exactly, and beyond it, where LAPACK rescales
+IN_BAND_SCALES = [1e-140, 1e-20, 1.0, 1e20, 1e140]
+OUT_OF_BAND_SCALES = [1e-300, 1e-200, 1e-150, 1e150, 1e200, 1e300]
+
+
+class TestDiagonalEdgeNorms:
+    """Edges whose two fibres are in permutation form are normed as a vector
+    difference; every other edge takes the dense projector and eigensolver."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 7), points=st.integers(2, 6),
+           scale=st.sampled_from(IN_BAND_SCALES + OUT_OF_BAND_SCALES),
+           weighted=st.booleans())
+    def test_memo_values_equal_the_dense_oracle(self, data, dim, points, scale, weighted):
+        # few distinct entries, so ties within and across fibres are common
+        entry = st.integers(-6, 6).map(lambda k: 0.375 * k * scale)
+        ops = []
+        for _ in range(points):
+            values = data.draw(st.lists(entry, min_size=dim, max_size=dim))
+            dense = data.draw(st.booleans())
+            ops.append(HermitianOperator(np.diag(values)) if dense else diagonal_operator(values))
+        smp = FamilySample(ParameterGrid.linspace(0.0, 1.0, points), tuple(ops))
+        starts = np.array([data.draw(st.integers(0, dim)) for _ in range(points)])
+        stops = np.array([data.draw(st.integers(int(a), dim)) for a in starts])
+
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_norms(mp, specfam.adapted)
+            modulus, left = _interval_modulus(smp, 0, starts, stops, weighted=weighted)
+        memo = smp.restriction_moduli if weighted else smp.projection_moduli
+        values = [memo[(y, starts[y], stops[y], starts[y + 1], stops[y + 1])]
+                  for y in range(points - 1)]
+        assert (modulus, left) == (max(values), values.index(max(values)))
+
+        decs = smp.decompositions
+        diagonal = [decs[y].order is not None and decs[y + 1].order is not None
+                    for y in range(points - 1)]
+        assert len(calls) == diagonal.count(False)
+        for y, value in enumerate(values):
+            ends = [projector(decs[z], interval_mask(dim, starts[z], stops[z]),
+                              weights=decs[z].eigenvalues if weighted else None)
+                    for z in (y, y + 1)]
+            difference = ends[1] - ends[0]
+            if not diagonal[y] or scale in IN_BAND_SCALES:
+                assert value == hermitian_norm(difference)
+            if diagonal[y]:
+                # the dense difference is diagonal, and its entries are exact
+                assert not np.any(difference - np.diag(np.diag(difference)))
+                assert value == np.max(np.abs(np.diag(difference).real))
+
+    @pytest.mark.parametrize("forms", ["PPD", "DPP", "PDP", "DDP", "PDDPP"])
+    def test_mixed_edges_take_the_dense_path(self, monkeypatch, forms):
+        # P: permutation form (``diagonal_operator``), D: dense basis from eigh;
+        # the lowest eigenvalue moves between standard basis vectors
+        values = [np.roll([1.0, 2.5, 4.0, -3.0], y) for y in range(len(forms))]
+        ops = tuple(diagonal_operator(v) if form == "P" else HermitianOperator(np.diag(v))
+                    for form, v in zip(forms, values))
+        smp = FamilySample(ParameterGrid.linspace(0.0, 1.0, len(forms)), ops)
+        calls = count_norms(monkeypatch, specfam.adapted)
+        cert = certify_adapted_pair(smp, GridRange(0, len(forms) - 1), 3.5)
+        assert cert.rank == 3 and cert.projection_modulus == 1.0
+        mixed = sum(a != b or a == "D" for a, b in zip(forms, forms[1:]))
+        assert len(calls) == 2 * mixed
+        assert_stores_match_dense_oracle(smp)
 
 
 class TestEdgeClearance:

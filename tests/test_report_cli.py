@@ -190,6 +190,18 @@ class TestRunAnalysis:
         assert entry["error"]["type"] == "RankJump"
         assert entry["error"]["left_index"] == 2
 
+    def test_modulus_refusal_names_its_edge(self, tmp_path):
+        config = base_config(
+            family={"kind": "harmonic_perturbed", "dim": 10,
+                    "params": {"coupling": [0.0, 1.0]}},
+            grid={"start": 0.0, "end": 1.0, "points": 9},
+            analyses=[{"kind": "certify-adapted", "params": {"level": 1.0, "cap": 0.03}}],
+        )
+        error = run_analysis(config, output_dir=tmp_path).report["analyses"][0]["error"]
+        assert error["type"] == "ModulusExceeded"
+        assert (error["which"], error["left_index"]) == ("projection", 7)
+        assert error["message"].endswith(" on edge (7, 8)")
+
     def test_truncation_analysis(self, tmp_path):
         config = base_config(
             family={"kind": "dirac_circle", "dim": 11, "params": {"alpha": 0.25}},
