@@ -130,6 +130,10 @@ def _grid_length(config: dict) -> int | None:
     return int(grid["points"])
 
 
+def _non_negative(value) -> bool:
+    return isinstance(value, numbers.Real) and value >= 0
+
+
 def validate_config(config: dict) -> None:
     """Structural check against the shipped schema, then range checks.
 
@@ -168,16 +172,23 @@ def validate_config(config: dict) -> None:
             _require(name in params, f"{base}.{name}", "is required")
             return params[name]
 
+        def check(name, ok, message):
+            if name in params:
+                _require(ok(params[name]), f"{base}.{name}", message)
+
         if kind == "certify-adapted":
             level = need("level")
             _require(isinstance(level, numbers.Real) and level > 0,
                      f"{base}.level", "must be a positive number")
+            check("cap", lambda v: v is None or _non_negative(v),
+                  "must be a non-negative number or null")
         elif kind == "discrete-spectrum":
             levels = need("b_levels")
             _require(isinstance(levels, list) and levels, f"{base}.b_levels",
                      "must be a non-empty array")
             _require(all(isinstance(b, numbers.Real) and b > 0 for b in levels),
                      f"{base}.b_levels", "must be positive")
+            check("definitional", lambda v: isinstance(v, bool), "must be a boolean")
         elif kind == "graph-continuity":
             delta = need("delta")
             _require(isinstance(delta, numbers.Real) and delta > 0,
@@ -188,6 +199,7 @@ def validate_config(config: dict) -> None:
             _require(isinstance(delta, numbers.Real) and 0 < delta < 0.5,
                      f"{base}.delta", "out of (0, 0.5)")
             need("x_index")
+            check("cap", _non_negative, "must be a non-negative number")
         elif kind == "polarized":
             levels = need("b_levels")
             _require(isinstance(levels, list) and levels, f"{base}.b_levels",
@@ -201,6 +213,10 @@ def validate_config(config: dict) -> None:
             else:
                 _require(all(isinstance(b, numbers.Real) and b > 0 for b in levels),
                          f"{base}.b_levels", "must be positive")
+            for name in ("eta", "norm_slack"):
+                check(name, lambda v: isinstance(v, numbers.Real), "must be a number")
+            check("interior_budget", lambda v: v is None or isinstance(v, int),
+                  "must be an integer or null")
         elif kind == "truncation":
             dims = need("dims")
             _require(isinstance(dims, list) and len(dims) >= 2
@@ -211,9 +227,13 @@ def validate_config(config: dict) -> None:
             _require(isinstance(window, list) and len(window) == 2
                      and window[0] <= window[1],
                      f"{base}.window", "must be [lo, hi] with lo <= hi")
+            check("tau", lambda v: v is None or isinstance(v, numbers.Real),
+                  "must be a number or null")
         for key in ("x_index", "lo_index", "hi_index"):
+            check(key, lambda v: isinstance(v, int), "must be an integer")
+            # a matrix file's grid length is known only once the file is read
             if key in params and n_points is not None:
-                _require(isinstance(params[key], int) and 0 <= params[key] < n_points,
+                _require(0 <= params[key] < n_points,
                          f"{base}.{key}", f"must be an index into the {n_points}-point grid")
 
 

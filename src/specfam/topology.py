@@ -8,6 +8,11 @@ differences.  ``riesz_continuity_certify`` splits the operator into lower /
 window / upper spectral blocks, applies the bounded transform blockwise, and
 verifies the seven-term bound on transform differences.  Both refuse to
 return a certificate whose inequalities do not hold.
+
+Both chains first contract the range around the base point, building only
+what the contraction reads, then build everything else on the contracted
+``range`` they report.  Every field is measured there, except the Riesz
+chain's scalar outer-block defects, gated first on the uncontracted range.
 """
 
 from __future__ import annotations
@@ -249,6 +254,9 @@ class RieszContinuityCertificate:
     blocks from +-(their projections), the three moduli the variation of the
     window transform and outer projections relative to the base point, and
     ``final_bound`` the resulting transform variation (< 7 delta).
+
+    The two defects are maxima over the strict-adapted range intersected with
+    the pair's range; every other field, matrices included, is on ``range``.
     """
 
     x_index: int
@@ -317,66 +325,65 @@ def _riesz_chain_certify(smp: FamilySample, x_index: int, delta: float, cap: flo
         raise NoGap(threshold, ceiling, x_index)
 
     level = pair.level
+    strict_eps = strict_result.epsilon
     rng = strict_result.range.intersect(pair.range)
 
-    window_q = {}
-    upper_q = {}
-    lower_q = {}
-    block_center = {}
-    block_upper = {}
-    block_lower = {}
-    full_image = {}
-    upper_split_residual = 0.0
-    split_residual = 0.0
-    upper_defect = 0.0
-    lower_defect = 0.0
-    eye = np.eye(smp.dim)
-    for y in rng.indices():
-        dec = smp.decompositions[y]
-        ev = dec.eigenvalues
-        inner = np.abs(ev) < level
-        upper = ev >= level
-        lower = ev <= -level
-        fv = value_map(ev)
-        q = projector(dec, inner)
-        qp = projector(dec, upper)
-        qm = eye - q - qp  # exact by construction
-        window_q[y], upper_q[y], lower_q[y] = q, qp, qm
-        block_center[y] = projector(dec, inner, weights=fv)
-        block_upper[y] = projector(dec, upper, weights=fv)
-        block_lower[y] = projector(dec, lower, weights=fv)
-        full_image[y] = projector(dec, np.ones_like(inner, dtype=bool), weights=fv)
-        split_residual = max(split_residual, hermitian_norm(
-            full_image[y] - (block_lower[y] + block_center[y] + block_upper[y])
-        ))
-        # the upper projection equals "everything >= strict level" minus the
-        # [strict level, level) part of the window block; level > strict level
-        # because the pair is searched above it
-        strict_eps = strict_result.epsilon
-        p_eps = projector(dec, ev >= strict_eps)
-        p_band = projector(dec, (ev >= strict_eps) & (ev < level))
-        upper_split_residual = max(upper_split_residual,
-                                   hermitian_norm(qp - (p_eps - p_band)))
-        if np.any(upper):
-            upper_defect = max(upper_defect, float(np.max(np.abs(fv[upper] - 1.0))))
-        if np.any(lower):
-            lower_defect = max(lower_defect, float(np.max(np.abs(fv[lower] + 1.0))))
-
+    # phase 1, on strict ∩ pair: the scalar defects, then only what the
+    # contraction reads
+    ev_rng = smp.eigenvalue_matrix[rng.lo_index:rng.hi_index + 1]
+    fv_rng = value_map(ev_rng)
+    upper_defect = float(np.max(np.abs(fv_rng - 1.0), where=ev_rng >= level, initial=0.0))
+    lower_defect = float(np.max(np.abs(fv_rng + 1.0), where=ev_rng <= -level, initial=0.0))
     if upper_defect >= delta:
         raise BoundViolated("upper_defect", upper_defect, delta)
     if lower_defect >= delta:
         raise BoundViolated("lower_defect", lower_defect, delta)
 
-    # contract around the base point until the three relative moduli drop
-    # below delta
+    window_q = {}
+    upper_q = {}
+    lower_q = {}
+    block_center = {}
+    eye = np.eye(smp.dim)
+    for y, ev, fv in zip(rng.indices(), ev_rng, fv_rng):
+        dec = smp.decompositions[y]
+        inner = np.abs(ev) < level
+        window_q[y] = projector(dec, inner)
+        upper_q[y] = projector(dec, ev >= level)
+        lower_q[y] = eye - window_q[y] - upper_q[y]  # exact by construction
+        block_center[y] = projector(dec, inner, weights=fv)
     rng = _contract(rng, x_index, delta, block_center, lower_q, upper_q)
 
-    center_modulus = max(hermitian_norm(block_center[y] - block_center[x_index])
-                         for y in rng.indices())
-    lower_projection_modulus = max(hermitian_norm(lower_q[y] - lower_q[x_index])
-                                   for y in rng.indices())
-    upper_projection_modulus = max(hermitian_norm(upper_q[y] - upper_q[x_index])
-                                   for y in rng.indices())
+    # phase 2, on the contracted range the certificate reports
+    split_residual = upper_split_residual = 0.0
+    center_modulus = lower_projection_modulus = upper_projection_modulus = 0.0
+    full_image = {}
+    projections = []
+    blocks = []
+    for y in rng.indices():
+        dec = smp.decompositions[y]
+        ev = dec.eigenvalues
+        fv = value_map(ev)
+        block_lower = projector(dec, ev <= -level, weights=fv)
+        block_upper = projector(dec, ev >= level, weights=fv)
+        full_image[y] = projector(dec, np.ones(ev.shape, dtype=bool), weights=fv)
+        projections.append((window_q[y], upper_q[y], lower_q[y]))
+        blocks.append((block_lower, block_center[y], block_upper))
+        split_residual = max(split_residual, hermitian_norm(
+            full_image[y] - (block_lower + block_center[y] + block_upper)
+        ))
+        # the upper projection equals "everything >= strict level" minus the
+        # [strict level, level) part of the window block; level > strict level
+        # because the pair is searched above it
+        p_eps = projector(dec, ev >= strict_eps)
+        p_band = projector(dec, (ev >= strict_eps) & (ev < level))
+        upper_split_residual = max(upper_split_residual,
+                                   hermitian_norm(upper_q[y] - (p_eps - p_band)))
+        center_modulus = max(center_modulus,
+                             hermitian_norm(block_center[y] - block_center[x_index]))
+        lower_projection_modulus = max(lower_projection_modulus,
+                                       hermitian_norm(lower_q[y] - lower_q[x_index]))
+        upper_projection_modulus = max(upper_projection_modulus,
+                                       hermitian_norm(upper_q[y] - upper_q[x_index]))
     final_bound = max(hermitian_norm(full_image[y] - full_image[x_index])
                       for y in rng.indices())
 
@@ -390,15 +397,7 @@ def _riesz_chain_certify(smp: FamilySample, x_index: int, delta: float, cap: flo
     if final_bound >= 7.0 * delta:
         raise BoundViolated("final_bound", final_bound, 7.0 * delta)
 
-    projections = None
-    blocks = None
-    if smp.dim <= EMBED_DIM_LIMIT:
-        projections = tuple(
-            (window_q[y], upper_q[y], lower_q[y]) for y in rng.indices()
-        )
-        blocks = tuple(
-            (block_lower[y], block_center[y], block_upper[y]) for y in rng.indices()
-        )
+    embed = smp.dim <= EMBED_DIM_LIMIT
     return RieszContinuityCertificate(
         x_index=x_index,
         delta=float(delta),
@@ -416,8 +415,8 @@ def _riesz_chain_certify(smp: FamilySample, x_index: int, delta: float, cap: flo
         lower_projection_modulus=lower_projection_modulus,
         upper_projection_modulus=upper_projection_modulus,
         final_bound=final_bound,
-        projections=projections,
-        transform_blocks=blocks,
+        projections=tuple(projections) if embed else None,
+        transform_blocks=tuple(blocks) if embed else None,
     )
 
 

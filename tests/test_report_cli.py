@@ -99,6 +99,62 @@ class TestValidateConfig:
             validate_config(config)
         assert str(err.value) == "analyses[0].params.b_levels out of (0, 1)"
 
+    @pytest.mark.parametrize("family, analysis, field", [
+        ("generated", {"kind": "certify-adapted", "params": {"level": 1.0, "cap": "big"}}, "cap"),
+        ("generated", {"kind": "certify-adapted", "params": {"level": 1.0, "cap": -0.1}}, "cap"),
+        ("generated", {"kind": "certify-adapted", "params": {"level": 1.0, "lo_index": 2.5}},
+         "lo_index"),
+        ("generated", {"kind": "riesz-continuity",
+                       "params": {"delta": 0.2, "x_index": 5, "cap": "big"}}, "cap"),
+        ("generated", {"kind": "riesz-continuity",
+                       "params": {"delta": 0.2, "x_index": 5, "cap": None}}, "cap"),
+        ("file", {"kind": "riesz-continuity", "params": {"delta": 0.2, "x_index": "a"}},
+         "x_index"),
+        ("file", {"kind": "graph-continuity", "params": {"delta": 0.2, "x_index": 2.5}},
+         "x_index"),
+        ("file", {"kind": "certify-adapted", "params": {"level": 1.0, "hi_index": "3"}},
+         "hi_index"),
+        ("generated", {"kind": "polarized", "params": {"b_levels": [0.5], "eta": "x"}}, "eta"),
+        ("generated", {"kind": "polarized", "params": {"b_levels": [0.5], "norm_slack": "x"}},
+         "norm_slack"),
+        ("generated", {"kind": "polarized", "params": {"b_levels": [0.5], "interior_budget": 1.5}},
+         "interior_budget"),
+        ("generated", {"kind": "truncation",
+                       "params": {"dims": [5, 7], "window": [-1, 1], "tau": "x"}}, "tau"),
+        ("generated", {"kind": "discrete-spectrum",
+                       "params": {"b_levels": [0.5], "definitional": "no"}}, "definitional"),
+        # accepted: a null cap means no cap, and a matrix file bounds no index
+        ("generated", {"kind": "certify-adapted", "params": {"level": 1.0, "cap": None}}, None),
+        ("generated", {"kind": "riesz-continuity",
+                       "params": {"delta": 0.2, "x_index": 5, "cap": 0}}, None),
+        ("file", {"kind": "riesz-continuity", "params": {"delta": 0.2, "x_index": 500}}, None),
+        ("generated", {"kind": "polarized",
+                       "params": {"b_levels": [0.5], "interior_budget": None}}, None),
+        ("generated", {"kind": "truncation",
+                       "params": {"dims": [5, 7], "window": [-1, 1], "tau": None}}, None),
+    ])
+    def test_param_types_refused_with_their_path(self, tmp_path, family, analysis, field):
+        config = base_config(analyses=[analysis])
+        if family == "file":
+            config["family"] = {"kind": "matrix_path_file", "dim": 3,
+                                "params": {"path": str(tmp_path / "family.json")}}
+            del config["grid"]
+        if field is None:
+            validate_config(config)
+            return
+        path = f"analyses[0].params.{field}"
+        with pytest.raises(ConfigError) as err:
+            validate_config(config)
+        assert err.value.path == path
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        for command in (["validate", str(cfg)],
+                        ["analyze", str(cfg), "--output-dir", str(tmp_path / "out")]):
+            result = CliRunner().invoke(main, command)
+            assert result.exit_code == 2
+            assert path in result.output
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_missing_x_index_rejected(self):
         config = base_config(analyses=[
             {"kind": "graph-continuity", "params": {"delta": 0.4}}

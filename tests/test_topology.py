@@ -5,6 +5,7 @@ import pytest
 
 from specfam import (
     FamilySpec,
+    GridRange,
     HermitianOperator,
     ParameterGrid,
     bounded_transform_scalar,
@@ -13,15 +14,17 @@ from specfam import (
     discrete_spectrum_certify,
     graph_continuity_certify,
     graph_distance,
+    operator_norm,
     polarized_continuity_certify,
     riesz_continuity_certify,
     riesz_distance,
+    resolvent_at_i,
     sample,
     strict_adaptedness_certify,
     transform_clearing_level,
 )
 from specfam.errors import NoGap, StrictAdaptednessFailed
-from specfam.spectral import TAU_RECONSTRUCT
+from specfam.spectral import TAU_EDGE_DEFAULT, TAU_RECONSTRUCT, hermitian_norm, projector
 
 from conftest import constant_sample, random_hermitian
 
@@ -266,6 +269,121 @@ class TestStrictLevelBelowWindowLevel:
                              polarized_continuity_certify(image, x, delta, cap=0.5)):
                     assert cert.level > cert.strict_level
                     assert cert.upper_split_residual <= 1e-12
+
+
+def maximal_range(smp, level, x_index):
+    """The largest grid range around ``x_index`` on which +-level stays
+    clear of the spectrum and the window rank stays that of the base point."""
+    ev = np.abs(smp.eigenvalue_matrix)
+    ranks = np.sum(ev <= level, axis=1)
+    ok = ((np.min(np.abs(ev - level), axis=1) >= TAU_EDGE_DEFAULT)
+          & (ranks == ranks[x_index]))
+    lo = hi = x_index
+    while lo > 0 and ok[lo - 1]:
+        lo -= 1
+    while hi + 1 < len(smp) and ok[hi + 1]:
+        hi += 1
+    return GridRange(lo, hi)
+
+
+class TestCertificateFieldsOnReportedRange:
+    """Every field of a continuity certificate recomputes, bit for bit, from
+    dense projectors and norms on the range the certificate reports; the two
+    Riesz defects are maxima over the strict-adapted range intersected with
+    the pair's range, the range before the contraction."""
+
+    FAMILIES = {
+        **TestStrictLevelBelowWindowLevel.FAMILIES,
+        # at x=0, delta=0.1 the largest split residual over strict ∩ pair
+        # lies outside the contracted range (0, 28)
+        "coupled_ladder": (FamilySpec("harmonic_perturbed", 16, {"coupling": (0.0, 0.6)}),
+                           ParameterGrid.linspace(0.0, 1.0, 41)),
+    }
+    CASES = [("perturbed_ladder", 20, 0.2), ("perturbed_ladder", 60, 0.3),
+             ("offset_flux", 50, 0.2), ("offset_flux", 150, 0.3),
+             ("offset_flux", 100, 0.45)]
+
+    @pytest.mark.parametrize("family, x, delta", CASES + [("coupled_ladder", 0, 0.1)])
+    def test_riesz_chain(self, family, x, delta):
+        self.check_riesz_chain("bounded", family, x, delta)
+
+    @pytest.mark.parametrize("family, x, delta", CASES)
+    def test_polarized_chain(self, family, x, delta):
+        self.check_riesz_chain("identity", family, x, delta)
+
+    def check_riesz_chain(self, transform, family, x, delta):
+        smp = sample(*self.FAMILIES[family])
+        if transform == "bounded":
+            value_map = bounded_transform_scalar
+            cert = riesz_continuity_certify(smp, x, delta, cap=0.5)
+        else:
+            smp = smp.bounded_transformed()
+            value_map = np.asarray
+            cert = polarized_continuity_certify(smp, x, delta, cap=0.5)
+        level, strict = cert.level, cert.strict_level
+        eye = np.eye(smp.dim)
+
+        def pieces(y):
+            dec = smp.decompositions[y]
+            ev = dec.eigenvalues
+            fv = value_map(ev)
+            q = projector(dec, np.abs(ev) < level)
+            qp = projector(dec, ev >= level)
+            return {
+                "center": projector(dec, np.abs(ev) < level, weights=fv),
+                "lower": projector(dec, ev <= -level, weights=fv),
+                "upper": projector(dec, ev >= level, weights=fv),
+                "full": projector(dec, np.ones(smp.dim, dtype=bool), weights=fv),
+                "q_upper": qp,
+                "q_lower": eye - q - qp,
+                "p_eps": projector(dec, ev >= strict),
+                "p_band": projector(dec, (ev >= strict) & (ev < level)),
+            }
+
+        base = pieces(x)
+        reported = [pieces(y) for y in cert.range.indices()]
+        expected = {
+            "split_residual": max(hermitian_norm(p["full"] - (p["lower"] + p["center"] + p["upper"]))
+                                  for p in reported),
+            "upper_split_residual": max(hermitian_norm(p["q_upper"] - (p["p_eps"] - p["p_band"]))
+                                        for p in reported),
+            "center_modulus": max(hermitian_norm(p["center"] - base["center"]) for p in reported),
+            "lower_projection_modulus": max(hermitian_norm(p["q_lower"] - base["q_lower"])
+                                            for p in reported),
+            "upper_projection_modulus": max(hermitian_norm(p["q_upper"] - base["q_upper"])
+                                            for p in reported),
+            "final_bound": max(hermitian_norm(p["full"] - base["full"]) for p in reported),
+        }
+        for name, value in expected.items():
+            assert getattr(cert, name) == value, name
+
+        before = maximal_range(smp, strict, x).intersect(maximal_range(smp, level, x))
+        assert before.contains(cert.range.lo_index) and before.contains(cert.range.hi_index)
+        ev = np.concatenate([smp.decompositions[y].eigenvalues for y in before.indices()])
+        fv = value_map(ev)
+        assert cert.upper_defect == max(np.abs(fv[ev >= level] - 1.0).tolist(), default=0.0)
+        assert cert.lower_defect == max(np.abs(fv[ev <= -level] + 1.0).tolist(), default=0.0)
+
+    @pytest.mark.parametrize("family, x, delta", CASES)
+    def test_graph_chain(self, family, x, delta):
+        smp = sample(*self.FAMILIES[family])
+        cert = graph_continuity_certify(smp, x, delta)
+        level = cert.level
+
+        def compressed(y):
+            dec = smp.decompositions[y]
+            ev = dec.eigenvalues
+            return projector(dec, np.abs(ev) <= level, weights=1.0 / (ev + 1j))
+
+        reported = cert.range.indices()
+        assert cert.compressed_modulus == max(operator_norm(compressed(y) - compressed(x))
+                                              for y in reported)
+        ev = np.concatenate([smp.decompositions[y].eigenvalues for y in reported])
+        outside = ev[np.abs(ev) > level]
+        assert cert.tail_bound == max((1.0 / np.sqrt(1.0 + outside ** 2)).tolist(), default=0.0)
+        base = resolvent_at_i(smp.operators[x])
+        assert cert.final_bound == max(operator_norm(resolvent_at_i(smp.operators[y]) - base)
+                                       for y in reported)
 
 
 class TestDirectionalSoundness:
