@@ -16,7 +16,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from . import __version__
 from .adapted import GridRange, certify_adapted_pair, discrete_spectrum_certify
@@ -106,14 +105,72 @@ def _schema() -> dict:
     return json.loads(text)
 
 
-def _json_path(error) -> str:
-    parts = []
-    for p in error.absolute_path:
-        if isinstance(p, int):
-            parts.append(f"[{p}]")
+#: JSON Schema type names with their 2020-12 meaning: a bool is no number,
+#: and an integral float such as 11.0 is an integer
+_SCHEMA_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "integer": lambda v: not isinstance(v, bool) and (
+        isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+}
+
+
+def _schema_errors(schema: dict, value, path: tuple = ()):
+    """Yield ``(path, message)`` for every way ``value`` breaks ``schema``.
+
+    Implements exactly the keywords ``config.schema.json`` uses, in schema
+    order as a JSON Schema validator visits them; any other keyword raises
+    ``NotImplementedError``, so a schema edit cannot go unchecked.
+    """
+    for keyword, arg in schema.items():
+        if keyword in ("$schema", "title"):
+            continue
+        if keyword == "type":
+            if not _SCHEMA_TYPES[arg](value):
+                yield path, f"{value!r} is not of type {arg!r}"
+        elif keyword == "enum":
+            if not any(value == v and isinstance(value, bool) == isinstance(v, bool)
+                       for v in arg):
+                yield path, f"{value!r} is not one of {arg!r}"
+        elif keyword == "minimum":
+            if _SCHEMA_TYPES["number"](value) and value < arg:
+                yield path, f"{value!r} is less than the minimum of {arg!r}"
+        elif keyword == "minItems":
+            if isinstance(value, list) and len(value) < arg:
+                yield path, f"{value!r} has fewer than {arg} items"
+        elif keyword == "items":
+            if isinstance(value, list):
+                for i, item in enumerate(value):
+                    yield from _schema_errors(arg, item, path + (i,))
+        elif keyword == "required":
+            if isinstance(value, dict):
+                for name in arg:
+                    if name not in value:
+                        yield path, f"{name!r} is a required property"
+        elif keyword == "properties":
+            if isinstance(value, dict):
+                for name, sub in arg.items():
+                    if name in value:
+                        yield from _schema_errors(sub, value[name], path + (name,))
+        elif keyword == "additionalProperties" and arg is False:
+            if isinstance(value, dict):
+                extra = [name for name in value if name not in schema.get("properties", {})]
+                if extra:
+                    yield path, f"has unexpected properties {extra}"
+        elif keyword == "oneOf":
+            matches = sum(not any(_schema_errors(sub, value, path)) for sub in arg)
+            if matches != 1:
+                yield path, f"matches {matches} of the {len(arg)} allowed forms, not one"
         else:
-            parts.append(f".{p}" if parts else p)
-    return "".join(parts) if parts else "config"
+            raise NotImplementedError(f"config schema keyword {keyword!r} is not implemented")
+
+
+def _render_path(path: tuple) -> str:
+    """``("analyses", 0, "kind")`` -> ``analyses[0].kind``; the root is ``config``."""
+    text = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+    return text.removeprefix(".") or "config"
 
 
 def _require(condition: bool, path: str, message: str) -> None:
@@ -130,8 +187,17 @@ def _grid_length(config: dict) -> int | None:
     return int(grid["points"])
 
 
+def _real(value) -> bool:
+    """A JSON number; ``true`` and ``false`` are not numbers."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _non_negative(value) -> bool:
-    return isinstance(value, numbers.Real) and value >= 0
+    return _real(value) and value >= 0
 
 
 def validate_config(config: dict) -> None:
@@ -140,11 +206,10 @@ def validate_config(config: dict) -> None:
     Raises ``ConfigError`` whose message starts with the offending field path,
     e.g. ``analyses[0].params.delta out of (0, 0.5)``.
     """
-    validator = Draft202012Validator(_schema())
-    errors = sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path))
+    errors = sorted(_schema_errors(_schema(), config), key=lambda e: e[0])
     if errors:
-        first = errors[0]
-        raise ConfigError(_json_path(first), first.message)
+        path, message = errors[0]
+        raise ConfigError(_render_path(path), message)
 
     family = config["family"]
     if family["kind"] != "matrix_path_file":
@@ -178,7 +243,7 @@ def validate_config(config: dict) -> None:
 
         if kind == "certify-adapted":
             level = need("level")
-            _require(isinstance(level, numbers.Real) and level > 0,
+            _require(_real(level) and level > 0,
                      f"{base}.level", "must be a positive number")
             check("cap", lambda v: v is None or _non_negative(v),
                   "must be a non-negative number or null")
@@ -186,17 +251,17 @@ def validate_config(config: dict) -> None:
             levels = need("b_levels")
             _require(isinstance(levels, list) and levels, f"{base}.b_levels",
                      "must be a non-empty array")
-            _require(all(isinstance(b, numbers.Real) and b > 0 for b in levels),
+            _require(all(_real(b) and b > 0 for b in levels),
                      f"{base}.b_levels", "must be positive")
             check("definitional", lambda v: isinstance(v, bool), "must be a boolean")
         elif kind == "graph-continuity":
             delta = need("delta")
-            _require(isinstance(delta, numbers.Real) and delta > 0,
+            _require(_real(delta) and delta > 0,
                      f"{base}.delta", "must be positive")
             need("x_index")
         elif kind == "riesz-continuity":
             delta = need("delta")
-            _require(isinstance(delta, numbers.Real) and 0 < delta < 0.5,
+            _require(_real(delta) and 0 < delta < 0.5,
                      f"{base}.delta", "out of (0, 0.5)")
             need("x_index")
             check("cap", _non_negative, "must be a non-negative number")
@@ -208,29 +273,29 @@ def validate_config(config: dict) -> None:
             _require(mode in ("weak", "correspondence"), f"{base}.mode",
                      "must be 'weak' or 'correspondence'")
             if mode == "weak":
-                _require(all(isinstance(b, numbers.Real) and 0 < b < 1 for b in levels),
+                _require(all(_real(b) and 0 < b < 1 for b in levels),
                          f"{base}.b_levels", "out of (0, 1)")
             else:
-                _require(all(isinstance(b, numbers.Real) and b > 0 for b in levels),
+                _require(all(_real(b) and b > 0 for b in levels),
                          f"{base}.b_levels", "must be positive")
             for name in ("eta", "norm_slack"):
-                check(name, lambda v: isinstance(v, numbers.Real), "must be a number")
-            check("interior_budget", lambda v: v is None or isinstance(v, int),
+                check(name, _real, "must be a number")
+            check("interior_budget", lambda v: v is None or _integer(v),
                   "must be an integer or null")
         elif kind == "truncation":
             dims = need("dims")
             _require(isinstance(dims, list) and len(dims) >= 2
-                     and all(isinstance(d, int) for d in dims)
+                     and all(_integer(d) for d in dims)
                      and sorted(dims) == dims,
                      f"{base}.dims", "must be an increasing integer array")
             window = need("window")
             _require(isinstance(window, list) and len(window) == 2
-                     and window[0] <= window[1],
+                     and all(_real(w) for w in window) and window[0] <= window[1],
                      f"{base}.window", "must be [lo, hi] with lo <= hi")
-            check("tau", lambda v: v is None or isinstance(v, numbers.Real),
+            check("tau", lambda v: v is None or _real(v),
                   "must be a number or null")
         for key in ("x_index", "lo_index", "hi_index"):
-            check(key, lambda v: isinstance(v, int), "must be an integer")
+            check(key, _integer, "must be an integer")
             # a matrix file's grid length is known only once the file is read
             if key in params and n_points is not None:
                 _require(0 <= params[key] < n_points,
@@ -243,7 +308,8 @@ def _build_grid(config: dict) -> ParameterGrid | None:
         return None
     if isinstance(grid, list):
         return ParameterGrid(np.asarray(grid, dtype=float))
-    return ParameterGrid.linspace(grid["start"], grid["end"], grid["points"])
+    # int(): the schema counts an integral float such as 11.0 as an integer
+    return ParameterGrid.linspace(grid["start"], grid["end"], int(grid["points"]))
 
 
 def _build_spec(config: dict) -> FamilySpec:
@@ -251,7 +317,7 @@ def _build_spec(config: dict) -> FamilySpec:
     params = dict(family.get("params", {}))
     if family["kind"] == "random_crossings":
         params.setdefault("seed", config.get("seed", 0))
-    return FamilySpec(family["kind"], family["dim"], params)
+    return FamilySpec(family["kind"], int(family["dim"]), params)
 
 
 def _error_payload(exc: Exception) -> dict:

@@ -249,11 +249,14 @@ class RieszContinuityCertificate:
     """Verified bound chain for transform continuity around a base point.
 
     The operator is split at +-level into lower / window / upper blocks.
-    ``split_residual`` measures the blockwise reassembly of the transform,
-    ``upper_defect`` / ``lower_defect`` the distance of the transformed outer
-    blocks from +-(their projections), the three moduli the variation of the
-    window transform and outer projections relative to the base point, and
-    ``final_bound`` the resulting transform variation (< 7 delta).
+    ``split_residual`` measures the blockwise reassembly of the transform and
+    ``upper_split_residual`` the split of the upper projection as "everything
+    >= strict level" minus the band below ``level`` (both refused above
+    ``TAU_RECONSTRUCT``), ``upper_defect`` / ``lower_defect`` the distance of
+    the transformed outer blocks from +-(their projections), the three moduli
+    the variation of the window transform and outer projections relative to
+    the base point, and ``final_bound`` the resulting transform variation
+    (< 7 delta).
 
     The two defects are maxima over the strict-adapted range intersected with
     the pair's range; every other field, matrices included, is on ``range``.
@@ -387,8 +390,10 @@ def _riesz_chain_certify(smp: FamilySample, x_index: int, delta: float, cap: flo
     final_bound = max(hermitian_norm(full_image[y] - full_image[x_index])
                       for y in rng.indices())
 
-    if split_residual > TAU_RECONSTRUCT:
-        raise BoundViolated("split_residual", split_residual, TAU_RECONSTRUCT)
+    for name, value in (("split_residual", split_residual),
+                        ("upper_split_residual", upper_split_residual)):
+        if value > TAU_RECONSTRUCT:
+            raise BoundViolated(name, value, TAU_RECONSTRUCT)
     for name, value in (("center_modulus", center_modulus),
                         ("lower_projection_modulus", lower_projection_modulus),
                         ("upper_projection_modulus", upper_projection_modulus)):

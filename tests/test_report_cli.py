@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from specfam import (
     FamilySpec,
@@ -18,7 +19,7 @@ from specfam import (
     validate_config,
 )
 from specfam.cli import main
-from specfam.report import _write_csv
+from specfam.report import _render_path, _schema, _schema_errors, _write_csv
 from specfam.errors import ConfigError
 
 
@@ -30,6 +31,14 @@ def write_matrix_path(path, grid, matrices):
     return path
 
 
+def src_env():
+    """The environment for a fresh interpreter that imports this checkout's specfam."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def base_config(**overrides):
     config = {
         "family": {"kind": "linear_crossing", "dim": 5, "params": {}},
@@ -38,6 +47,59 @@ def base_config(**overrides):
         "analyses": [{"kind": "flow", "params": {}}],
     }
     config.update(overrides)
+    return config
+
+
+# values of every JSON type, with bools and integral floats next to the ints
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 3),
+                 st.integers(-2, 3).map(float), st.sampled_from([0.5, -1.5]),
+                 st.sampled_from(["", "x", "flow"]), st.builds(list), st.builds(dict))
+
+
+def containers(value):
+    """Every dict and list in ``value``, itself included."""
+    if isinstance(value, (dict, list)):
+        yield value
+        for child in (value.values() if isinstance(value, dict) else value):
+            yield from containers(child)
+
+
+@st.composite
+def configs(draw):
+    """Configs around the shipped schema: a valid one, both grid forms and
+    integers given as integral floats, then up to three mutations, each
+    setting a value to any JSON value, dropping a key or item, or adding one."""
+    props = _schema()["properties"]
+    number = st.one_of(st.integers(-2, 2), st.sampled_from([-0.4, 0.4, 2.0]))
+    config = draw(st.fixed_dictionaries({
+        "family": st.fixed_dictionaries(
+            {"kind": st.sampled_from(props["family"]["properties"]["kind"]["enum"]),
+             "dim": st.sampled_from([1, 5, 5.0])},
+            optional={"params": st.builds(dict)}),
+        "analyses": st.lists(st.fixed_dictionaries(
+            {"kind": st.sampled_from(props["analyses"]["items"]["properties"]["kind"]["enum"])},
+            optional={"params": st.builds(dict)}), min_size=1, max_size=2),
+    }, optional={
+        "grid": st.one_of(
+            st.fixed_dictionaries({"start": number, "end": number,
+                                   "points": st.sampled_from([2, 11, 11.0])}),
+            st.lists(number, min_size=2, max_size=3)),
+        "seed": st.sampled_from([0, 3, 3.0]),
+        "output_dir": st.just("out"),
+    }))
+    for _ in range(draw(st.integers(0, 3))):
+        node = draw(st.sampled_from(list(containers(config))))
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        action = draw(st.sampled_from(["set", "drop", "add"]))
+        if action == "add" or not keys:
+            if isinstance(node, dict):
+                node["extra"] = draw(JUNK)
+            else:
+                node.append(draw(JUNK))
+        elif action == "set":
+            node[draw(st.sampled_from(keys))] = draw(JUNK)
+        else:
+            del node[draw(st.sampled_from(keys))]
     return config
 
 
@@ -123,6 +185,37 @@ class TestValidateConfig:
                        "params": {"dims": [5, 7], "window": [-1, 1], "tau": "x"}}, "tau"),
         ("generated", {"kind": "discrete-spectrum",
                        "params": {"b_levels": [0.5], "definitional": "no"}}, "definitional"),
+        # JSON booleans are neither numbers nor indices
+        ("generated", {"kind": "certify-adapted", "params": {"level": True}}, "level"),
+        ("generated", {"kind": "certify-adapted", "params": {"level": 1.0, "cap": True}}, "cap"),
+        ("generated", {"kind": "certify-adapted", "params": {"level": 1.0, "lo_index": True}},
+         "lo_index"),
+        ("generated", {"kind": "certify-adapted", "params": {"level": 1.0, "hi_index": True}},
+         "hi_index"),
+        ("generated", {"kind": "discrete-spectrum", "params": {"b_levels": [0.5, True]}},
+         "b_levels"),
+        ("generated", {"kind": "graph-continuity", "params": {"delta": True, "x_index": 5}},
+         "delta"),
+        ("file", {"kind": "riesz-continuity", "params": {"delta": 0.2, "x_index": True}},
+         "x_index"),
+        ("generated", {"kind": "riesz-continuity",
+                       "params": {"delta": 0.2, "x_index": 5, "cap": True}}, "cap"),
+        ("generated", {"kind": "polarized",
+                       "params": {"b_levels": [True], "mode": "correspondence"}}, "b_levels"),
+        ("generated", {"kind": "polarized", "params": {"b_levels": [0.5], "eta": True}}, "eta"),
+        ("generated", {"kind": "polarized", "params": {"b_levels": [0.5], "norm_slack": True}},
+         "norm_slack"),
+        ("generated", {"kind": "polarized",
+                       "params": {"b_levels": [0.5], "interior_budget": True}},
+         "interior_budget"),
+        ("generated", {"kind": "truncation", "params": {"dims": [True, 7], "window": [-1, 1]}},
+         "dims"),
+        ("generated", {"kind": "truncation",
+                       "params": {"dims": [5, 7], "window": [-1, 1], "tau": True}}, "tau"),
+        ("generated", {"kind": "truncation", "params": {"dims": [5, 7], "window": [True, 2]}},
+         "window"),
+        ("generated", {"kind": "truncation", "params": {"dims": [5, 7], "window": ["a", "b"]}},
+         "window"),
         # accepted: a null cap means no cap, and a matrix file bounds no index
         ("generated", {"kind": "certify-adapted", "params": {"level": 1.0, "cap": None}}, None),
         ("generated", {"kind": "riesz-continuity",
@@ -173,6 +266,40 @@ class TestValidateConfig:
             assert f"`{documented}`" in (root / doc).read_text()
         assert (root / documented).read_text() == packaged
         assert not (root / "schemas").exists()
+
+
+class TestSchemaEvaluator:
+    """``validate_config``'s structural pass against a JSON Schema validator."""
+
+    def test_unimplemented_keyword_refused(self):
+        for schema in ({"type": "object", "maxProperties": 1},
+                       {"properties": {"a": {"pattern": "x"}}},
+                       {"additionalProperties": {"type": "string"}}):
+            with pytest.raises(NotImplementedError):
+                list(_schema_errors(schema, {"a": "x"}))
+
+    def test_validation_does_not_import_jsonschema(self):
+        code = ("import sys, specfam\n"
+                "from specfam.cli import DEMO_CONFIGS\n"
+                "for config in DEMO_CONFIGS.values():\n"
+                "    specfam.validate_config(config)\n"
+                "assert 'jsonschema' not in sys.modules, 'jsonschema was imported'\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    @settings(max_examples=400, deadline=None)
+    @given(config=configs())
+    def test_agrees_with_jsonschema(self, config):
+        jsonschema = pytest.importorskip("jsonschema")
+        oracle = jsonschema.Draft202012Validator(_schema())
+        expected = sorted(list(e.absolute_path) for e in oracle.iter_errors(config))
+        got = sorted(list(path) for path, _ in _schema_errors(_schema(), config))
+        assert got == expected
+        if expected:
+            with pytest.raises(ConfigError) as err:
+                validate_config(config)
+            assert err.value.path == _render_path(expected[0])
 
 
 class TestCertificateSerialization:
@@ -267,6 +394,19 @@ class TestRunAnalysis:
         )
         bundle = run_analysis(config, output_dir=tmp_path)
         assert bundle.all_passed
+
+    @pytest.mark.parametrize("kind", ["linear_crossing", "random_crossings"])
+    def test_integral_floats_read_as_integers(self, tmp_path, kind):
+        # JSON Schema counts 11.0 as an integer; the run must read it as 11
+        as_int = base_config(family={"kind": kind, "dim": 5},
+                             grid={"start": -0.4, "end": 0.4, "points": 11})
+        as_float = base_config(family={"kind": kind, "dim": 5.0},
+                               grid={"start": -0.4, "end": 0.4, "points": 11.0})
+        for name, config in (("int", as_int), ("float", as_float)):
+            run_analysis(config, output_dir=tmp_path / name)
+        for table in ("report.json", "eigenvalues.csv"):
+            assert ((tmp_path / "int" / table).read_bytes()
+                    == (tmp_path / "float" / table).read_bytes())
 
     def test_reports_reproducible(self, tmp_path):
         config = base_config(analyses=[
@@ -422,12 +562,8 @@ class TestCli:
         bad.write_text(json.dumps(base_config(analyses=[
             {"kind": "riesz-continuity", "params": {"delta": 0.7, "x_index": 5}}
         ])))
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run([sys.executable, "-m", "specfam.cli", "validate", str(bad)],
-                              env=env, capture_output=True, text=True, timeout=60)
+                              env=src_env(), capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2
         assert "analyses[0].params.delta out of (0, 0.5)" in proc.stderr
 

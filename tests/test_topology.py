@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +24,8 @@ from specfam import (
     strict_adaptedness_certify,
     transform_clearing_level,
 )
-from specfam.errors import NoGap, StrictAdaptednessFailed
+from specfam import topology
+from specfam.errors import BoundViolated, NoGap, StrictAdaptednessFailed
 from specfam.spectral import TAU_EDGE_DEFAULT, TAU_RECONSTRUCT, hermitian_norm, projector
 
 from conftest import constant_sample, random_hermitian
@@ -244,6 +246,22 @@ class TestRieszContinuityCertify:
         assert cert.lower_projection_modulus < 0.2
         assert cert.upper_projection_modulus < 0.2
         assert cert.final_bound < 1.4
+
+    def test_upper_split_residual_gated(self, monkeypatch):
+        # a strict level above the window level breaks Q+ = P_eps - P_band:
+        # P_eps then misses the upper eigenvalue 9 that Q+ holds
+        strict = topology.strict_adaptedness_certify
+
+        def raised_strict_level(*args):
+            return dataclasses.replace(strict(*args), epsilon=10.0)
+
+        smp = constant_sample([-9.0, -1.0, 1.0, 9.0])
+        assert riesz_continuity_certify(smp, 2, 0.2, cap=0.5).level < 9.0
+        monkeypatch.setattr(topology, "strict_adaptedness_certify", raised_strict_level)
+        with pytest.raises(BoundViolated) as err:
+            riesz_continuity_certify(smp, 2, 0.2, cap=0.5)
+        assert err.value.which == "upper_split_residual"
+        assert err.value.value > TAU_RECONSTRUCT
 
 
 class TestStrictLevelBelowWindowLevel:
