@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -216,6 +217,21 @@ def _distance_to_pole(x: float) -> float:
     return min(frac, 1.0 - frac)
 
 
+def random_seed(value) -> int:
+    """A ``random_crossings`` seed as an int in [0, 2**64).
+
+    An integral float such as 2.0 counts, as it does in a config; a bool, a
+    fraction, a string or a value out of range raises ``FamilyModelError``.
+    """
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or not 0 <= value < 2**64):
+        raise FamilyModelError(f"random_crossings seed must be an integer in [0, 2**64), "
+                               f"got {value!r}")
+    return int(value)
+
+
 class _RandomPath:
     """Smooth seeded path: sinusoidal eigenvalue branches in a fixed random basis.
 
@@ -227,7 +243,7 @@ class _RandomPath:
     """
 
     def __init__(self, dim: int, seed: int):
-        rng = np.random.default_rng(np.uint64(seed))
+        rng = np.random.default_rng(np.uint64(random_seed(seed)))
         slots = rng.permutation(dim).astype(float)
         jitter = rng.uniform(-0.2, 0.2, dim)
         self.phases = (slots + 0.5 + jitter) * 0.5 / dim
@@ -318,7 +334,7 @@ def _make_generator(spec: FamilySpec):
 
         return gen
     if kind == "random_crossings":
-        path = _RandomPath(dim, int(params.get("seed", 0)))
+        path = _RandomPath(dim, params.get("seed", 0))
         return path.operator
     raise FamilyModelError(f"no generator for kind {kind!r}")
 

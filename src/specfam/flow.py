@@ -10,17 +10,11 @@ spectrum at the grid endpoints.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .adapted import (
-    level_candidates,
-    level_margins,
-    level_ranks,
-    truncation_ceiling,
-)
+from .adapted import level_candidates, truncation_ceiling
 from .errors import (
     AmbiguousMatching,
     EndpointOnSpectrum,
@@ -68,15 +62,6 @@ def _endpoint_margins(smp: FamilySample) -> tuple[float, float]:
     return first, last
 
 
-def _movement_bound(row: np.ndarray) -> float:
-    """Half the width of the spectral gap straddling zero at this point."""
-    negatives = row[row < -TAU_EDGE_DEFAULT]
-    positives = row[row > TAU_EDGE_DEFAULT]
-    if negatives.size == 0 or positives.size == 0:
-        return math.inf
-    return 0.5 * float(positives.min() - negatives.max())
-
-
 def flow_by_tracking(smp: FamilySample) -> FlowResult:
     """Count signed zero crossings of greedily matched eigenvalue branches.
 
@@ -88,37 +73,32 @@ def flow_by_tracking(smp: FamilySample) -> FlowResult:
     """
     margins = _endpoint_margins(smp)
     ev = smp.eigenvalue_matrix
-    n, dim = ev.shape
-    for i in range(n - 1):
-        movement = float(np.max(np.abs(ev[i + 1] - ev[i])))
-        bound = _movement_bound(ev[i])
-        if not movement < bound:
-            raise AmbiguousMatching(i, movement, bound)
+    moves = np.max(np.abs(np.diff(ev, axis=0)), axis=1)
+    left = ev[:-1]
+    # half the gap straddling zero at each left point; inf when one side is empty
+    bound = 0.5 * (np.min(left, axis=1, where=left > TAU_EDGE_DEFAULT, initial=np.inf)
+                   - np.max(left, axis=1, where=left < -TAU_EDGE_DEFAULT, initial=-np.inf))
+    ambiguous = np.flatnonzero(~(moves < bound))
+    if ambiguous.size:
+        i = int(ambiguous[0])
+        raise AmbiguousMatching(i, float(moves[i]), float(bound[i]))
 
-    signs = np.zeros_like(ev, dtype=int)
-    signs[ev > TAU_EDGE_DEFAULT] = 1
-    signs[ev < -TAU_EDGE_DEFAULT] = -1
-    crossings = []
-    flow = 0
-    for j in range(dim):
-        prev_sign = signs[0, j]
-        prev_index = 0
-        for i in range(1, n):
-            s = signs[i, j]
-            if s == 0:
-                continue
-            if s != prev_sign:
-                direction = 1 if s > prev_sign else -1
-                crossings.append(Crossing(j, prev_index, i, direction))
-                flow += direction
-            prev_sign = s
-            prev_index = i
-    return FlowResult(flow=flow, method="tracking", endpoint_margins=margins,
-                      crossings=tuple(crossings))
+    signs = (ev > TAU_EDGE_DEFAULT).astype(int) - (ev < -TAU_EDGE_DEFAULT)
+    # each branch walks its definite points, and row 0 always opens the walk
+    visited = signs != 0
+    visited[0] = True
+    branch, index = np.nonzero(visited.T)  # branch-major, then grid order
+    walk = signs.T[branch, index]
+    step = np.flatnonzero((branch[1:] == branch[:-1]) & (walk[1:] != walk[:-1]))
+    direction = np.sign(walk[step + 1] - walk[step])
+    crossings = tuple(map(Crossing, branch[step].tolist(), index[step].tolist(),
+                          index[step + 1].tolist(), direction.tolist()))
+    return FlowResult(flow=int(direction.sum()), method="tracking",
+                      endpoint_margins=margins, crossings=crossings)
 
 
 def _count_strictly_positive_upto(row: np.ndarray, level: float) -> int:
-    return int(np.sum((row > 0.0) & (row <= level)))
+    return int(np.count_nonzero((row > 0.0) & (row <= level)))
 
 
 def flow_by_partition(smp: FamilySample) -> FlowResult:
@@ -131,7 +111,7 @@ def flow_by_partition(smp: FamilySample) -> FlowResult:
     eigenvalues in (0, level] between its endpoints; counting is half-open
     at zero, which the endpoint margins make unambiguous.
 
-    ``edge_ok`` is each segment's adaptedness proof: on every edge both
+    The edge test is each segment's adaptedness proof: on every edge both
     margins clear ``TAU_EDGE_DEFAULT``, the window ranks agree, and the
     branches move less than the margin sum, the least a branch needs to cross
     +-level between samples.  For a segment's continuity moduli, call
@@ -143,27 +123,27 @@ def flow_by_partition(smp: FamilySample) -> FlowResult:
     ceiling = truncation_ceiling(smp)
     moves = np.max(np.abs(np.diff(ev, axis=0)), axis=1)
 
-    def edge_ok(i, margins, ranks):
-        return (margins[i] >= TAU_EDGE_DEFAULT and margins[i + 1] >= TAU_EDGE_DEFAULT
-                and ranks[i] == ranks[i + 1]
-                and moves[i] < margins[i] + margins[i + 1])
-
     breakpoints = [0]
     levels: list[float] = []
     start = 0
     flow = 0
     while start < n - 1:
-        cands = level_candidates(np.abs(ev[start]), 4.0 * TAU_EDGE_DEFAULT, ceiling)[0]
+        abs_tail = np.abs(ev[start:])
+        cands = level_candidates(abs_tail[0], 4.0 * TAU_EDGE_DEFAULT, ceiling)[0]
         for level in cands.tolist():  # ascending: the lowest level that works
-            margins = level_margins(smp, level)
-            ranks = level_ranks(smp, level)
-            if edge_ok(start, margins, ranks):
+            # level_margins and level_ranks, on the rows from start only
+            margins = np.min(np.abs(abs_tail - level), axis=1)
+            ranks = np.count_nonzero(abs_tail <= level, axis=1)
+            # ok[k] tests the edge (start + k, start + k + 1)
+            ok = ((margins[:-1] >= TAU_EDGE_DEFAULT) & (margins[1:] >= TAU_EDGE_DEFAULT)
+                  & (ranks[:-1] == ranks[1:])
+                  & (moves[start:] < margins[:-1] + margins[1:]))
+            if ok[0]:
                 break
         else:
             raise PartitionFailed(start)
-        end = start + 1
-        while end + 1 < n and edge_ok(end, margins, ranks):
-            end += 1
+        failing = np.flatnonzero(~ok)
+        end = start + (int(failing[0]) if failing.size else ok.size)
         breakpoints.append(end)
         levels.append(level)
         flow += (_count_strictly_positive_upto(ev[end], level)

@@ -13,6 +13,7 @@ import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from . import __version__
 from .adapted import GridRange, certify_adapted_pair, discrete_spectrum_certify
 from .errors import CertificationError, ConfigError, FamilyModelError
-from .families import FamilySpec, ParameterGrid, sample, truncation_check
+from .families import FamilySpec, ParameterGrid, random_seed, sample, truncation_check
 from .flow import flow_by_partition, flow_by_tracking
 from .polarized import (
     PolarizationCheck,
@@ -66,8 +67,39 @@ def canonical_json(value) -> str:
     """Deterministic JSON text: sorted keys, fixed float formatting."""
     parts: list[str] = []
 
+    def emit_dict(v):
+        parts.append("{")
+        for i, key in enumerate(sorted(v)):
+            if i:
+                parts.append(",")
+            parts.append(encode_basestring(str(key)))
+            parts.append(":")
+            emit(v[key])
+        parts.append("}")
+
+    def emit_items(v):
+        parts.append("[")
+        for i, item in enumerate(v):
+            if i:
+                parts.append(",")
+            emit(item)
+        parts.append("]")
+
     def emit(v):
-        if v is None:
+        # the exact types jsonable returns first; the isinstance chain then
+        # covers NumPy scalars, bool, None and subclasses
+        t = type(v)
+        if t is float:
+            parts.append(format_float(v))
+        elif t is int:
+            parts.append(str(v))
+        elif t is str:
+            parts.append(encode_basestring(v))
+        elif t is dict:
+            emit_dict(v)
+        elif t is list or t is tuple:
+            emit_items(v)
+        elif v is None:
             parts.append("null")
         elif isinstance(v, bool):
             parts.append("true" if v else "false")
@@ -76,23 +108,11 @@ def canonical_json(value) -> str:
         elif isinstance(v, numbers.Real):
             parts.append(format_float(float(v)))
         elif isinstance(v, str):
-            parts.append(json.dumps(v, ensure_ascii=False))
+            parts.append(encode_basestring(v))
         elif isinstance(v, dict):
-            parts.append("{")
-            for i, key in enumerate(sorted(v)):
-                if i:
-                    parts.append(",")
-                parts.append(json.dumps(str(key), ensure_ascii=False))
-                parts.append(":")
-                emit(v[key])
-            parts.append("}")
+            emit_dict(v)
         elif isinstance(v, (list, tuple)):
-            parts.append("[")
-            for i, item in enumerate(v):
-                if i:
-                    parts.append(",")
-                emit(item)
-            parts.append("]")
+            emit_items(v)
         else:
             raise TypeError(f"cannot render {type(v)!r}")
 
@@ -220,6 +240,13 @@ def validate_config(config: dict) -> None:
     if family["kind"] == "dirac_circle":
         _require(family["dim"] >= 3 and family["dim"] % 2 == 1, "family.dim",
                  "must be odd and at least 3 for dirac_circle")
+    if family["kind"] == "random_crossings":
+        params = family.get("params", {})
+        try:
+            random_seed(params.get("seed", config.get("seed", 0)))
+        except FamilyModelError:
+            raise ConfigError("family.params.seed" if "seed" in params else "seed",
+                              "must be an integer in [0, 2**64)") from None
     grid = config.get("grid")
     if isinstance(grid, dict):
         _require(grid["end"] > grid["start"], "grid.end", "must exceed grid.start")
@@ -425,10 +452,16 @@ def _run_one(kind: str, params: dict, smp, spec, grid):
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Every cell of every table is a float, written with 17 significant digits."""
-    lines = [",".join(header)]
-    lines.extend(",".join([format(cell, ".17g") for cell in row]) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Every cell of every table is a float, written with 17 significant digits.
+
+    Rows stream into the file one line at a time, so no whole table is held
+    as text; NaN and infinities are the bare tokens ``%.17g`` gives.
+    """
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(line % tuple(row))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -502,10 +535,9 @@ def run_analysis(config: dict, output_dir=None, threads: int = 1,
     report_path.write_text(canonical_json(report) + "\n", encoding="utf-8")
 
     if smp is not None:
-        ev = smp.eigenvalue_matrix
         header = ["x"] + [f"lambda_{j + 1}" for j in range(smp.dim)]
-        rows = [[smp.grid[y]] + [float(v) for v in ev[y]] for y in range(len(smp))]
-        _write_csv(out / "eigenvalues.csv", header, rows)
+        _write_csv(out / "eigenvalues.csv", header,
+                   np.column_stack([smp.grid.points, smp.eigenvalue_matrix]))
     for name, (head, rows_) in csv_files.items():
         _write_csv(out / f"{name}.csv", head, rows_)
 

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from specfam import (
     FamilySample,
@@ -13,10 +16,19 @@ from specfam import (
     flow_by_tracking,
     sample,
 )
-from specfam.adapted import level_ranks
-from specfam.errors import AmbiguousMatching, EndpointOnSpectrum, NonFiniteEntry
+from specfam.adapted import level_candidates, level_margins, level_ranks, truncation_ceiling
+from specfam.errors import (
+    AmbiguousMatching,
+    EndpointOnSpectrum,
+    NonFiniteEntry,
+    PartitionFailed,
+)
+from specfam.flow import Crossing, FlowPartition, FlowResult, _endpoint_margins
+from specfam.spectral import TAU_EDGE_DEFAULT, _install_decomposition
 
 from conftest import constant_sample, with_nan_eigenvalue
+
+TAU = TAU_EDGE_DEFAULT
 
 
 def random_sample(seed, dim=8, points=121, width=0.77):
@@ -159,3 +171,155 @@ class TestCrossMethod:
         )
         assert flow_by_tracking(perturbed).flow == base_t
         assert flow_by_partition(perturbed).flow == base_t
+
+
+# The loops below are the edge-by-edge routes that the
+# whole-array code in specfam.flow replaced; they are kept as its oracles.
+
+def _loop_movement_bound(row):
+    negatives = row[row < -TAU]
+    positives = row[row > TAU]
+    if negatives.size == 0 or positives.size == 0:
+        return math.inf
+    return 0.5 * float(positives.min() - negatives.max())
+
+
+def loop_tracking(smp):
+    margins = _endpoint_margins(smp)
+    ev = smp.eigenvalue_matrix
+    n, dim = ev.shape
+    for i in range(n - 1):
+        movement = float(np.max(np.abs(ev[i + 1] - ev[i])))
+        bound = _loop_movement_bound(ev[i])
+        if not movement < bound:
+            raise AmbiguousMatching(i, movement, bound)
+    signs = np.zeros_like(ev, dtype=int)
+    signs[ev > TAU] = 1
+    signs[ev < -TAU] = -1
+    crossings = []
+    flow = 0
+    for j in range(dim):
+        prev_sign = signs[0, j]
+        prev_index = 0
+        for i in range(1, n):
+            s = signs[i, j]
+            if s == 0:
+                continue
+            if s != prev_sign:
+                direction = 1 if s > prev_sign else -1
+                crossings.append(Crossing(j, prev_index, i, direction))
+                flow += direction
+            prev_sign = s
+            prev_index = i
+    return FlowResult(flow=flow, method="tracking", endpoint_margins=margins,
+                      crossings=tuple(crossings))
+
+
+def loop_partition(smp):
+    margins_ends = _endpoint_margins(smp)
+    ev = smp.eigenvalue_matrix
+    n = len(smp)
+    ceiling = truncation_ceiling(smp)
+    moves = np.max(np.abs(np.diff(ev, axis=0)), axis=1)
+
+    def edge_ok(i, margins, ranks):
+        return (margins[i] >= TAU and margins[i + 1] >= TAU
+                and ranks[i] == ranks[i + 1]
+                and moves[i] < margins[i] + margins[i + 1])
+
+    def count(row, level):
+        return int(np.sum((row > 0.0) & (row <= level)))
+
+    breakpoints = [0]
+    levels = []
+    start = 0
+    flow = 0
+    while start < n - 1:
+        cands = level_candidates(np.abs(ev[start]), 4.0 * TAU, ceiling)[0]
+        for level in cands.tolist():
+            margins = level_margins(smp, level)
+            ranks = level_ranks(smp, level)
+            if edge_ok(start, margins, ranks):
+                break
+        else:
+            raise PartitionFailed(start)
+        end = start + 1
+        while end + 1 < n and edge_ok(end, margins, ranks):
+            end += 1
+        breakpoints.append(end)
+        levels.append(level)
+        flow += count(ev[end], level) - count(ev[start], level)
+        start = end
+    return FlowResult(flow=flow, method="partition", endpoint_margins=margins_ends,
+                      partition=FlowPartition(tuple(breakpoints), tuple(levels)))
+
+
+def eigenvalue_sample(ev):
+    """A sample whose eigenvalue matrix is ``ev``, as a solver would leave it."""
+    ev = np.asarray(ev, dtype=float)
+    smp = constant_sample(np.zeros(ev.shape[1]), n_points=ev.shape[0])
+    for op, row in zip(smp.operators, ev):
+        _install_decomposition(op, row, np.eye(ev.shape[1], dtype=complex))
+    return smp
+
+
+def outcome(route, smp):
+    """The route's result, or its error as (type, message, attributes)."""
+    try:
+        return route(smp)
+    except (AmbiguousMatching, EndpointOnSpectrum, PartitionFailed) as exc:
+        # repr, so that a NaN attribute compares equal to itself
+        return type(exc), str(exc), repr(vars(exc))
+
+
+@st.composite
+def eigenvalue_matrices(draw):
+    """Ascending rows of a random walk, some entries pinned to +-TAU, 0 or NaN."""
+    n = draw(st.integers(2, 12))
+    dim = draw(st.integers(1, 5))
+    start = draw(arrays(float, dim, elements=st.floats(1e-3, 2.0) | st.floats(-2.0, -1e-3)))
+    steps = draw(arrays(float, (n - 1, dim), elements=st.floats(-1.0, 1.0)))
+    scale = draw(st.sampled_from([1e-3, 0.05, 0.5]))
+    ev = np.vstack([start, start + scale * np.cumsum(steps, axis=0)])
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, dim - 1))
+        ev[i, j] = draw(st.sampled_from([TAU, -TAU, 2.0 * TAU, 0.0, np.nan]))
+    return np.sort(ev, axis=1)
+
+
+class TestWholeArrayRoutesMatchLoops:
+    @settings(max_examples=300, deadline=None)
+    @given(ev=eigenvalue_matrices())
+    # row 0 holds a sign-0 entry at exactly TAU, which then crosses down
+    @example(ev=np.array([[-1.0, TAU], [-1.0, 0.3], [-1.0, -0.2], [-0.5, 0.4]]))
+    # a NaN row in the interior, and one at the end
+    @example(ev=np.array([[-1.0, 1.0], [np.nan, np.nan], [-1.0, 1.0]]))
+    @example(ev=np.array([[-1.0, 1.0], [-1.0, 1.0], [np.nan, 1.0]]))
+    # entries at exactly -TAU inside, where neither sign counts
+    @example(ev=np.array([[-1.0, 0.5], [-1.0, -TAU], [-1.0, -0.5], [-1.0, 0.5]]))
+    def test_same_results_and_errors(self, ev):
+        for route, oracle in ((flow_by_tracking, loop_tracking),
+                              (flow_by_partition, loop_partition)):
+            got = outcome(route, eigenvalue_sample(ev))
+            assert got == outcome(oracle, eigenvalue_sample(ev))
+            if isinstance(got, FlowResult):
+                assert type(got.flow) is int  # a NumPy integer would not render
+
+    def test_row_zero_sign_zero_opens_the_walk(self):
+        ev = np.array([[-1.0, TAU], [-1.0, 0.3], [-1.0, -0.2], [-0.5, 0.4]])
+        result = flow_by_tracking(eigenvalue_sample(ev))
+        assert result.crossings == (Crossing(1, 0, 1, 1), Crossing(1, 1, 2, -1),
+                                    Crossing(1, 2, 3, 1))
+        assert result == loop_tracking(eigenvalue_sample(ev))
+
+    def test_first_ambiguous_edge_is_reported(self):
+        ev = np.array([[-1.0, 1.0], [-1.0, 0.9], [-1.0, 3.0], [-3.0, 1.0]])
+        with pytest.raises(AmbiguousMatching) as err:
+            flow_by_tracking(eigenvalue_sample(ev))
+        assert (err.value.left_index, err.value.movement, err.value.bound) == (1, 2.1, 0.95)
+
+    def test_agree_on_seeded_random_paths(self):
+        for seed in range(6):
+            smp = random_sample(seed)
+            assert flow_by_tracking(smp) == loop_tracking(smp)
+            assert flow_by_partition(smp) == loop_partition(smp)

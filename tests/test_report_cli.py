@@ -1,7 +1,9 @@
 import json
+import numbers
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ from specfam import (
     validate_config,
 )
 from specfam.cli import main
-from specfam.report import _render_path, _schema, _schema_errors, _write_csv
+from specfam.report import _render_path, _schema, _schema_errors, _write_csv, format_float
 from specfam.errors import ConfigError
 
 
@@ -103,6 +105,43 @@ def configs(draw):
     return config
 
 
+def isinstance_chain_json(value) -> str:
+    """``canonical_json`` as one isinstance chain with ``json.dumps`` strings,
+    the oracle of its exact-type dispatch."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, numbers.Integral):
+        return str(int(value))
+    if isinstance(value, numbers.Real):
+        return format_float(float(value))
+    if isinstance(value, str):
+        return json.dumps(value, ensure_ascii=False)
+    if isinstance(value, dict):
+        return "{" + ",".join(json.dumps(str(k), ensure_ascii=False) + ":"
+                              + isinstance_chain_json(value[k]) for k in sorted(value)) + "}"
+    return "[" + ",".join(isinstance_chain_json(v) for v in value) + "]"
+
+
+class StrKind(str):
+    pass
+
+
+# everything jsonable returns, plus the NumPy scalars and the str subclasses
+# that canonical_json also accepts
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.text(), st.text().map(StrKind))
+JSON_TREES = st.recursive(JSON_LEAVES, lambda children: st.one_of(
+    st.lists(children), st.lists(children).map(tuple),
+    st.dictionaries(st.text(), children),
+    st.dictionaries(st.integers(-5, 5), children)), max_leaves=20)
+
+
 class TestCanonicalJson:
     def test_sorted_keys_and_float_format(self):
         text = canonical_json({"b": 0.1, "a": 2})
@@ -118,6 +157,12 @@ class TestCanonicalJson:
 
     def test_booleans_and_null(self):
         assert canonical_json({"x": True, "y": None}) == '{"x":true,"y":null}'
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=JSON_TREES)
+    def test_same_text_as_the_isinstance_chain(self, value):
+        assert canonical_json(value) == isinstance_chain_json(value)
+
 
 
 class TestValidateConfig:
@@ -332,6 +377,24 @@ def constant_riesz_sample():
 
 
 class TestCsvCells:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(1, 4).flatmap(lambda width: st.lists(st.lists(
+        st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                  st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+                  st.integers(-2**80, 2**80),
+                  st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308])),
+        min_size=width, max_size=width), max_size=4)))
+    def test_cells_match_format_17g(self, rows):
+        width = len(rows[0]) if rows else 2
+        header = [f"c{k}" for k in range(width)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cells.csv"
+            _write_csv(path, header, rows)
+            data = path.read_bytes()
+        expected = "".join(",".join(line) + "\n" for line in
+                           [header] + [[format(cell, ".17g") for cell in row] for row in rows])
+        assert data == expected.encode("utf-8")
+
     def test_float_cells_at_17_significant_digits(self, tmp_path):
         path = tmp_path / "cells.csv"
         rows = [[0.1, np.float64(1.0 / 3.0), -0.0],
@@ -556,6 +619,33 @@ class TestCli:
         assert result.exit_code == 1
         assert (tmp_path / "cli" / "report.json").read_bytes() == (
             tmp_path / "out" / "report.json").read_bytes()
+
+    @pytest.mark.parametrize("params, top, path", [
+        ({"seed": -1}, 0, "family.params.seed"),
+        ({"seed": 2.5}, 0, "family.params.seed"),
+        ({"seed": True}, 0, "family.params.seed"),
+        ({"seed": "3"}, 0, "family.params.seed"),
+        ({}, 2**64, "seed"),
+    ])
+    def test_random_crossings_seed_refused(self, tmp_path, params, top, path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(base_config(
+            family={"kind": "random_crossings", "dim": 5, "params": params}, seed=top)))
+        for command in (["validate", str(cfg)],
+                        ["analyze", str(cfg), "--output-dir", str(tmp_path / "out")]):
+            result = CliRunner().invoke(main, command)
+            assert result.exit_code == 2
+            assert f"{path} must be an integer in [0, 2**64)" in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_random_crossings_integral_float_seed_runs(self, tmp_path):
+        reports = []
+        for seed in (2, 2.0):
+            out = tmp_path / str(seed)
+            run_analysis(base_config(family={"kind": "random_crossings", "dim": 5,
+                                             "params": {"seed": seed}}), output_dir=out)
+            reports.append((out / "eigenvalues.csv").read_bytes())
+        assert reports[0] == reports[1]
 
     def test_module_entry_point_runs_the_cli(self, tmp_path):
         bad = tmp_path / "bad.json"
