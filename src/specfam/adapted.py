@@ -127,16 +127,15 @@ def truncation_ceiling(smp: FamilySample) -> float:
     return CEILING_FRACTION * float(np.min(np.max(np.abs(ev), axis=1)))
 
 
-def level_margins(smp: FamilySample, level: float) -> np.ndarray:
-    """Per grid point, the distance of +-level to the spectrum."""
-    ev = smp.eigenvalue_matrix
-    return np.min(np.abs(np.abs(ev) - level), axis=1)
+def level_margins(eigenvalues: np.ndarray, level: float) -> np.ndarray:
+    """Per row of eigenvalues (one per grid point), the distance of +-level
+    to the spectrum."""
+    return np.min(np.abs(np.abs(eigenvalues) - level), axis=1)
 
 
-def level_ranks(smp: FamilySample, level: float) -> np.ndarray:
-    """Per grid point, the number of eigenvalues in [-level, level]."""
-    ev = smp.eigenvalue_matrix
-    return np.sum(np.abs(ev) <= level, axis=1)
+def level_ranks(eigenvalues: np.ndarray, level: float) -> np.ndarray:
+    """Per row of eigenvalues (one per grid point), the number in [-level, level]."""
+    return np.sum(np.abs(eigenvalues) <= level, axis=1)
 
 
 def level_candidates(abs_eigenvalues: np.ndarray, lo: float,
@@ -230,8 +229,8 @@ def certify_adapted_pair(smp: FamilySample, grid_range: GridRange, level: float,
         raise ValueError("grid range exceeds the sample")
     if cap is not None and not cap >= 0:
         raise ValueError("the modulus cap must be non-negative")
-    margins = level_margins(smp, level)
-    ranks = level_ranks(smp, level)
+    margins = level_margins(smp.eigenvalue_matrix, level)
+    ranks = level_ranks(smp.eigenvalue_matrix, level)
     prev_rank = None
     for y in grid_range.indices():
         if not margins[y] >= TAU_EDGE_DEFAULT:
@@ -297,11 +296,12 @@ def find_adapted_pair(smp: FamilySample, x_index: int, b: float,
         raise ValueError("base index outside the grid")
     if ceiling is None:
         ceiling = truncation_ceiling(smp)
-    levels, widths = level_candidates(np.abs(smp.eigenvalue_matrix[x_index]), b, ceiling)
+    ev = smp.eigenvalue_matrix
+    levels, widths = level_candidates(np.abs(ev[x_index]), b, ceiling)
     if not levels.size:
         raise NoGap(b, ceiling, x_index)
     level = float(levels[np.argmax(widths)])  # the first widest is the lowest
-    grown = _grow_range(level_margins(smp, level), level_ranks(smp, level), x_index)
+    grown = _grow_range(level_margins(ev, level), level_ranks(ev, level), x_index)
     return certify_adapted_pair(smp, grown, level)
 
 
@@ -338,7 +338,7 @@ def covering_construction(smp: FamilySample, x_index: int, c: float,
         raise ValueError("the target level c must be positive")
     if not 0 <= x_index < len(smp):
         raise ValueError("base index outside the grid")
-    margin = float(level_margins(smp, c)[x_index])
+    margin = float(level_margins(smp.eigenvalue_matrix, c)[x_index])
     if not margin >= TAU_EDGE_DEFAULT:
         raise EdgeOnSpectrum(c, margin, grid_index=x_index)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapted import level_candidates, truncation_ceiling
+from .adapted import level_candidates, level_margins, level_ranks, truncation_ceiling
 from .errors import (
     AmbiguousMatching,
     EndpointOnSpectrum,
@@ -128,12 +128,10 @@ def flow_by_partition(smp: FamilySample) -> FlowResult:
     start = 0
     flow = 0
     while start < n - 1:
-        abs_tail = np.abs(ev[start:])
-        cands = level_candidates(abs_tail[0], 4.0 * TAU_EDGE_DEFAULT, ceiling)[0]
+        cands = level_candidates(np.abs(ev[start]), 4.0 * TAU_EDGE_DEFAULT, ceiling)[0]
         for level in cands.tolist():  # ascending: the lowest level that works
-            # level_margins and level_ranks, on the rows from start only
-            margins = np.min(np.abs(abs_tail - level), axis=1)
-            ranks = np.count_nonzero(abs_tail <= level, axis=1)
+            margins = level_margins(ev[start:], level)
+            ranks = level_ranks(ev[start:], level)
             # ok[k] tests the edge (start + k, start + k + 1)
             ok = ((margins[:-1] >= TAU_EDGE_DEFAULT) & (margins[1:] >= TAU_EDGE_DEFAULT)
                   & (ranks[:-1] == ranks[1:])

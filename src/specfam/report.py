@@ -67,52 +67,39 @@ def canonical_json(value) -> str:
     """Deterministic JSON text: sorted keys, fixed float formatting."""
     parts: list[str] = []
 
-    def emit_dict(v):
-        parts.append("{")
-        for i, key in enumerate(sorted(v)):
-            if i:
-                parts.append(",")
-            parts.append(encode_basestring(str(key)))
-            parts.append(":")
-            emit(v[key])
-        parts.append("}")
-
-    def emit_items(v):
-        parts.append("[")
-        for i, item in enumerate(v):
-            if i:
-                parts.append(",")
-            emit(item)
-        parts.append("]")
-
     def emit(v):
-        # the exact types jsonable returns first; the isinstance chain then
-        # covers NumPy scalars, bool, None and subclasses
-        t = type(v)
-        if t is float:
-            parts.append(format_float(v))
-        elif t is int:
-            parts.append(str(v))
-        elif t is str:
-            parts.append(encode_basestring(v))
-        elif t is dict:
-            emit_dict(v)
-        elif t is list or t is tuple:
-            emit_items(v)
-        elif v is None:
+        # concrete classes before the slow ABC checks: np.float64 is a float,
+        # other NumPy scalars reach Integral or Real
+        if v is None:
             parts.append("null")
         elif isinstance(v, bool):
             parts.append("true" if v else "false")
+        elif isinstance(v, float):
+            parts.append(format_float(v))
+        elif isinstance(v, int):
+            parts.append(str(int(v)))
+        elif isinstance(v, str):
+            parts.append(encode_basestring(v))
+        elif isinstance(v, dict):
+            parts.append("{")
+            for i, key in enumerate(sorted(v)):
+                if i:
+                    parts.append(",")
+                parts.append(encode_basestring(str(key)))
+                parts.append(":")
+                emit(v[key])
+            parts.append("}")
+        elif isinstance(v, (list, tuple)):
+            parts.append("[")
+            for i, item in enumerate(v):
+                if i:
+                    parts.append(",")
+                emit(item)
+            parts.append("]")
         elif isinstance(v, numbers.Integral):
             parts.append(str(int(v)))
         elif isinstance(v, numbers.Real):
             parts.append(format_float(float(v)))
-        elif isinstance(v, str):
-            parts.append(encode_basestring(v))
-        elif isinstance(v, dict):
-            emit_dict(v)
-        elif isinstance(v, (list, tuple)):
-            emit_items(v)
         else:
             raise TypeError(f"cannot render {type(v)!r}")
 

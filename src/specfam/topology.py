@@ -128,18 +128,13 @@ def _contract(rng: GridRange, x_index: int, delta: float, *images) -> GridRange:
     Frobenius distance ``delta`` of its base-point value.
 
     Frobenius norms dominate spectral ones, so the contraction is safe and
-    callers evaluate exact norms on the survivors only.  The ``shrink_toward``
-    steps are replayed until the last point at distance ``delta`` or more has
-    left the range; the base point has distance 0, so that happens.
+    callers evaluate exact norms on the survivors only.  A single point has
+    distance 0, so the loop ends.
     """
-    far = {y for y in rng.indices()
-           if max(float(np.linalg.norm(image[y] - image[x_index])) for image in images) >= delta}
-    while far:
+    frob = {y: max(float(np.linalg.norm(image[y] - image[x_index])) for image in images)
+            for y in rng.indices()}
+    while max(frob[y] for y in rng.indices()) >= delta:
         rng = shrink_toward(rng, x_index)
-        # the point just dropped sits next to one end; the other neighbour
-        # left earlier or was never in the range
-        far.discard(rng.lo_index - 1)
-        far.discard(rng.hi_index + 1)
     return rng
 
 
@@ -232,8 +227,8 @@ def strict_adaptedness_certify(smp: FamilySample, x_index: int, epsilon: float,
         raise ValueError("epsilon must be positive")
     if not 0 <= x_index < len(smp):
         raise ValueError("base index outside the grid")
-    margins = level_margins(smp, epsilon)
-    ranks = level_ranks(smp, epsilon)
+    margins = level_margins(smp.eigenvalue_matrix, epsilon)
+    ranks = level_ranks(smp.eigenvalue_matrix, epsilon)
     if not margins[x_index] >= TAU_EDGE_DEFAULT:
         raise EdgeOnSpectrum(epsilon, float(margins[x_index]), grid_index=x_index)
     rng = _grow_range(margins, ranks, x_index)

@@ -198,7 +198,7 @@ class TestCandidateLevels:
         assert np.all(np.diff(levels) > 0.0) and np.all(widths > 0.0)
         assert np.all((levels > b) & (levels <= ceiling))
         for level in levels:
-            assert level_margins(smp, level)[x] >= TAU_EDGE_DEFAULT
+            assert level_margins(smp.eigenvalue_matrix, level)[x] >= TAU_EDGE_DEFAULT
         if not levels.size:
             with pytest.raises(NoGap):
                 find_adapted_pair(smp, x, b)

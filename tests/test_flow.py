@@ -42,7 +42,7 @@ def assert_witness_certifies(smp, part):
     for (lo, hi), level in zip(zip(part.breakpoints, part.breakpoints[1:]),
                                part.levels):
         cert = certify_adapted_pair(smp, GridRange(lo, hi), level)
-        assert cert.rank == level_ranks(smp, level)[lo]
+        assert cert.rank == level_ranks(smp.eigenvalue_matrix, level)[lo]
 
 
 class TestTracking:
@@ -237,8 +237,8 @@ def loop_partition(smp):
     while start < n - 1:
         cands = level_candidates(np.abs(ev[start]), 4.0 * TAU, ceiling)[0]
         for level in cands.tolist():
-            margins = level_margins(smp, level)
-            ranks = level_ranks(smp, level)
+            margins = level_margins(smp.eigenvalue_matrix, level)
+            ranks = level_ranks(smp.eigenvalue_matrix, level)
             if edge_ok(start, margins, ranks):
                 break
         else:

@@ -106,8 +106,8 @@ def configs(draw):
 
 
 def isinstance_chain_json(value) -> str:
-    """``canonical_json`` as one isinstance chain with ``json.dumps`` strings,
-    the oracle of its exact-type dispatch."""
+    """``canonical_json`` with the ABC checks first and ``json.dumps`` strings,
+    the oracle of its reordered chain."""
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -135,6 +135,7 @@ JSON_LEAVES = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
     st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.floats(width=32, allow_nan=True, allow_infinity=True).map(np.float32),
     st.text(), st.text().map(StrKind))
 JSON_TREES = st.recursive(JSON_LEAVES, lambda children: st.one_of(
     st.lists(children), st.lists(children).map(tuple),

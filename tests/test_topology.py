@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from specfam import (
     FamilySpec,
@@ -26,7 +25,6 @@ from specfam import (
     transform_clearing_level,
 )
 from specfam import topology
-from specfam.adapted import shrink_toward
 from specfam.errors import BoundViolated, NoGap, StrictAdaptednessFailed
 from specfam.spectral import TAU_EDGE_DEFAULT, TAU_RECONSTRUCT, hermitian_norm, projector
 
@@ -421,26 +419,3 @@ class TestDirectionalSoundness:
             graph_distance(smp.shifted(0.3).operators[0],
                            smp.shifted(0.3).operators[15])
         )
-
-
-class TestContract:
-    @staticmethod
-    def rescanning_loop(rng, x_index, delta, *images):
-        """The contraction that rescans the whole range after every step."""
-        frob = {y: max(float(np.linalg.norm(image[y] - image[x_index])) for image in images)
-                for y in rng.indices()}
-        while max(frob[y] for y in rng.indices()) >= delta:
-            rng = shrink_toward(rng, x_index)
-        return rng
-
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), lo=st.integers(0, 5), length=st.integers(1, 30),
-           delta=st.sampled_from([0.25, 0.5, 1.0]), n_images=st.integers(1, 3))
-    def test_same_range_as_the_rescanning_loop(self, data, lo, length, delta, n_images):
-        rng = GridRange(lo, lo + length - 1)
-        x_index = data.draw(st.integers(rng.lo_index, rng.hi_index))
-        # values on a 0.25 lattice, so distances land exactly on delta too
-        value = st.integers(-6, 6).map(lambda k: np.array([[0.25 * k]]))
-        images = [{y: data.draw(value) for y in rng.indices()} for _ in range(n_images)]
-        assert (topology._contract(rng, x_index, delta, *images)
-                == self.rescanning_loop(rng, x_index, delta, *images))
