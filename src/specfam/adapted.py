@@ -23,7 +23,9 @@ in the discrete-spectrum scan, norm every distinct edge once.  An edge whose
 two fibres hold their eigenbasis as a permutation (the diagonal generators
 and their shifts and bounded transforms) is normed as the largest entry of a
 difference of two length-d vectors, with no projector and no eigensolver;
-every other edge builds dense projectors and runs ``eigvalsh``.
+every other edge builds dense projectors and norms their difference with
+``hermitian_norm``, which runs ``eigvalsh`` only when that difference has a
+nonzero off-diagonal entry.
 
 The unbounded and the weak (polarized) discrete-spectrum certificates share
 one engine, ``_scan_levels``, and differ only in the level ceiling and the
@@ -173,10 +175,13 @@ def _interval_modulus(smp: FamilySample, lo: int, starts, stops,
     When both ends of an edge hold their eigenbasis as a permutation, both
     operators are diagonal in the standard basis: each end is a length-d
     vector (ones, or the eigenvalues, at the selected standard indices) and
-    the norm is the largest absolute entry of their difference, with no
-    projector and no eigensolver.  That value is exact.  It equals the dense
-    route's bits while that entry lies within about [1e-146, 1e146]; outside
-    that band LAPACK rescales a diagonal matrix and rounds its eigenvalues.
+    the norm is the largest absolute entry of their difference, built without
+    the two d x d projectors.  Any other edge builds both projectors and
+    norms their difference with ``hermitian_norm``, which is itself exact on
+    a diagonal difference and calls ``eigvalsh`` only on a dense one.  Both
+    routes give the eigensolver's bits while the entries lie within about
+    [1e-146, 1e146]; outside that band LAPACK rescales a diagonal matrix and
+    rounds its eigenvalues, and the exact value is kept.
     """
     memo = smp.restriction_moduli if weighted else smp.projection_moduli
     starts, stops = starts.tolist(), stops.tolist()
@@ -223,7 +228,7 @@ def certify_adapted_pair(smp: FamilySample, grid_range: GridRange, level: float,
     The window at each point is the eigen-index interval
     [#(lambda < -level), #(lambda <= level)).
     """
-    if level <= 0:
+    if not level > 0:
         raise ValueError("window level must be positive")
     if grid_range.hi_index >= len(smp):
         raise ValueError("grid range exceeds the sample")
@@ -290,7 +295,7 @@ def find_adapted_pair(smp: FamilySample, x_index: int, b: float,
     Raises ``NoGap`` when no admissible level exists below the truncation
     ceiling, which signals that the truncation is too small for this ``b``.
     """
-    if b <= 0:
+    if not b > 0:
         raise ValueError("the lower level bound b must be positive")
     if not 0 <= x_index < len(smp):
         raise ValueError("base index outside the grid")
@@ -334,7 +339,7 @@ def covering_construction(smp: FamilySample, x_index: int, c: float,
     control the request, e.g. ``fixed_level_certifier`` for many small
     windows.  ``NoGap`` from the certifier propagates.
     """
-    if c <= 0:
+    if not c > 0:
         raise ValueError("the target level c must be positive")
     if not 0 <= x_index < len(smp):
         raise ValueError("base index outside the grid")
@@ -542,7 +547,7 @@ def discrete_spectrum_certify(smp: FamilySample, b_levels,
     that both routes pass or fail at the same grid points.
     """
     b_levels = tuple(float(b) for b in b_levels)
-    if not b_levels or any(b <= 0 for b in b_levels):
+    if not b_levels or any(not b > 0 for b in b_levels):
         raise ValueError("b_levels must be positive")
     shifts = None
     if include_definitional:

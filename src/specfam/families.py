@@ -142,8 +142,10 @@ class FamilySample:
         to the norm of the difference of the projections onto eigen-indices
         [start, stop) at the two ends of the edge.  When both ends are in
         permutation form the value is the largest entry of a difference of two
-        0/1 vectors, exact and equal to the dense projector's ``eigvalsh``
-        norm; ``adapted._interval_modulus`` says when that also holds for the
+        0/1 vectors; when the dense projectors' difference is diagonal,
+        ``hermitian_norm`` takes the same value without ``eigvalsh``.  Either
+        way it is exact and equal to the ``eigvalsh`` norm;
+        ``adapted._interval_modulus`` says when that also holds for the
         restriction store.
         """
         return {}

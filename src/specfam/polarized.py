@@ -45,7 +45,7 @@ class PolarizationCheck:
             raise ValueError("band width eta must lie in (0, 1)")
         if self.interior_budget is not None and self.interior_budget < 0:
             raise ValueError("interior budget must be non-negative")
-        if self.norm_slack < 0.0:
+        if not self.norm_slack >= 0.0:
             raise ValueError("norm slack must be non-negative")
 
     def budget_for(self, dim: int) -> int:

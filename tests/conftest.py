@@ -4,6 +4,11 @@ import pytest
 from specfam import FamilySample, HermitianOperator, ParameterGrid
 from specfam.spectral import _install_decomposition
 
+#: scales of the diagonal entries: inside the band where ``eigvalsh`` returns
+#: a diagonal matrix's entries exactly, and beyond it, where LAPACK rescales
+IN_BAND_SCALES = [1e-140, 1e-20, 1.0, 1e20, 1e140]
+OUT_OF_BAND_SCALES = [1e-300, 1e-200, 1e-150, 1e150, 1e200, 1e300]
+
 
 def random_hermitian(rng, dim):
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -26,6 +31,19 @@ def with_nan_eigenvalue(values, nan_index, n_points=5):
     _install_decomposition(smp.operators[nan_index], eigenvalues,
                            np.eye(len(values), dtype=complex))
     return smp
+
+
+def count_eigvalsh(monkeypatch):
+    """Record every ``np.linalg.eigvalsh`` call, passing it through."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(m, *args, **kwargs):
+        calls.append(m)
+        return eigvalsh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
 
 
 @pytest.fixture

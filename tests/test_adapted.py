@@ -43,7 +43,13 @@ from specfam.errors import (
 )
 from specfam.spectral import TAU_EDGE_DEFAULT, diagonal_operator, hermitian_norm, projector
 
-from conftest import constant_sample, random_hermitian, with_nan_eigenvalue
+from conftest import (
+    IN_BAND_SCALES,
+    OUT_OF_BAND_SCALES,
+    constant_sample,
+    random_hermitian,
+    with_nan_eigenvalue,
+)
 
 
 def linear_sample(start, end, points, dim=3):
@@ -592,12 +598,6 @@ class TestEdgeModuliMemo:
             # the scan revisits edges, so the memo saved norms
             assert len(distinct) < sum(len(c.range) - 1 for c in certs)
             assert_stores_match_dense_oracle(smp)
-
-
-#: scales of the diagonal entries: inside the band where ``eigvalsh`` returns
-#: a diagonal matrix's entries exactly, and beyond it, where LAPACK rescales
-IN_BAND_SCALES = [1e-140, 1e-20, 1.0, 1e20, 1e140]
-OUT_OF_BAND_SCALES = [1e-300, 1e-200, 1e-150, 1e150, 1e200, 1e300]
 
 
 class TestDiagonalEdgeNorms:

@@ -24,6 +24,8 @@ from specfam.cli import main
 from specfam.report import _render_path, _schema, _schema_errors, _write_csv, format_float
 from specfam.errors import ConfigError
 
+from conftest import count_eigvalsh
+
 
 def write_matrix_path(path, grid, matrices):
     """Write the explicit-matrix JSON format read by ``matrix_path_file``."""
@@ -500,6 +502,31 @@ class TestRunAnalysis:
         assert entry["passed"]
         assert entry["result"]["routes_agree"]
         assert entry["result"]["level_ceiling"] == 0.7
+
+    @pytest.mark.parametrize("spec, dense", [
+        (FamilySpec("dirac_circle", 9, {"alpha": (3.0, 1.0)}), False),
+        (FamilySpec("harmonic_perturbed", 9, {"coupling": (0.0, 1.0)}), True),
+    ], ids=["offset_flux", "harmonic_perturbed"])
+    def test_commuting_file_family_runs_no_eigensolver(self, tmp_path, monkeypatch,
+                                                      spec, dense):
+        # the offset-flux operators commute, so every difference the chains
+        # and distances norm is diagonal; the dense family's are not
+        smp = sample(spec, ParameterGrid.linspace(-0.5, 0.5, 21))
+        path = write_matrix_path(tmp_path / "family.json", smp.grid.points.tolist(),
+                                 [op.entries for op in smp.operators])
+        config = {
+            "family": {"kind": "matrix_path_file", "dim": 9, "params": {"path": str(path)}},
+            "seed": 0,
+            "analyses": [
+                {"kind": "graph-continuity", "params": {"delta": 0.4, "x_index": 10}},
+                {"kind": "riesz-continuity", "params": {"delta": 0.4, "x_index": 10, "cap": 0.5}},
+                {"kind": "distances", "params": {}},
+            ],
+        }
+        calls = count_eigvalsh(monkeypatch)
+        bundle = run_analysis(config, output_dir=tmp_path / "out")
+        assert [entry["passed"] for entry in bundle.report["analyses"]] == [True] * 3
+        assert bool(calls) == dense
 
     def test_pole_while_sampling_still_writes_report(self, tmp_path):
         config = base_config(

@@ -27,7 +27,7 @@ from specfam.spectral import (
     projector,
 )
 
-from conftest import random_hermitian
+from conftest import IN_BAND_SCALES, OUT_OF_BAND_SCALES, count_eigvalsh, random_hermitian
 
 
 class TestDecompose:
@@ -328,6 +328,43 @@ class TestResolvent:
             ev = decompose(op).eigenvalues
             expected = float(np.max(1.0 / np.sqrt(1.0 + ev ** 2)))
             assert abs(operator_norm(res) - expected) <= TAU_RECONSTRUCT
+
+
+class TestHermitianNorm:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 41),
+           scale=st.sampled_from(IN_BAND_SCALES + OUT_OF_BAND_SCALES))
+    def test_diagonal_input_is_normed_by_its_real_part(self, data, dim, scale):
+        entry = st.builds(lambda sign, v: sign * v * scale,
+                          st.sampled_from([-1.0, 0.0, 1.0]), st.floats(0.125, 8.0))
+        real = data.draw(st.lists(entry, min_size=dim, max_size=dim))
+        # the imaginary part is dropped, as eigvalsh drops it
+        imag = data.draw(st.lists(entry, min_size=dim, max_size=dim))
+        m = np.diag(np.array(real) + 1j * np.array(imag))
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_eigvalsh(mp)
+            value = hermitian_norm(m)
+        assert not calls
+        assert value == max(abs(v) for v in real)
+        if scale in IN_BAND_SCALES:
+            assert value == float(np.max(np.abs(np.linalg.eigvalsh(m))))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), dim=st.integers(2, 41),
+           size=st.sampled_from([1.0, 1e-150, 5e-324]), phase=st.sampled_from([1.0, 1j, -1.0]))
+    def test_one_off_diagonal_pair_takes_the_eigensolver(self, data, dim, size, phase):
+        i, j = data.draw(st.lists(st.integers(0, dim - 1), min_size=2, max_size=2,
+                                  unique=True))
+        m = np.diag(np.linspace(-1.0, 2.0, dim)).astype(complex)
+        m[i, j], m[j, i] = size * phase, np.conj(size * phase)
+        expected = float(np.max(np.abs(np.linalg.eigvalsh(m))))
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_eigvalsh(mp)
+            assert hermitian_norm(m) == expected
+        assert len(calls) == 1
+
+    def test_empty_matrix(self):
+        assert hermitian_norm(np.zeros((0, 0), dtype=complex)) == 0.0
 
 
 class TestOperatorNorm:

@@ -9,10 +9,14 @@ from specfam import (
     GridRange,
     HermitianOperator,
     ParameterGrid,
+    PolarizationCheck,
     bounded_transform_scalar,
+    certify_adapted_pair,
     continuity_modulus,
+    covering_construction,
     diagonal_operator,
     discrete_spectrum_certify,
+    find_adapted_pair,
     graph_continuity_certify,
     graph_distance,
     operator_norm,
@@ -419,3 +423,24 @@ class TestDirectionalSoundness:
             graph_distance(smp.shifted(0.3).operators[0],
                            smp.shifted(0.3).operators[15])
         )
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda smp: graph_continuity_certify(smp, 5, NAN), "delta must be positive"),
+    (lambda smp: find_adapted_pair(smp, 5, NAN), "lower level bound b must be positive"),
+    (lambda smp: strict_adaptedness_certify(smp, 5, NAN, 0.5), "epsilon must be positive"),
+    (lambda smp: certify_adapted_pair(smp, GridRange(0, 3), NAN), "window level must be positive"),
+    (lambda smp: covering_construction(smp, 5, NAN), "target level c must be positive"),
+    (lambda smp: discrete_spectrum_certify(smp, [NAN]), "b_levels must be positive"),
+    (lambda smp: PolarizationCheck(norm_slack=NAN), "norm slack must be non-negative"),
+], ids=["graph-delta", "find-b", "strict-epsilon", "certify-level", "covering-c",
+        "discrete-b_levels", "polarization-norm_slack"])
+def test_nan_argument_is_refused_as_a_value_error(call, message):
+    # a NaN passes a check written as ``x <= 0``, and would then be blamed on
+    # the truncation, the spectrum or the family
+    smp = sample(FamilySpec("linear_crossing", 5), ParameterGrid.linspace(0.0, 1.0, 11))
+    with pytest.raises(ValueError, match=message):
+        call(smp)
