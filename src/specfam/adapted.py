@@ -29,7 +29,11 @@ nonzero off-diagonal entry.
 
 The unbounded and the weak (polarized) discrete-spectrum certificates share
 one engine, ``_scan_levels``, and differ only in the level ceiling and the
-shift grid of the definitional sweep.
+shift grid of the definitional sweep.  The engine works on the whole grid at
+once: per lower bound b it chooses every point's level with the row-wise rule
+``find_adapted_pair`` applies to its one row, grows the ranges from one
+margin and rank pass per distinct level, and certifies each distinct (range,
+level) once per scan.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    CertificationError,
     CoveringFailed,
     EdgeOnSpectrum,
     ModulusExceeded,
@@ -140,6 +145,27 @@ def level_ranks(eigenvalues: np.ndarray, level: float) -> np.ndarray:
     return np.sum(np.abs(eigenvalues) <= level, axis=1)
 
 
+def _gaps(abs_sorted: np.ndarray, lo: float,
+          hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per gap of each row of ascending absolute eigenvalues: the candidate
+    level, the gap width, and whether the candidate is admissible.
+
+    Gap k of a row runs from its (k-1)-th value (0 for k = 0) to its k-th.
+    The candidate is the midpoint of the gap's intersection with (lo, hi],
+    admissible when that intersection is non-empty and the midpoint keeps
+    more than ``TAU_EDGE_DEFAULT`` clearance from both gap edges.
+    """
+    g_hi = abs_sorted
+    zeros = np.zeros(g_hi.shape[:-1] + (1,))
+    g_lo = np.concatenate((zeros, g_hi), axis=-1)[..., :-1]
+    eff_lo = np.maximum(g_lo, lo)
+    eff_hi = np.minimum(g_hi, hi)
+    levels = 0.5 * (eff_lo + eff_hi)
+    keep = ((g_hi > g_lo) & (eff_lo < eff_hi)
+            & (np.minimum(levels - g_lo, g_hi - levels) > TAU_EDGE_DEFAULT))
+    return levels, g_hi - g_lo, keep
+
+
 def level_candidates(abs_eigenvalues: np.ndarray, lo: float,
                      hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Candidate levels inside gaps of the symmetrized spectrum, ascending.
@@ -152,15 +178,34 @@ def level_candidates(abs_eigenvalues: np.ndarray, lo: float,
     Returns the levels and the widths g_hi - g_lo of their gaps; disjoint
     gaps in ascending order give strictly ascending levels.
     """
-    g_hi = np.sort(np.asarray(abs_eigenvalues, dtype=float))
-    g_lo = np.concatenate(([0.0], g_hi))[:-1]
-    gap = g_hi > g_lo
-    g_lo, g_hi = g_lo[gap], g_hi[gap]
-    eff_lo = np.maximum(g_lo, lo)
-    eff_hi = np.minimum(g_hi, hi)
-    levels = 0.5 * (eff_lo + eff_hi)
-    keep = (eff_lo < eff_hi) & (np.minimum(levels - g_lo, g_hi - levels) > TAU_EDGE_DEFAULT)
-    return levels[keep], (g_hi - g_lo)[keep]
+    levels, widths, keep = _gaps(np.sort(np.asarray(abs_eigenvalues, dtype=float)), lo, hi)
+    return levels[keep], widths[keep]
+
+
+def _widest_levels(abs_sorted: np.ndarray, lo: float,
+                   hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ascending absolute eigenvalues, the candidate level of the
+    first widest admissible gap (ties go to the lower level), and whether the
+    row has an admissible gap at all."""
+    levels, widths, keep = _gaps(abs_sorted, lo, hi)
+    best = np.argmax(np.where(keep, widths, -np.inf), axis=-1)[..., None]
+    return (np.take_along_axis(levels, best, axis=-1)[..., 0],
+            np.take_along_axis(keep, best, axis=-1)[..., 0])
+
+
+def _grown_ranges(margins: np.ndarray, ranks: np.ndarray,
+                  xs: np.ndarray | int) -> tuple[np.ndarray, np.ndarray]:
+    """Per base point, the ends (lo, hi) of the run around it of clear
+    margins and constant rank: the maximal range a window keeps adapted.
+
+    A base point whose own margin is not clear is a run of its own, so
+    certifying its range refuses it as ``EdgeOnSpectrum`` at the point.
+    """
+    clear = margins >= TAU_EDGE_DEFAULT
+    linked = clear[:-1] & clear[1:] & (ranks[:-1] == ranks[1:])
+    ends = np.concatenate(([-1], np.flatnonzero(~linked), [margins.size - 1]))
+    k = np.searchsorted(ends, xs)
+    return ends[k - 1] + 1, ends[k]
 
 
 def _interval_modulus(smp: FamilySample, lo: int, starts, stops,
@@ -234,19 +279,20 @@ def certify_adapted_pair(smp: FamilySample, grid_range: GridRange, level: float,
         raise ValueError("grid range exceeds the sample")
     if cap is not None and not cap >= 0:
         raise ValueError("the modulus cap must be non-negative")
-    margins = level_margins(smp.eigenvalue_matrix, level)
-    ranks = level_ranks(smp.eigenvalue_matrix, level)
-    prev_rank = None
-    for y in grid_range.indices():
-        if not margins[y] >= TAU_EDGE_DEFAULT:
-            raise EdgeOnSpectrum(level, float(margins[y]), grid_index=y)
-        if prev_rank is not None and ranks[y] != prev_rank:
-            raise RankJump(y - 1, y, int(prev_rank), int(ranks[y]))
-        prev_rank = ranks[y]
-
     lo, hi = grid_range.lo_index, grid_range.hi_index
-    starts = (smp.eigenvalue_matrix[lo:hi + 1] < -level).sum(axis=1)
-    stops = starts + ranks[lo:hi + 1]
+    ev = smp.eigenvalue_matrix[lo:hi + 1]
+    margins = level_margins(ev, level)
+    ranks = level_ranks(ev, level)
+    prev_rank = None
+    for y, margin, rank in zip(grid_range.indices(), margins.tolist(), ranks.tolist()):
+        if not margin >= TAU_EDGE_DEFAULT:
+            raise EdgeOnSpectrum(level, margin, grid_index=y)
+        if prev_rank is not None and rank != prev_rank:
+            raise RankJump(y - 1, y, prev_rank, rank)
+        prev_rank = rank
+
+    starts = (ev < -level).sum(axis=1)
+    stops = starts + ranks
     proj_modulus, proj_at = _interval_modulus(smp, lo, starts, stops)
     rest_modulus, rest_at = _interval_modulus(smp, lo, starts, stops, weighted=True)
     if cap is not None:
@@ -257,24 +303,11 @@ def certify_adapted_pair(smp: FamilySample, grid_range: GridRange, level: float,
     return AdaptedPairCertificate(
         range=grid_range,
         level=float(level),
-        rank=int(ranks[grid_range.lo_index]),
-        margin=float(np.min(margins[grid_range.lo_index:grid_range.hi_index + 1])),
+        rank=int(ranks[0]),
+        margin=float(np.min(margins)),
         projection_modulus=proj_modulus,
         restriction_modulus=rest_modulus,
     )
-
-
-def _grow_range(margins: np.ndarray, ranks: np.ndarray, x_index: int) -> GridRange:
-    """Maximal contiguous range around x with clear margins and constant rank."""
-    n = margins.size
-    r0 = ranks[x_index]
-    lo = x_index
-    while lo - 1 >= 0 and margins[lo - 1] >= TAU_EDGE_DEFAULT and ranks[lo - 1] == r0:
-        lo -= 1
-    hi = x_index
-    while hi + 1 < n and margins[hi + 1] >= TAU_EDGE_DEFAULT and ranks[hi + 1] == r0:
-        hi += 1
-    return GridRange(lo, hi)
 
 
 def find_adapted_pair(smp: FamilySample, x_index: int, b: float,
@@ -283,8 +316,8 @@ def find_adapted_pair(smp: FamilySample, x_index: int, b: float,
 
     The level is taken at the widest gap of the symmetrized spectrum at the
     base point that intersects (b, ceiling], ties resolved toward the smaller
-    level.  The range is then grown greedily from the base point in both
-    directions while margins stay clear and the window rank stays constant.
+    level.  The range is the maximal run around the base point on which
+    margins stay clear and the window rank stays constant.
 
     No other candidate is ever needed: every candidate sits more than
     ``TAU_EDGE_DEFAULT`` inside both edges of its gap, and every |lambda| at
@@ -302,12 +335,12 @@ def find_adapted_pair(smp: FamilySample, x_index: int, b: float,
     if ceiling is None:
         ceiling = truncation_ceiling(smp)
     ev = smp.eigenvalue_matrix
-    levels, widths = level_candidates(np.abs(ev[x_index]), b, ceiling)
-    if not levels.size:
+    level, found = _widest_levels(np.sort(np.abs(ev[x_index])), b, ceiling)
+    if not found:
         raise NoGap(b, ceiling, x_index)
-    level = float(levels[np.argmax(widths)])  # the first widest is the lowest
-    grown = _grow_range(level_margins(ev, level), level_ranks(ev, level), x_index)
-    return certify_adapted_pair(smp, grown, level)
+    level = float(level)
+    lo, hi = _grown_ranges(level_margins(ev, level), level_ranks(ev, level), x_index)
+    return certify_adapted_pair(smp, GridRange(int(lo), int(hi)), level)
 
 
 def fixed_level_certifier(smp: FamilySample, x_index: int, b: float):
@@ -512,17 +545,45 @@ def definitional_sweep(smp: FamilySample, shifts, ceiling: float) -> Definitiona
 def _scan_levels(smp: FamilySample, b_levels: tuple[float, ...], ceiling: float,
                  shifts) -> DiscreteSpectrumReport:
     """Both discrete-spectrum routes below ``ceiling``; ``shifts=None`` skips
-    the definitional one."""
+    the definitional one.
+
+    The direct route gives every grid point the pair ``find_adapted_pair``
+    would find, computed for the whole grid at once: per b, each row's level
+    is chosen in one pass, margins and ranks are taken once per distinct
+    level, and each point's range is read off the runs they form.  Each
+    distinct (range, level) is certified once per scan, shared across the b
+    levels, and every point that finds it gets the same certificate object or
+    the same refusal.
+    """
+    ev = smp.eigenvalue_matrix
+    abs_sorted = np.sort(np.abs(ev), axis=1)
+    outcomes: dict[tuple[int, int, float], AdaptedPairCertificate | CertificationError] = {}
     certificates: dict[float, tuple] = {}
     failures: list[CertificateFailure] = []
     for b in b_levels:
+        levels, found = _widest_levels(abs_sorted, b, ceiling)
+        lo = np.zeros(len(smp), dtype=int)
+        hi = np.zeros(len(smp), dtype=int)
+        for level in set(levels[found].tolist()):
+            xs = np.flatnonzero(found & (levels == level))
+            lo[xs], hi[xs] = _grown_ranges(level_margins(ev, level), level_ranks(ev, level), xs)
         per_x = []
-        for x in range(len(smp)):
-            try:
-                per_x.append(find_adapted_pair(smp, x, b, ceiling=ceiling))
-            except (NoGap, EdgeOnSpectrum, RankJump) as exc:
-                failures.append(CertificateFailure(x, b, type(exc).__name__, str(exc)))
-                per_x.append(None)
+        keys = zip(lo.tolist(), hi.tolist(), levels.tolist())
+        for x, (has_gap, key) in enumerate(zip(found.tolist(), keys)):
+            if not has_gap:
+                outcome = NoGap(b, ceiling, x)
+            elif key in outcomes:
+                outcome = outcomes[key]
+            else:
+                try:
+                    outcome = certify_adapted_pair(smp, GridRange(key[0], key[1]), key[2])
+                except (EdgeOnSpectrum, RankJump) as exc:
+                    outcome = exc
+                outcomes[key] = outcome
+            if isinstance(outcome, CertificationError):
+                failures.append(CertificateFailure(x, b, type(outcome).__name__, str(outcome)))
+                outcome = None
+            per_x.append(outcome)
         certificates[b] = tuple(per_x)
     sweep = None if shifts is None else definitional_sweep(smp, shifts, ceiling)
     return DiscreteSpectrumReport(
@@ -540,11 +601,12 @@ def discrete_spectrum_certify(smp: FamilySample, b_levels,
                               include_definitional: bool = True) -> DiscreteSpectrumReport:
     """Certify that arbitrarily wide windows exist at every grid point.
 
-    The direct route runs ``find_adapted_pair`` at every grid point for every
-    requested lower bound.  The companion definitional route sweeps shifts of
-    the family over [-max b, max b] and certifies each shifted family by
-    brute force, for oracle comparison; ``routes_agree`` on the report checks
-    that both routes pass or fail at the same grid points.
+    The direct route finds, for every requested lower bound, the pair that
+    ``find_adapted_pair`` would find at every grid point, with the whole grid
+    scanned at once (see ``_scan_levels``).  The companion definitional route
+    sweeps shifts of the family over [-max b, max b] and certifies each
+    shifted family by brute force, for oracle comparison; ``routes_agree`` on
+    the report checks that both routes pass or fail at the same grid points.
     """
     b_levels = tuple(float(b) for b in b_levels)
     if not b_levels or any(not b > 0 for b in b_levels):

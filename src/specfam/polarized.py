@@ -12,6 +12,7 @@ correspond level-for-level and rank-for-rank.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from .adapted import (
     DiscreteSpectrumReport,
     _scan_levels,
     discrete_spectrum_certify,
+    level_ranks,
     truncation_ceiling,
 )
 from .errors import FamilyModelError, PolarizationCheckFailed
@@ -43,7 +45,9 @@ class PolarizationCheck:
     def __post_init__(self):
         if not 0.0 < self.eta < 1.0:
             raise ValueError("band width eta must lie in (0, 1)")
-        if self.interior_budget is not None and self.interior_budget < 0:
+        budget = self.interior_budget
+        if budget is not None and (isinstance(budget, bool)
+                                   or not isinstance(budget, numbers.Integral) or budget < 0):
             raise ValueError("interior budget must be non-negative")
         if not self.norm_slack >= 0.0:
             raise ValueError("norm slack must be non-negative")
@@ -182,15 +186,13 @@ def transform_correspondence_check(smp: FamilySample, b_levels) -> Correspondenc
 
     transformed_ev = transformed.eigenvalue_matrix
     rank_ok = True
-    for b in discrete.b_levels:
-        for cert in discrete.certificates[b]:
-            if cert is None:
-                continue
-            glevel = float(bounded_transform_scalar(cert.level))
-            for y in cert.range.indices():
-                image_rank = int(np.sum(np.abs(transformed_ev[y]) <= glevel))
-                if image_rank != cert.rank:
-                    rank_ok = False
+    # grid points and b levels share certificates; check each distinct one once
+    distinct = {(c.range, c.level, c.rank) for per_x in discrete.certificates.values()
+                for c in per_x if c is not None}
+    for rng, level, rank in distinct:
+        glevel = float(bounded_transform_scalar(level))
+        if np.any(level_ranks(transformed_ev[rng.lo_index:rng.hi_index + 1], glevel) != rank):
+            rank_ok = False
 
     return CorrespondenceReport(
         equivalent=(discrete.passed == weak.passed and not mismatches and rank_ok),

@@ -30,7 +30,7 @@ from .adapted import (
     level_ranks,
     shrink_toward,
     truncation_ceiling,
-    _grow_range,
+    _grown_ranges,
     _interval_modulus,
 )
 from .errors import (
@@ -231,7 +231,8 @@ def strict_adaptedness_certify(smp: FamilySample, x_index: int, epsilon: float,
     ranks = level_ranks(smp.eigenvalue_matrix, epsilon)
     if not margins[x_index] >= TAU_EDGE_DEFAULT:
         raise EdgeOnSpectrum(epsilon, float(margins[x_index]), grid_index=x_index)
-    rng = _grow_range(margins, ranks, x_index)
+    lo, hi = _grown_ranges(margins, ranks, x_index)
+    rng = GridRange(int(lo), int(hi))
     starts = (smp.eigenvalue_matrix[rng.lo_index:rng.hi_index + 1] < epsilon).sum(axis=1)
     modulus, _ = _interval_modulus(smp, rng.lo_index, starts, np.full_like(starts, smp.dim))
     return StrictAdaptednessResult(

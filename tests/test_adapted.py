@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,9 +34,12 @@ from specfam import (
 from specfam.adapted import (
     MAX_SHIFTS,
     AdaptedPairCertificate,
+    CertificateFailure,
     _interval_modulus,
+    _scan_levels,
     level_candidates,
     level_margins,
+    level_ranks,
 )
 from specfam.errors import (
     CoveringFailed,
@@ -598,6 +606,150 @@ class TestEdgeModuliMemo:
             # the scan revisits edges, so the memo saved norms
             assert len(distinct) < sum(len(c.range) - 1 for c in certs)
             assert_stores_match_dense_oracle(smp)
+
+
+def per_point_scan(smp, b_levels, ceiling):
+    """The scan's oracle: ``find_adapted_pair`` at every (b, grid point) in
+    turn, as the discrete-spectrum engine ran before its whole-grid form.
+    Returns the certificates, the failures and the failing points."""
+    certificates, failures = {}, []
+    for b in b_levels:
+        per_x = []
+        for x in range(len(smp)):
+            try:
+                per_x.append(find_adapted_pair(smp, x, b, ceiling=ceiling))
+            except (NoGap, EdgeOnSpectrum, RankJump) as exc:
+                failures.append(CertificateFailure(x, b, type(exc).__name__, str(exc)))
+                per_x.append(None)
+        certificates[b] = tuple(per_x)
+    return certificates, tuple(failures), tuple(sorted({f.x_index for f in failures}))
+
+
+def greedy_range(smp, x, level):
+    """The range grown one point at a time from x while margins stay clear
+    and the window rank stays that of x."""
+    margins = level_margins(smp.eigenvalue_matrix, level)
+    ranks = level_ranks(smp.eigenvalue_matrix, level)
+
+    def clear(y):
+        return 0 <= y < len(smp) and margins[y] >= TAU_EDGE_DEFAULT and ranks[y] == ranks[x]
+
+    lo, hi = x, x
+    while clear(lo - 1):
+        lo -= 1
+    while clear(hi + 1):
+        hi += 1
+    return GridRange(lo, hi)
+
+
+def assert_scan_matches_oracle(smp, b_levels, ceiling):
+    """The whole-grid scan and the per-point oracle, each on its own copy of
+    the sample, give equal certificates, failures and stored edge norms."""
+    ours, theirs = (FamilySample(smp.grid, smp.operators) for _ in range(2))
+    report = _scan_levels(ours, tuple(b_levels), ceiling, None)
+    certificates, failures, failing_points = per_point_scan(theirs, b_levels, ceiling)
+    assert report.certificates == certificates
+    assert report.failures == failures
+    assert report.failing_points == failing_points
+    assert ours.projection_moduli == theirs.projection_moduli
+    assert ours.restriction_moduli == theirs.restriction_moduli
+    for b in report.b_levels:
+        for x, cert in enumerate(report.certificates[b]):
+            if cert is not None:
+                assert cert.range == greedy_range(smp, x, cert.level)
+    return report
+
+
+def repeating_diagonal_sample(seed, dim, points):
+    """Diagonal fibres drawn from three rows of half-integers, so levels and
+    ranges tie across grid points and across b levels."""
+    rng = np.random.default_rng(seed)
+    rows = 0.5 * rng.integers(-8, 9, size=(3, dim))
+    return FamilySample(ParameterGrid.linspace(0.0, 1.0, points),
+                        tuple(diagonal_operator(rows[k]) for k in rng.integers(0, 3, points)))
+
+
+class TestWholeGridScan:
+    """The discrete-spectrum scan finds, for all grid points at once, the pair
+    ``find_adapted_pair`` finds at each, and certifies each pair once."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6), points=st.integers(2, 9),
+           kind=st.sampled_from(["drifting", "jumping", "repeating"]),
+           drift=st.floats(0.0, 2.0), top=st.booleans(),
+           fractions=st.lists(st.floats(0.001, 1.2), min_size=1, max_size=3))
+    def test_scan_equals_per_point_oracle(self, seed, dim, points, kind, drift, top,
+                                          fractions):
+        if kind == "drifting":
+            smp = drifting_sample(seed, dim, points, drift)
+        elif kind == "jumping":
+            smp = jumping_sample(seed, dim, points)
+        else:
+            smp = repeating_diagonal_sample(seed, dim, points)
+        # above the truncation ceiling, rows whose spectrum ends below b have no gap
+        ceiling = float(np.max(np.abs(smp.eigenvalue_matrix))) if top else truncation_ceiling(smp)
+        b_levels = [f * ceiling for f in fractions if f * ceiling > 0.0]
+        if b_levels:
+            assert_scan_matches_oracle(smp, b_levels, ceiling)
+
+    @pytest.mark.parametrize("b_levels, failing", [
+        # the spectrum reaches the ceiling 4.5 at grid point 5 alone
+        ([1.4, 4.49999999], (5,)),
+        ([4.6], tuple(range(11))),
+    ])
+    def test_some_rows_without_a_gap(self, b_levels, failing):
+        smp = sample(FamilySpec("dirac_circle", 11, {"alpha": (0.0, 1.0)}),
+                     ParameterGrid.linspace(0.0, 1.0, 11))
+        report = assert_scan_matches_oracle(smp, b_levels, truncation_ceiling(smp))
+        assert report.failing_points == failing
+        assert {f.error for f in report.failures} == {"NoGap"}
+
+    def test_base_point_off_its_own_margin(self):
+        # a NaN eigenvalue leaves a level chosen at point 2 but no margin
+        # there: the point is refused as EdgeOnSpectrum at itself
+        smp = with_nan_eigenvalue([-2.0, -1.0, 1.0, 2.0], nan_index=2)
+        report = assert_scan_matches_oracle(smp, [0.5], 1.8)
+        assert [(f.x_index, f.error) for f in report.failures] == [(2, "EdgeOnSpectrum")]
+        ranges = [c.range for c in report.certificates[0.5] if c is not None]
+        assert ranges == [GridRange(0, 1)] * 2 + [GridRange(3, 4)] * 2
+
+    def test_dirac_scan_certifies_each_distinct_pair_once(self, monkeypatch):
+        finds, certified = [], []
+        find, certify = specfam.adapted.find_adapted_pair, specfam.adapted.certify_adapted_pair
+
+        def counting_find(*args, **kwargs):
+            finds.append(args)
+            return find(*args, **kwargs)
+
+        def counting_certify(smp, grid_range, level, cap=None):
+            certified.append((grid_range, level))
+            return certify(smp, grid_range, level, cap)
+
+        monkeypatch.setattr(specfam.adapted, "find_adapted_pair", counting_find)
+        monkeypatch.setattr(specfam.adapted, "certify_adapted_pair", counting_certify)
+        smp = sample(FamilySpec("dirac_circle", 41), ParameterGrid.linspace(-0.49, 0.49, 21))
+        report = discrete_spectrum_certify(smp, [0.4, 1.4, 2.4], include_definitional=False)
+        certs = [c for per_x in report.certificates.values() for c in per_x]
+        assert report.passed and not finds
+        assert len(set(certified)) == len(certified) < len(certs)
+        assert {(c.range, c.level) for c in certs} == set(certified)
+        # one object per (range, level), shared by every point and b that found it
+        assert len({id(c) for c in certs}) == len(certified)
+
+    def test_scan_leaves_numpy_ma_unloaded(self):
+        # numpy.ma costs ~1 MB of peak memory, and ``np.unique`` imports it
+        code = ("import sys, numpy\n"
+                "before = 'numpy.ma' in sys.modules\n"
+                "from specfam import FamilySpec, ParameterGrid, discrete_spectrum_certify, sample\n"
+                "smp = sample(FamilySpec('dirac_circle', 41), ParameterGrid.linspace(-0.49, 0.49, 21))\n"
+                "discrete_spectrum_certify(smp, [0.4, 1.4, 2.4])\n"
+                "print(before, 'numpy.ma' in sys.modules)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(specfam.__file__).resolve().parents[1])}
+        before, after = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                       capture_output=True, text=True).stdout.split()
+        if before == "True":
+            pytest.skip("importing numpy alone loads numpy.ma here")
+        assert after == "False"
 
 
 class TestDiagonalEdgeNorms:

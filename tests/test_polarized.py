@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from specfam import (
+    FamilySample,
     FamilySpec,
     ParameterGrid,
     PolarizationCheck,
@@ -9,6 +10,7 @@ from specfam import (
     bounded_transform_scalar,
     compact_polarization_check,
     diagonal_operator,
+    discrete_spectrum_certify,
     polarized_continuity_certify,
     sample,
     transform_correspondence_check,
@@ -50,6 +52,20 @@ class TestPolarizationCheck:
             PolarizationCheck(eta=1.5)
         with pytest.raises(ValueError):
             PolarizationCheck(eta=0.1, interior_budget=-1)
+
+    @pytest.mark.parametrize("budget", [float("nan"), 2.5, 2.0, True, np.bool_(False),
+                                        "3", np.int64(-1)])
+    def test_budget_must_be_a_non_negative_integer(self, budget):
+        with pytest.raises(ValueError, match="interior budget must be non-negative"):
+            PolarizationCheck(eta=0.1, interior_budget=budget)
+
+    @pytest.mark.parametrize("budget", [0, 3, np.int64(3), np.uint8(3)])
+    def test_integer_budgets_accepted(self, budget):
+        check = PolarizationCheck(eta=0.1, interior_budget=budget)
+        assert check.budget_for(4) == budget
+        report = compact_polarization_check(
+            diagonal_operator([-0.99, -0.5, 0.99, 0.995]), check)
+        assert report.passed == (budget >= 1)
 
     def test_default_budget_scales_with_dim(self):
         check = PolarizationCheck()
@@ -118,6 +134,24 @@ class TestTransformCorrespondence:
     def test_requires_both_signs(self):
         with pytest.raises(FamilyModelError):
             transform_correspondence_check(constant_sample([1.0, 2.0, 3.0]), [0.5])
+
+    def test_rank_mismatch_is_reported(self, monkeypatch):
+        # one transformed eigenvalue inside the window at grid point 5 is moved
+        # just outside it, so the image window there loses one rank
+        smp = dirac_sample()
+        cert = discrete_spectrum_certify(smp, [1.4], include_definitional=False).certificates[1.4][5]
+        glevel = float(bounded_transform_scalar(cert.level))
+        ops = [bounded_transform(op) for op in smp.operators]
+        values = np.linalg.eigvalsh(ops[5].entries)
+        inside = np.flatnonzero(np.abs(values) <= glevel)
+        moved = inside[np.argmax(np.abs(values[inside]))]
+        values[moved] = np.sign(values[moved]) * (glevel + 1e-3)
+        ops[5] = diagonal_operator(values)
+        monkeypatch.setattr(FamilySample, "bounded_transformed",
+                            lambda self: FamilySample(self.grid, tuple(ops)))
+        report = transform_correspondence_check(smp, [1.4])
+        assert not report.rank_identity_ok
+        assert not report.equivalent
 
     def test_window_rank_identity_exact(self, rng):
         from specfam import spectral_projection, RealWindow
