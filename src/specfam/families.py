@@ -16,7 +16,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -264,33 +264,224 @@ class _RandomPath:
 
 
 def load_matrix_path(path: str) -> tuple[ParameterGrid, list[np.ndarray]]:
-    """Read the explicit-matrix JSON format: dim, grid, matrices of [re, im] pairs."""
+    """Read the explicit-matrix JSON format: dim, grid, matrices of [re, im] pairs.
+
+    A well-formed file is read by ``_fast_matrix_path``, which never builds
+    the nested lists of ``json``; anything it does not certify goes to
+    ``_json_matrix_path``, whose errors are the reader's errors.  Both read
+    every number token as ``strtod`` does, so they agree bit for bit.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise FamilyModelError(f"cannot read matrix path file {path}: {exc}") from exc
+    fast = _fast_matrix_path(path, data)
+    return fast if fast is not None else _json_matrix_path(path, data)
+
+
+#: JSON's names for the types ``json`` builds
+_JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean",
+               float: "number", int: "number", type(None): "null"}
+
+
+def _matrix_header(path: str, doc) -> tuple[int, ParameterGrid, list]:
+    """The dim, the grid and the raw matrices of a parsed file.
+
+    As in a config, a bool is no number and an integral float counts as an
+    integer.
+    """
+    def malformed(reason) -> FamilyModelError:
+        return FamilyModelError(f"malformed matrix path file {path}: {reason}")
+
     try:
-        dim = int(doc["dim"])
-        grid_points = [float(v) for v in doc["grid"]]
-        raw = doc["matrices"]
-    except (KeyError, TypeError, ValueError) as exc:
+        dim, grid, raw = doc["dim"], doc["grid"], doc["matrices"]
+    except (KeyError, TypeError) as exc:
+        raise malformed(exc) from exc
+    if isinstance(dim, float) and dim.is_integer():
+        dim = int(dim)
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise malformed(f"dim must be a positive integer, got {dim!r}")
+    if not isinstance(grid, list):
+        raise malformed(f"grid must be an array of numbers, got {_JSON_TYPES[type(grid)]}")
+    for k, x in enumerate(grid):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise malformed(f"grid entry {k} is not a number: {x!r}")
+    points = np.asarray(grid, dtype=float)
+    if not np.isfinite(points).all():
+        raise malformed("grid points must be finite")
+    try:
+        grid = ParameterGrid(points)
+    except ValueError as exc:
+        raise malformed(exc) from exc
+    if not isinstance(raw, list):
+        raise malformed(f"matrices must be an array, got {_JSON_TYPES[type(raw)]}")
+    return dim, grid, raw
+
+
+def _fast_matrix_path(path: str, data: bytes) -> tuple[ParameterGrid, list[np.ndarray]] | None:
+    """The file read without ``json`` building its matrices, or None to fall back.
+
+    The ``"matrices"`` value is cut out, and the rest parsed with ``[]`` in
+    its place.  The value is accepted only if it is exactly ``len(grid)``
+    dim x dim matrices of pairs with one JSON number per slot, all finite;
+    then one ``np.fromstring`` reads all of them.  A file with non-ASCII
+    bytes or a backslash, or with ``"matrices"`` anywhere but once, falls
+    back, as does every error: ``_json_matrix_path`` names it.
+    """
+    key = b'"matrices"'
+    if not data.isascii() or b"\\" in data or data.count(key) != 1:
+        return None
+    after = data.find(key) + len(key)
+    start = data.find(b"[", after)
+    if start < 0 or data[after:start].strip(b" \t\n\r") != b":":
+        return None
+    # a valid value holds no '}' or '"', and one of them follows it in a valid file
+    stops = [i for i in (data.find(b"}", start), data.find(b'"', start)) if i >= 0]
+    end = data.rfind(b"]", start, min(stops, default=len(data))) + 1
+    if end <= start:
+        return None
+    try:
+        doc = json.loads(data[:start] + b"[]" + data[end:], parse_int=float)
+        dim, grid, _ = _matrix_header(path, doc)
+    except (ValueError, RecursionError):
+        return None
+    count = len(grid)
+    # every pair takes at least six bytes, so a bogus header builds no huge skeleton
+    if count < 1 or 6 * dim * dim * count > end - start:
+        return None
+    text = np.frombuffer(data, np.uint8, count=end - start, offset=start)
+    if not _matrices_text_ok(text, _skeleton(count, dim)):
+        return None
+    values = np.fromstring(data[start:end].translate(None, b"[]"), dtype=float, sep=",")
+    if values.size != count * dim * dim * 2 or not np.isfinite(values).all():
+        return None
+    pairs = values.reshape(count, dim, dim, 2)
+    return grid, list(pairs[..., 0] + 1j * pairs[..., 1])
+
+
+def _json_matrix_path(path: str, data: bytes) -> tuple[ParameterGrid, list[np.ndarray]]:
+    """The general reader: ``json`` builds the whole document, then each matrix is checked.
+
+    Integer tokens are read as floats, so a token too large for a double
+    becomes an infinity (and is refused below) and ``-0`` reads as -0.0.
+    """
+    try:
+        doc = json.loads(data.decode("utf-8"), parse_int=float)
+    except (ValueError, RecursionError) as exc:
         raise FamilyModelError(f"malformed matrix path file {path}: {exc}") from exc
-    if len(raw) != len(grid_points):
-        raise FamilyModelError("matrix count does not match grid length")
+    dim, grid, raw = _matrix_header(path, doc)
+    if len(raw) != len(grid):
+        raise FamilyModelError(f"malformed matrix path file {path}: matrix count {len(raw)} "
+                               f"does not match grid length {len(grid)}")
     matrices = []
     for y, m in enumerate(raw):
-        arr = np.asarray(m, dtype=float)
+        try:
+            arr = np.asarray(m, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise FamilyModelError(
+                f"malformed matrix path file {path}: matrix at grid index {y}: {exc}"
+            ) from exc
         if arr.shape != (dim, dim, 2):
             raise FamilyModelError(
-                f"each matrix must be {dim}x{dim} of [re, im] pairs, got shape {arr.shape}"
+                f"malformed matrix path file {path}: matrix at grid index {y} must be "
+                f"{dim}x{dim} of [re, im] pairs, got shape {arr.shape}"
             )
         finite = np.isfinite(arr)
         if not finite.all():
             i, j, _ = (int(k) for k in np.argwhere(~finite)[0])
             raise NonFiniteEntry((i, j), complex(arr[i, j, 0], arr[i, j, 1]), grid_index=y)
         matrices.append(arr[..., 0] + 1j * arr[..., 1])
-    return ParameterGrid(np.asarray(grid_points)), matrices
+    return grid, matrices
+
+
+# byte classes of the matrices text: JSON whitespace, the three skeleton
+# bytes, the six kinds of number byte, and everything else
+_WS, _OPEN, _CLOSE, _COMMA, _MINUS, _PLUS, _ZERO, _DIGIT, _DOT, _EXP, _OTHER = range(11)
+#: bytes of the matrices text checked per step, so every temporary stays small
+_SCAN_BLOCK = 1 << 16
+
+
+@cache
+def _scan_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Byte -> class, and which runs of four classes may end a JSON number's byte.
+
+    Indexed by the four classes packed four bits each, a run is allowed when
+    its last step is and it does not start an integer part with a 0 and a
+    digit (``01``, ``-01``).  Checked at every byte, these runs allow every
+    JSON number and reject all else but a second ``.`` or ``e`` in one
+    token, which ``_matrices_text_ok`` rejects.
+    """
+    classes = np.full(256, _OTHER, np.uint8)
+    for chars, cls in ((b" \t\n\r", _WS), (b"[", _OPEN), (b"]", _CLOSE), (b",", _COMMA),
+                       (b"-", _MINUS), (b"+", _PLUS), (b"0", _ZERO), (b"123456789", _DIGIT),
+                       (b".", _DOT), (b"eE", _EXP)):
+        classes[list(chars)] = cls
+    sep, digit = (_WS, _OPEN, _CLOSE, _COMMA), (_ZERO, _DIGIT)
+    follows = {_MINUS: digit, _PLUS: digit, _DOT: digit,
+               _ZERO: sep + digit + (_DOT, _EXP), _EXP: (_MINUS, _PLUS) + digit}
+    follows[_DIGIT] = follows[_ZERO]
+    step = np.zeros((16, 16), bool)
+    for a in sep:
+        step[a, sep + (_MINUS,) + digit] = True
+    for a, nexts in follows.items():
+        step[a, list(nexts)] = True
+    c0, c1, c2, c3 = np.indices((16,) * 4)
+    is_sep = np.isin(np.arange(16), sep)
+    is_digit = np.isin(np.arange(16), digit)
+    leading_zero = ((is_sep[c1] & (c2 == _ZERO) & is_digit[c3])
+                    | (is_sep[c0] & (c1 == _MINUS) & (c2 == _ZERO) & is_digit[c3]))
+    quads = step[c2, c3] & ~leading_zero
+    return classes, quads.ravel()
+
+
+def _skeleton(count: int, dim: int) -> bytes:
+    """The brackets and commas of ``count`` dim x dim matrices of pairs, a T per number."""
+    row = b"[" + b",".join([b"[T,T]"] * dim) + b"]"
+    matrix = b"[" + b",".join([row] * dim) + b"]"
+    return b"[" + b",".join([matrix] * count) + b"]"
+
+
+def _matrices_text_ok(text: np.ndarray, skeleton: bytes) -> bool:
+    """True when the bytes are the skeleton with one JSON number in each T.
+
+    Whitespace may sit anywhere between tokens.  The bytes are checked one
+    block at a time, with uint8, uint16 and bool temporaries of one block;
+    the last three classes of a block, and its last ``.``, ``e`` or
+    separator, carry into the next.
+    """
+    classes, quads = _scan_tables()
+    tail = np.full(3, _WS, np.uint8)
+    marker = _WS
+    done = 0
+    for lo in range(0, text.size, _SCAN_BLOCK):
+        raw = text[lo:lo + _SCAN_BLOCK]
+        cls = np.concatenate((tail, classes[raw]))
+        quad = cls[:-3].astype(np.uint16) << 12
+        quad |= cls[1:-2].astype(np.uint16) << 8
+        quad |= cls[2:-1].astype(np.uint16) << 4
+        quad |= cls[3:]
+        if not quads[quad].all():
+            return False
+        number = cls[2:] >= _MINUS
+        tail = cls[-3:]
+        cls = cls[3:]
+        # the skeleton: every bracket and comma, and a T where a token starts
+        starts = number[1:] & ~number[:-1]
+        symbols = np.where(number[1:], np.uint8(ord("T")), raw)
+        symbols = symbols[starts | ((cls >= _OPEN) & (cls <= _COMMA))]
+        if symbols.tobytes() != skeleton[done:done + symbols.size]:
+            return False
+        done += symbols.size
+        # within a token at most one '.', at most one 'e', and no '.' after the 'e'
+        marks = cls[(cls <= _COMMA) | (cls == _DOT) | (cls == _EXP)]
+        if marks.size:
+            marks = np.concatenate(([marker], marks))
+            before, after = marks[:-1], marks[1:]
+            if np.any((before >= _DOT) & (after == _DOT) | (before == _EXP) & (after == _EXP)):
+                return False
+            marker = marks[-1]
+    return done == len(skeleton)
 
 
 def _make_generator(spec: FamilySpec):
@@ -378,20 +569,13 @@ def _truncation_offset(kind: str, dim_small: int, dim_big: int) -> int:
     return 0
 
 
-def _file_truncated_sample(spec: FamilySpec, dim: int) -> FamilySample:
-    full = sample(spec, None)
+def _file_truncated_sample(full: FamilySample, dim: int) -> FamilySample:
     if dim > full.dim:
         raise FamilyModelError(
             f"cannot truncate the stored dimension {full.dim} up to {dim}"
         )
     ops = tuple(HermitianOperator(op.entries[:dim, :dim]) for op in full.operators)
     return FamilySample(full.grid, ops)
-
-
-def _sample_at_dim(spec: FamilySpec, grid: ParameterGrid, dim: int) -> FamilySample:
-    if spec.kind == "matrix_path_file":
-        return _file_truncated_sample(spec, dim)
-    return sample(spec.with_dim(dim), grid)
 
 
 def _hausdorff(a: np.ndarray, b: np.ndarray) -> float:
@@ -436,7 +620,12 @@ def truncation_check(spec: FamilySpec, grid: ParameterGrid | None, dims,
     if tau is None:
         tau = TAU_TRUNC_FILE if spec.kind == "matrix_path_file" else TAU_TRUNC_ANALYTIC
 
-    samples = {d: _sample_at_dim(spec, grid, d) for d in dims}
+    if spec.kind == "matrix_path_file":
+        # one read of the file; each dim is its leading block
+        full = sample(spec, None)
+        samples = {d: _file_truncated_sample(full, d) for d in dims}
+    else:
+        samples = {d: sample(spec.with_dim(d), grid) for d in dims}
     steps = []
     for d1, d2 in zip(dims, dims[1:]):
         off = _truncation_offset(spec.kind, d1, d2)

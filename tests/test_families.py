@@ -1,9 +1,12 @@
 import dataclasses
 import json
 import math
+import random
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specfam import (
     FamilySample,
@@ -19,6 +22,7 @@ from specfam import (
     sample,
     truncation_check,
 )
+from specfam import families
 from specfam.spectral import projector
 from specfam.errors import EdgeOnSpectrum, FamilyModelError, NonFiniteEntry
 
@@ -161,7 +165,287 @@ class TestMatrixPathFile:
         assert str(missing) in str(err.value)
 
 
+def _analysis_error(path):
+    """The error a flow analysis of the dim-1 matrix file at ``path`` reports."""
+    bundle = run_analysis({
+        "family": {"kind": "matrix_path_file", "dim": 1, "params": {"path": str(path)}},
+        "seed": 0,
+        "analyses": [{"kind": "flow", "params": {}}],
+    }, output_dir=path.parent / "out")
+    assert bundle.report_path.exists()
+    return bundle.report["analyses"][0]["error"]
+
+
+class TestMatrixPathRefusals:
+    """Every malformed file is a typed refusal naming the file, never a traceback."""
+
+    @pytest.mark.parametrize("text, grid_index", [
+        pytest.param('{"dim": 1, "grid": [0, 1], "matrices": 5}', None, id="number"),
+        pytest.param('{"dim": 1, "grid": [0, 1], "matrices": [[[[1, 0]]], [[[{}, 0]]]]}', 1,
+                     id="object entry"),
+        pytest.param('{"dim": 1, "grid": [0, 1], "matrices": [[[[1, 0]]], [[[1, 0], [2]]]]}',
+                     1, id="ragged"),
+        pytest.param('{"dim": 1, "grid": [0, 1], "matrices": [[[[1, 0]]], [[[1, 0, 2]]]]}', 1,
+                     id="triple"),
+        pytest.param('{"dim": 1, "grid": [0, 1], "matrices": [[[[1, 0]]]]}', None,
+                     id="count"),
+        pytest.param('{"dim": 1, "grid": [0, 1], "matrices": [[[[1, 0]]], [[[1, 0]]]}', None,
+                     id="syntax"),
+        pytest.param('{"dim": 1, "grid": [0, 1], "matrices": [], "x": \u00e9}', None,
+                     id="non-ascii syntax"),
+        pytest.param("[" * 100_000, None, id="deep nesting"),
+    ])
+    def test_model_error_names_the_file(self, tmp_path, text, grid_index):
+        path = tmp_path / "family.json"
+        path.write_text(text)
+        with pytest.raises(FamilyModelError) as err:
+            families.load_matrix_path(str(path))
+        message = str(err.value)
+        assert message.startswith(f"malformed matrix path file {path}: ")
+        if grid_index is not None:
+            assert f"grid index {grid_index}" in message
+        assert _analysis_error(path)["type"] == "FamilyModelError"
+
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "family.json"
+        path.write_bytes(b'{"dim": 1, "grid": [0, 1], "matrices": \xff}')
+        with pytest.raises(FamilyModelError, match="malformed matrix path file"):
+            families.load_matrix_path(str(path))
+
+    def test_integer_beyond_the_float_range_is_non_finite(self, tmp_path):
+        big = "1" + "0" * 400
+        path = tmp_path / "family.json"
+        path.write_text(f'{{"dim": 1, "grid": [0, 1], "matrices": [[[[1, 0]]], [[[{big}, 0]]]]}}')
+        with pytest.raises(NonFiniteEntry) as err:
+            families.load_matrix_path(str(path))
+        assert err.value.grid_index == 1 and err.value.entry == (0, 0)
+        assert _analysis_error(path)["type"] == "NonFiniteEntry"
+
+    @pytest.mark.parametrize("dim", ["2.7", "true", "false", '"1"', "0", "-1.0", "1e400",
+                                     "null", "[1]"])
+    def test_dim_must_be_a_positive_integer(self, tmp_path, dim):
+        path = tmp_path / "family.json"
+        path.write_text(f'{{"dim": {dim}, "grid": [0, 1], '
+                        f'"matrices": [[[[1, 0]]], [[[2, 0]]]]}}')
+        with pytest.raises(FamilyModelError, match="dim must be a positive integer") as err:
+            families.load_matrix_path(str(path))
+        assert str(path) in str(err.value)
+
+    def test_integral_float_dim_counts(self, tmp_path):
+        path = tmp_path / "family.json"
+        path.write_text('{"dim": 1.0, "grid": [0, 1.5e0], "matrices": [[[[1, 0]]], [[[2, 0]]]]}')
+        grid, matrices = families.load_matrix_path(str(path))
+        assert grid.points.tolist() == [0.0, 1.5]
+        assert [m.tolist() for m in matrices] == [[[1 + 0j]], [[2 + 0j]]]
+
+    @pytest.mark.parametrize("grid, reason", [
+        ('[0, "0.5"]', "grid entry 1 is not a number"),
+        ("[false, 1]", "grid entry 0 is not a number"),
+        ('"01"', "grid must be an array of numbers"),
+        ("5", "grid must be an array of numbers"),
+        ("[1, 0]", "strictly increasing"),
+        ("[0, NaN]", "grid points must be finite"),
+        ("[Infinity, Infinity]", "grid points must be finite"),
+    ])
+    def test_grid_entries_must_be_numbers(self, tmp_path, grid, reason):
+        path = tmp_path / "family.json"
+        path.write_text(f'{{"dim": 1, "grid": {grid}, "matrices": [[[[1, 0]]], [[[2, 0]]]]}}')
+        with pytest.raises(FamilyModelError, match=reason) as err:
+            families.load_matrix_path(str(path))
+        assert str(path) in str(err.value)
+
+    def test_negative_integer_zero_reads_as_negative_zero(self, tmp_path):
+        path = tmp_path / "family.json"
+        path.write_text('{"dim": 1, "grid": [0, 1], "matrices": [[[[-0, 0]]], [[[-0, -0]]]]}')
+        data = path.read_bytes()
+        for grid, matrices in (families._fast_matrix_path(str(path), data),
+                               families._json_matrix_path(str(path), data)):
+            # re + 1j * im keeps a -0.0 real part only when im is -0.0 too
+            assert math.copysign(1.0, matrices[1][0, 0].real) == -1.0
+
+
+#: float bit patterns the reader must keep: signed zeros, subnormals, extremes
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.5e-310,
+                1e308, -1.7976931348623157e308, 1e-5, 123456789012345680.0]
+
+
+def _number_token(value: float, form: int) -> str:
+    """One JSON number token for ``value`` in one of several printed forms."""
+    if form == 0:
+        return repr(value)
+    if form == 1 and value.is_integer() and abs(value) < 1e30:
+        return "-0" if value == 0 and math.copysign(1.0, value) < 0 else str(int(value))
+    token = ("%.17g", "%.17e", "%.17E", "%.3e", "%.20f")[form % 5] % value
+    # "%.3e" rounds the largest doubles up to an infinity
+    return token if math.isfinite(float(token)) else repr(value)
+
+
+_VALUES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from(_EDGE_FLOATS),
+                    st.integers(-10**20, 10**20).map(float))
+
+
+def _dump(value, layout, rnd, depth=0) -> str:
+    """Nested lists of raw token strings as JSON text, in one of four layouts."""
+    if isinstance(value, str):
+        return value
+    items = [_dump(v, layout, rnd, depth + 1) for v in value]
+    if layout == "compact":
+        return "[" + ",".join(items) + "]"
+    if layout == "dumps":
+        return "[" + ", ".join(items) + "]"
+    if layout == "indent":
+        pad = "\n" + "  " * (depth + 1)
+        return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+
+    def ws():
+        return "".join(rnd.choice(" \t\n\r") for _ in range(rnd.randrange(3)))
+    return "[" + ws() + ",".join(item + ws() for item in items) + "]"
+
+
+def _bad_token(rnd) -> str:
+    return rnd.choice(['"inf"', '"-inf"', '"nan"', "NaN", "Infinity", "-Infinity", '"0.5"',
+                       "{}", "true", "null", "1e400", "1" + "0" * 400, "[]", "", "1 2"])
+
+
+def _corrupt_matrices(matrices, kind, rnd) -> None:
+    """Break the nested token lists in place: a bad token, a ragged row, a wrong count."""
+    y = rnd.randrange(len(matrices))
+    row = rnd.choice(matrices[y])
+    if kind == "token":
+        rnd.choice(row)[rnd.randrange(2)] = _bad_token(rnd)
+    elif kind == "ragged":
+        rnd.choice([row, matrices[y], rnd.choice(row)]).pop()
+    elif kind == "empty slot":
+        rnd.choice(row)[1] = ""
+    else:
+        rnd.choice([lambda: rnd.choice(row).append("1"), lambda: row.append(["1", "0"]),
+                    lambda: matrices[y].append(list(row)),
+                    lambda: matrices.append(list(matrices[y]))])()
+
+
+_TEXT_CORRUPTIONS = ["drop", "insert", "non-ascii", "duplicate", "nested"]
+_MATRIX_CORRUPTIONS = ["token", "ragged", "empty slot", "extra"]
+
+
+def _corrupt_text(text: str, kind: str, rnd) -> str:
+    k = rnd.randrange(len(text) + 1)
+    if kind == "drop":
+        return text[:k] + text[k + 1:]
+    if kind == "insert":
+        return text[:k] + rnd.choice("[],0123456789-+.eE \"") + text[k:]
+    if kind == "non-ascii":
+        return text[:k] + rnd.choice(["\u00e9", "\u00a0", "\ufeff"]) + text[k:]
+    if kind == "duplicate":
+        return text[:-1] + ', "matrices": [[[[1, 0]]], [[[2, 0]]]]}'
+    return text[:-1] + ', "meta": {"matrices": 1}}'
+
+
+@st.composite
+def matrix_files(draw, corruption=None):
+    """A matrix path file as text, in a random layout and key order.
+
+    Valid unless ``corruption`` names one of the ways above to break it.
+    """
+    count, dim = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    values = draw(st.lists(_VALUES, min_size=count * dim * dim * 2,
+                           max_size=count * dim * dim * 2))
+    forms = draw(st.lists(st.integers(0, 5), min_size=len(values), max_size=len(values)))
+    tokens = iter([_number_token(v, f) for v, f in zip(values, forms)])
+    matrices = [[[[next(tokens), next(tokens)] for _ in range(dim)] for _ in range(dim)]
+                for _ in range(count)]
+    layout = draw(st.sampled_from(["compact", "dumps", "indent", "spaces"]))
+    rnd = draw(st.randoms(use_true_random=False))
+    if corruption in _MATRIX_CORRUPTIONS:
+        _corrupt_matrices(matrices, corruption, rnd)
+    fields = {"dim": str(dim), "grid": json.dumps([0.5 * k for k in range(count)]),
+              "matrices": _dump(matrices, layout, rnd)}
+    keys = draw(st.permutations(list(fields)))
+    sep = {"compact": ",", "dumps": ", ", "indent": ",\n", "spaces": " ,\r\n"}[layout]
+    text = "{" + sep.join(f'"{k}": {fields[k]}' for k in keys) + "}"
+    return _corrupt_text(text, corruption, rnd) if corruption in _TEXT_CORRUPTIONS else text
+
+
+def _outcome(read):
+    """What a reader returns or raises, comparable bit for bit."""
+    try:
+        grid, matrices = read()
+    except Exception as exc:  # compared as type and message
+        return type(exc).__name__, str(exc)
+    return grid.points.tobytes(), [m.shape for m in matrices], [m.tobytes() for m in matrices]
+
+
+class TestMatrixPathReader:
+    """The array reader against ``json``, which reads every file it refuses."""
+
+    @given(matrix_files())
+    @settings(max_examples=150, deadline=None)
+    def test_valid_files_take_the_fast_path_and_read_the_same_bits(self, text):
+        data = text.encode()
+        fast = families._fast_matrix_path("family.json", data)
+        assert fast is not None, text
+        assert (_outcome(lambda: fast)
+                == _outcome(lambda: families._json_matrix_path("family.json", data)))
+
+    @given(st.sampled_from(_TEXT_CORRUPTIONS + _MATRIX_CORRUPTIONS).flatmap(matrix_files))
+    @settings(max_examples=300, deadline=None)
+    def test_corrupted_files_fail_as_json_does(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "corrupted.json"
+        path.write_bytes(text.encode())
+        got = _outcome(lambda: families.load_matrix_path(str(path)))
+        assert got == _outcome(lambda: families._json_matrix_path(str(path),
+                                                                   path.read_bytes()))
+
+    @pytest.mark.parametrize("text", [
+        '{"dim": 1, "grid": [0, 1], "matrices": [[[[1,]]], [[[2, 0]]]]}',
+        '{"dim": 1, "grid": [0, 1], "matrices": [[[[1, 2 3]]], [[[2, 0]]]]}',
+        '{"dim": 1, "grid": [0, 1], "matrices": [[[[01, 2]]], [[[2, 0]]]]}',
+        '{"dim": 1, "grid": [0, 1], "matrices": [[[[-01, 2]]], [[[2, 0]]]]}',
+        '{"dim": 1, "grid": [0, 1], "matrices": [[[[1.2.3, 2]]], [[[2, 0]]]]}',
+        '{"dim": 1, "grid": [0, 1], "matrices": [[[[1e2e3, 2]]], [[[2, 0]]]]}',
+        '{"dim": 1, "grid": [0, 1], "matrices": [[[[1e2.5, 2]]], [[[2, 0]]]]}',
+        '{"dim": 1, "grid": [0, 1], "matrices": [[[[.5, 2]]], [[[2, 0]]]]}',
+        '{"dim": 1, "grid": [0, 1], "matrices": [[[[+5, 2]]], [[[2, 0]]]]}',
+        '{"dim": 1, "grid": [0, 1], "matrices": [[[[5., 2]]], [[[2, 0]]]]}',
+        '{"dim": 1, "grid": [0, 1], "matrices": [[[[5e, 2]]], [[[2, 0]]]]}',
+        '{"dim": 1, "grid": [0, 1], "matrices": [[[[-, 2]]], [[[2, 0]]]]}',
+        '{"dim": 1, "grid": [0, 1], "matrices": [[[[1, 2]]], [[[2, 0]]]]]}',
+        '{"dim": 1, "grid": [0, 1], "matrices": [[[[1, 2]]], [[[2, 0]]], [[[3, 0]]]]}',
+        '{"dim": 1, "grid": [0, 1], "matrices": [[[[1, 2]]], [[[2, 0]]]], "matrices": []}',
+        '{"dim": 1, "grid": [0, 1], "matrices": [[[[1, 2]]], [[[1e400, 0]]]]}',
+        '{"dim": 1, "grid": [0, 1], "a\\"matrices": [], "matrices": [[[[1, 2]]], [[[2, 0]]]]}',
+    ])
+    def test_what_the_fast_path_refuses(self, text):
+        # each would be misread (or read at all) by a parse that skipped a check
+        assert families._fast_matrix_path("family.json", text.encode()) is None
+
+    def test_the_block_boundary_carries_state(self, monkeypatch):
+        # blocks of 8 bytes split tokens, leading zeros and exponents across blocks
+        monkeypatch.setattr(families, "_SCAN_BLOCK", 8)
+        good = '{"dim": 1, "grid": [0, 1], "matrices": [[[[1.25e-05, -0]]], [[[10.5, 0e0]]]]}'
+        assert families._fast_matrix_path("f", good.encode()) is not None
+        for bad in ("1.25e-0.5", "1.2.5e-05", "1 5", "-01"):
+            text = good.replace("1.25e-05", bad)
+            assert families._fast_matrix_path("f", text.encode()) is None, bad
+
+
 class TestTruncationCheck:
+    def test_matrix_file_is_read_once(self, tmp_path, monkeypatch):
+        mats = []
+        for x in (0.0, 0.5, 1.0):
+            m = np.diag([x - 0.5, 2.0, -2.0]).astype(complex)
+            mats.append(np.stack([m.real, m.imag], axis=-1).tolist())
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"dim": 3, "grid": [0.0, 0.5, 1.0], "matrices": mats}))
+        calls = []
+        load = families.load_matrix_path
+        monkeypatch.setattr(families, "load_matrix_path",
+                            lambda p: calls.append(p) or load(p))
+        spec = FamilySpec("matrix_path_file", 3, {"path": str(path)})
+        report = truncation_check(spec, None, [1, 2, 3], RealWindow(-1.0, 1.0))
+        assert len(calls) == 1
+        assert [(s.dim_small, s.dim_big) for s in report.steps] == [(1, 2), (2, 3)]
+
     def test_dirac_window_spectrum_identical(self):
         grid = ParameterGrid.linspace(0.0, 0.3, 4)
         spec = FamilySpec("dirac_circle", 11, {"alpha": 0.25})
