@@ -19,13 +19,14 @@ Eigenvalues are sorted, so a window, like the upper part [epsilon, oo) of
 strict adaptedness, is an interval of eigen-indices.  ``_interval_modulus``
 norms edge differences of interval projections and memoizes them on the
 sample by (edge, left interval, right interval), so overlapping ranges, as
-in the discrete-spectrum scan, norm every distinct edge once.  An edge whose
-two fibres hold their eigenbasis as a permutation (the diagonal generators
-and their shifts and bounded transforms) is normed as the largest entry of a
-difference of two length-d vectors, with no projector and no eigensolver;
-every other edge builds dense projectors and norms their difference with
-``hermitian_norm``, which runs ``eigvalsh`` only when that difference has a
-nonzero off-diagonal entry.
+in the discrete-spectrum scan, norm every distinct edge once.  Both fibres
+of an edge come from ``spectral._spectral_function`` in one form: when both
+hold their eigenbasis as a permutation (the diagonal generators, diagonal
+matrix files, and their shifts and bounded transforms) they are length-d
+vectors and the norm is the largest entry of their difference, with no
+projector and no eigensolver; otherwise both are dense projectors, normed
+with ``hermitian_norm``, which runs ``eigvalsh`` only when their difference
+has a nonzero off-diagonal entry.
 
 The unbounded and the weak (polarized) discrete-spectrum certificates share
 one engine, ``_scan_levels``, and differ only in the level ceiling and the
@@ -51,7 +52,7 @@ from .errors import (
     RankJump,
 )
 from .families import FamilySample
-from .spectral import TAU_EDGE_DEFAULT, hermitian_norm, projector
+from .spectral import TAU_EDGE_DEFAULT, _difference_norm, _spectral_function, hermitian_norm
 
 #: fraction of the smallest spectral radius that bounds admissible levels
 CEILING_FRACTION = 0.9
@@ -229,30 +230,25 @@ def _interval_modulus(smp: FamilySample, lo: int, starts, stops,
     rounds its eigenvalues, and the exact value is kept.
     """
     memo = smp.restriction_moduli if weighted else smp.projection_moduli
-    starts, stops = starts.tolist(), stops.tolist()
-    keys = list(zip(range(lo, lo + len(starts) - 1), starts, stops, starts[1:], stops[1:]))
+    first, last = starts.tolist(), stops.tolist()
+    keys = list(zip(range(lo, lo + len(first) - 1), first, last, first[1:], last[1:]))
     values = list(map(memo.get, keys))
-    decs = smp.decompositions[lo:lo + len(starts)]
-    index = np.arange(smp.dim)
+    decs = smp.decompositions[lo:lo + len(first)]
+    if None in values:
+        index = np.arange(smp.dim)
+        masks = (index >= starts[:, None]) & (index < stops[:, None])
 
-    def fibre(k, diagonal):
+    def fibre(k, dense):
         dec = decs[k]
-        if diagonal:
-            v = np.zeros(smp.dim)
-            v[dec.order[starts[k]:stops[k]]] = (
-                dec.eigenvalues[starts[k]:stops[k]] if weighted else 1.0)
-            return v
-        return projector(dec, (index >= starts[k]) & (index < stops[k]),
-                         weights=dec.eigenvalues if weighted else None)
+        return _spectral_function(dec, masks[k], dec.eigenvalues if weighted else None, dense)
 
     held_at, held = None, None  # (point, form) and fibre of the last miss's right end
     for k, value in enumerate(values):
         if value is None:
-            diagonal = decs[k].order is not None and decs[k + 1].order is not None
-            left = held if held_at == (k, diagonal) else fibre(k, diagonal)
-            held_at, held = (k + 1, diagonal), fibre(k + 1, diagonal)
-            values[k] = memo[keys[k]] = (float(np.max(np.abs(held - left))) if diagonal
-                                         else hermitian_norm(held - left))
+            dense = decs[k].order is None or decs[k + 1].order is None
+            left = held if held_at == (k, dense) else fibre(k, dense)
+            held_at, held = (k + 1, dense), fibre(k + 1, dense)
+            values[k] = memo[keys[k]] = _difference_norm(held, left, hermitian_norm)
     if not values:
         return 0.0, None
     modulus = max(values)

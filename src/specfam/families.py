@@ -7,7 +7,10 @@ ladder (``harmonic_perturbed``), a single eigenvalue escaping through infinity
 (``linear_crossing``), seeded smooth random paths (``random_crossings``), and
 explicit matrices loaded from a JSON file (``matrix_path_file``).
 
-Every generator is deterministic given the spec, the grid and the seed.
+Every generator is deterministic given the spec, the grid and the seed.  A
+loaded matrix whose off-diagonal entries are all zero is stored in diagonal
+form with its exact decomposition, unless ``eigh`` would round its
+eigenvalues (``spectral._exact_if_diagonal``); every other one is dense.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .spectral import (
     HermitianOperator,
     RealWindow,
     SpectralDecomposition,
+    _exact_if_diagonal,
     bounded_transform,
     decompose,
     diagonal_operator,
@@ -387,6 +391,12 @@ def _json_matrix_path(path: str, data: bytes) -> tuple[ParameterGrid, list[np.nd
                 f"malformed matrix path file {path}: matrix at grid index {y} must be "
                 f"{dim}x{dim} of [re, im] pairs, got shape {arr.shape}"
             )
+        # numpy reads true and false as 1.0 and 0.0; as in the header, they are no numbers
+        if any(isinstance(v, bool) for row in m for pair in row for v in pair):
+            raise FamilyModelError(
+                f"malformed matrix path file {path}: matrix at grid index {y} holds "
+                f"a boolean, not a number"
+            )
         finite = np.isfinite(arr)
         if not finite.all():
             i, j, _ = (int(k) for k in np.argwhere(~finite)[0])
@@ -548,7 +558,9 @@ def sample(spec: FamilySpec, grid: ParameterGrid | None = None) -> FamilySample:
             or not np.allclose(grid.points, file_grid.points, atol=1e-12, rtol=0.0)
         ):
             raise FamilyModelError("provided grid does not match the grid stored in the file")
-        return FamilySample(file_grid, tuple(HermitianOperator(m) for m in matrices))
+        # validated densely first, so a diagonal file is refused as a dense one is
+        return FamilySample(file_grid, tuple(_exact_if_diagonal(HermitianOperator(m))
+                                             for m in matrices))
     if grid is None:
         raise FamilyModelError("a parameter grid is required for generated families")
     gen = _make_generator(spec)
@@ -606,13 +618,17 @@ class TruncationReport:
 
 
 def truncation_check(spec: FamilySpec, grid: ParameterGrid | None, dims,
-                     window: RealWindow, tau: float | None = None) -> TruncationReport:
+                     window: RealWindow, tau: float | None = None,
+                     smp: FamilySample | None = None) -> TruncationReport:
     """Compare window spectra and projections across increasing truncations.
 
     For each consecutive pair of dimensions the report records the worst
     Hausdorff distance between the in-window eigenvalue sets and the worst
     distance between the window projections, the larger one compressed onto
     the smaller space.  ``stable`` means both stay below the tolerance.
+
+    A ``matrix_path_file`` family is read once, and not at all when the
+    caller passes the ``smp`` it already sampled; other kinds ignore ``smp``.
     """
     dims = [int(d) for d in dims]
     if sorted(dims) != dims or len(dims) < 2:
@@ -621,8 +637,8 @@ def truncation_check(spec: FamilySpec, grid: ParameterGrid | None, dims,
         tau = TAU_TRUNC_FILE if spec.kind == "matrix_path_file" else TAU_TRUNC_ANALYTIC
 
     if spec.kind == "matrix_path_file":
-        # one read of the file; each dim is its leading block
-        full = sample(spec, None)
+        # at most one read of the file; each dim is its leading block
+        full = smp if smp is not None else sample(spec, None)
         samples = {d: _file_truncated_sample(full, d) for d in dims}
     else:
         samples = {d: sample(spec.with_dim(d), grid) for d in dims}

@@ -433,7 +433,7 @@ def _run_one(kind: str, params: dict, smp, spec, grid):
     if kind == "truncation":
         window = RealWindow(params["window"][0], params["window"][1])
         report = truncation_check(spec, grid, params["dims"], window,
-                                  tau=params.get("tau"))
+                                  tau=params.get("tau"), smp=smp)
         return report.stable, jsonable(report), csv_tables
     raise ConfigError("analyses", f"unknown analysis kind {kind!r}")
 

@@ -12,25 +12,31 @@ keeps the dense, validated entries.  ``diagonal_operator`` keeps only the real
 diagonal: ``entries`` builds the dense matrix on each read and does not keep
 it.  It also carries the exact decomposition: the stably sorted diagonal and
 the sorting permutation, so no eigensolver runs and no dense eigenbasis is
-stored either.  Projectors, the bounded transform and the resolvent read the
-eigenbasis as the permuted identity columns, built on each call and dropped
-afterwards, so they take one matmul path for both forms.  The adjacent-edge
-norms of ``adapted._interval_modulus`` read the permutation directly: when
-both fibres of an edge carry it, the norm is the largest entry of a
-difference of two length-d vectors, with no projector and no eigensolver.
-The ``dirac_circle`` and ``tangent_blowup`` generators use this form.  ``linear_crossing``
-is diagonal too but stays on ``eigh`` for now, because the benchmark's own
-tests pin its decomposition work.  ``random_crossings`` has a fixed basis, but
-an exact decomposition there would change eigenvalue bits and so report bytes.
+stored either.  The ``dirac_circle`` and ``tangent_blowup`` generators use
+this form, and so does a matrix file's operator whose off-diagonal entries
+are all zero, when ``eigh`` would return its sorted diagonal bit for bit
+(``_exact_if_diagonal``).  ``linear_crossing`` is diagonal too but stays on
+``eigh`` for now, because the benchmark's own tests pin its decomposition
+work.  ``random_crossings`` has a fixed basis, but an exact decomposition
+there would change eigenvalue bits and so report bytes.
+
+Every function of an operator, sum_j w_j v_j v_j* over some of its
+eigenpairs, is built by ``_spectral_function``.  For a decomposition in
+permutation form it returns the length-d diagonal of that operator (w_j at
+standard index ``order[j]``); otherwise, or when asked, the dense d x d
+matrix ``projector`` builds.  Both hold the same values, since a projector
+built from the permuted identity columns has exact entries.
+``_difference_norm`` norms the difference of two such images, and refuses a
+vector and a matrix together: one chain of images takes one form.  The
+public ``projector``, ``resolvent_at_i`` and ``bounded_transform(...).entries``
+always return dense d x d matrices; ``bounded_transform`` of an operator in
+permutation form is itself in diagonal form.
 
 ``hermitian_norm`` looks at its input before it calls the eigensolver: a
-matrix with no nonzero off-diagonal entry is normed as max |Re a_ii|.  A
-family whose operators commute, such as one loaded from a file of diagonal
-matrices, makes every projector and bounded-transform difference diagonal,
-so its graph and Riesz chains, strict adaptedness and distances run no
-``eigvalsh``.  The value equals the eigensolver's bits while the entries lie
-within about [1e-146, 1e146] and is exact beyond that band.
-``operator_norm`` keeps the SVD on every input.
+matrix with no nonzero off-diagonal entry is normed as max |Re a_ii|.  The
+value equals the eigensolver's bits while the entries lie within about
+[1e-146, 1e146] and is exact beyond that band.  ``operator_norm`` keeps the
+SVD on every input.
 
 Tolerances follow the usual backward-error scale of dense Hermitian
 eigensolvers at moderate dimensions.
@@ -60,6 +66,11 @@ TAU_EDGE_DEFAULT = 1e-8
 _HALF_MAX = float(np.finfo(float).max) / 2.0
 # beyond this magnitude the bounded transform's t * t can overflow
 _TRANSFORM_SATURATION = 1e154
+# LAPACK's eigh scales a matrix whose largest entry magnitude lies outside
+# [2**-485, 2**485], which rounds the eigenvalues; inside (or for the zero
+# matrix) a diagonal matrix's eigenvalues are its entries, bit for bit.  The
+# band is kept one binade inside those limits
+_EIGH_EXACT_BAND = (2.0 ** -484, 2.0 ** 484)
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,6 +313,57 @@ def projector(dec: SpectralDecomposition, mask: np.ndarray,
     return (vecs * np.asarray(weights)[mask]) @ vecs.conj().T
 
 
+def _spectral_function(dec: SpectralDecomposition, mask: np.ndarray,
+                       weights: np.ndarray | None = None,
+                       dense: bool = False) -> np.ndarray:
+    """Sum of w_j v_j v_j* over the masked eigenpairs (w_j = 1 without weights).
+
+    ``weights`` is a float or complex array over all eigen-indices.  In
+    permutation form, unless ``dense``, the operator is diagonal in the
+    standard basis and comes back as its length-d diagonal, of the weights'
+    dtype: w_j at index ``order[j]`` for each masked j, 0 elsewhere.
+    Otherwise it is ``projector``'s dense d x d matrix, whose diagonal holds
+    the same values when the basis is the permuted identity.
+    """
+    if dense or dec.order is None:
+        return projector(dec, mask, weights)
+    if weights is None:
+        out = np.zeros(dec.eigenvalues.size)
+        out[dec.order[mask]] = 1.0
+    else:
+        values = weights[mask]
+        out = np.zeros(dec.eigenvalues.size, dtype=values.dtype)
+        out[dec.order[mask]] = values
+    return out
+
+
+def _dense_form(image: np.ndarray) -> np.ndarray:
+    """A ``_spectral_function`` image as the dense complex d x d matrix it stands for."""
+    return np.diag(image.astype(complex)) if image.ndim == 1 else image
+
+
+def _difference_norm(a: np.ndarray, b: np.ndarray, norm) -> float:
+    """Spectral norm of ``a - b``, two images of one chain of ``_spectral_function``.
+
+    ``norm`` is ``hermitian_norm`` or ``operator_norm``, and a dense difference
+    goes to it.  A real diagonal difference is normed as its largest absolute
+    entry, the value ``hermitian_norm`` takes on its dense form.  A complex one
+    is made dense and goes to ``norm``: on a complex diagonal the SVD's value
+    differs from max |z| in the last bit on some inputs (see
+    ``operator_norm``).  A vector and a matrix are refused, since their
+    difference would broadcast to a wrong d x d matrix.
+    """
+    if a.shape != b.shape:
+        raise ValueError(f"images of one chain must share one form, got shapes "
+                         f"{a.shape} and {b.shape}")
+    diff = a - b
+    if diff.ndim == 2:
+        return norm(diff)
+    if diff.dtype.kind == "c":
+        return norm(np.diag(diff))
+    return float(np.abs(diff).max())
+
+
 def spectral_projection(op: HermitianOperator, window: RealWindow,
                         tau_edge: float = TAU_EDGE_DEFAULT) -> WindowProjection:
     """Orthogonal projection onto the eigenspaces with eigenvalues in ``window``.
@@ -339,13 +401,18 @@ def bounded_transform(op: HermitianOperator) -> HermitianOperator:
     """Apply the bounded transform; eigenvectors are unchanged, norm < 1.
 
     The result carries the transformed decomposition, so window ranks of the
-    image agree exactly with window ranks of the source.
+    image agree exactly with window ranks of the source.  An operator in
+    permutation form maps to one in diagonal form, with the same permutation.
     """
     dec = decompose(op)
     vals = bounded_transform_scalar(dec.eigenvalues)
-    v = dec.eigenvectors
-    m = (v * vals) @ v.conj().T
-    out = HermitianOperator(m)
+    if dec.order is not None:
+        diagonal = np.empty_like(vals)
+        diagonal[dec.order] = vals
+        out = _DiagonalOperator(diagonal)
+    else:
+        v = dec.eigenvectors
+        out = HermitianOperator((v * vals) @ v.conj().T)
     # the transform is increasing, so the transformed list is still ascending
     _install_decomposition(out, vals, dec.basis, dec.order)
     return out
@@ -391,11 +458,37 @@ def hermitian_norm(m: np.ndarray) -> float:
     """
     if m.size == 0:
         return 0.0
+    if _off_diagonal_zero(m):
+        return float(np.max(np.abs(np.diagonal(m).real)))
+    return float(np.max(np.abs(np.linalg.eigvalsh(m))))
+
+
+def _off_diagonal_zero(m: np.ndarray) -> bool:
+    """Whether every off-diagonal entry of the non-empty square ``m`` is zero."""
     d = m.shape[0]
     # a dense input almost always has a_10 != 0, which settles it in well
     # under a microsecond; otherwise row i of the view holds the d entries
     # after a_ii in memory, so it covers every off-diagonal entry exactly once
-    if ((d == 1 or m[1, 0] == 0)
-            and not m.reshape(-1)[:-1].reshape(d - 1, d + 1)[:, 1:].any()):
-        return float(np.max(np.abs(np.diagonal(m).real)))
-    return float(np.max(np.abs(np.linalg.eigvalsh(m))))
+    return bool((d == 1 or m[1, 0] == 0)
+                and not m.reshape(-1)[:-1].reshape(d - 1, d + 1)[:, 1:].any())
+
+
+def _exact_if_diagonal(op: HermitianOperator) -> HermitianOperator:
+    """``op`` in diagonal form, with its exact decomposition, when that keeps
+    ``eigh``'s bits; otherwise ``op`` itself.
+
+    That holds when every off-diagonal entry is zero and the largest diagonal
+    magnitude is 0 or lies in ``_EIGH_EXACT_BAND``: ``eigh`` then returns the
+    sorted diagonal bit for bit.  Within a tie it may order the eigenvectors
+    otherwise than the stable sort, which nothing downstream can see, because
+    every mask and eigen-index interval is cut at a value and so never splits
+    a tie.
+    """
+    m = op.entries
+    if not _off_diagonal_zero(m):
+        return op
+    diagonal = np.diagonal(m).real
+    top = float(np.max(np.abs(diagonal)))
+    if top != 0.0 and not _EIGH_EXACT_BAND[0] <= top <= _EIGH_EXACT_BAND[1]:
+        return op
+    return diagonal_operator(diagonal)

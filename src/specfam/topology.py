@@ -13,6 +13,16 @@ Both chains first contract the range around the base point, building only
 what the contraction reads, then build everything else on the contracted
 ``range`` they report.  Every field is measured there, except the Riesz
 chain's scalar outer-block defects, gated first on the uncontracted range.
+
+Every matrix a chain or a distance reads is built by
+``spectral._spectral_function`` and normed by ``spectral._difference_norm``.
+When every point of the chain holds its eigenbasis as a permutation (the
+diagonal generators and diagonal matrix files), each image is the length-d
+diagonal of its operator; otherwise all of them are dense.  Either way the
+values, and so every certificate field and distance, are the same bits.  A
+dense resolvent at +i or bounded transform is the public
+``resolvent_at_i(op)`` or ``bounded_transform(op).entries``, and certificates
+embed dense d x d matrices in both forms.
 """
 
 from __future__ import annotations
@@ -44,11 +54,14 @@ from .spectral import (
     TAU_EDGE_DEFAULT,
     TAU_RECONSTRUCT,
     HermitianOperator,
+    _dense_form,
+    _difference_norm,
+    _spectral_function,
     bounded_transform,
     bounded_transform_scalar,
+    decompose,
     hermitian_norm,
     operator_norm,
-    projector,
     resolvent_at_i,
 )
 
@@ -56,20 +69,43 @@ from .spectral import (
 EMBED_DIM_LIMIT = 64
 
 
-def graph_distance(a: HermitianOperator, b: HermitianOperator) -> float:
-    """Operator-norm distance between the resolvents at +i."""
+def _dense_chain(decompositions) -> bool:
+    """Whether a chain over these decompositions builds dense images: unless
+    every one is in permutation form, all of them are."""
+    return any(dec.order is None for dec in decompositions)
+
+
+def _image(op: HermitianOperator, metric: str, dense: bool) -> np.ndarray:
+    """The resolvent at +i (``graph``) or the bounded transform (``riesz``) of ``op``.
+
+    Dense, it is what ``resolvent_at_i`` or ``bounded_transform(op).entries``
+    returns; the latter is symmetrized by ``HermitianOperator``, which a raw
+    V f(Lambda) V* is not.  Otherwise it is the diagonal of the same matrix.
+    """
+    if dense:
+        return resolvent_at_i(op) if metric == "graph" else bounded_transform(op).entries
+    dec = decompose(op)
+    ev = dec.eigenvalues
+    weights = 1.0 / (ev + 1j) if metric == "graph" else bounded_transform_scalar(ev)
+    return _spectral_function(dec, np.ones(ev.shape, dtype=bool), weights)
+
+
+def _metric_distance(a: HermitianOperator, b: HermitianOperator, metric: str) -> float:
     if a.dim != b.dim:
         raise ValueError("operators must share a dimension")
-    return operator_norm(resolvent_at_i(a) - resolvent_at_i(b))
+    dense = _dense_chain((decompose(a), decompose(b)))
+    return _difference_norm(_image(a, metric, dense), _image(b, metric, dense),
+                            operator_norm if metric == "graph" else hermitian_norm)
+
+
+def graph_distance(a: HermitianOperator, b: HermitianOperator) -> float:
+    """Operator-norm distance between the resolvents at +i."""
+    return _metric_distance(a, b, "graph")
 
 
 def riesz_distance(a: HermitianOperator, b: HermitianOperator) -> float:
     """Operator-norm distance between the bounded transforms."""
-    if a.dim != b.dim:
-        raise ValueError("operators must share a dimension")
-    return hermitian_norm(
-        bounded_transform(a).entries - bounded_transform(b).entries
-    )
+    return _metric_distance(a, b, "riesz")
 
 
 @dataclass(frozen=True)
@@ -85,19 +121,11 @@ def continuity_modulus(smp: FamilySample, metric: str = "graph") -> ContinuityMo
     """Adjacent-edge distances, the grid surrogate of a continuity statement."""
     if metric not in ("graph", "riesz"):
         raise ValueError(f"unknown metric {metric!r}")
-    values = []
-    if metric == "graph":
-        images = [resolvent_at_i(op) for op in smp.operators]
-        norm = operator_norm
-    else:
-        images = [bounded_transform(op).entries for op in smp.operators]
-        norm = hermitian_norm
-    for y in range(len(smp) - 1):
-        values.append((
-            smp.grid[y],
-            smp.grid[y + 1],
-            float(norm(images[y + 1] - images[y])),
-        ))
+    dense = _dense_chain(smp.decompositions)
+    images = [_image(op, metric, dense) for op in smp.operators]
+    norm = operator_norm if metric == "graph" else hermitian_norm
+    values = [(smp.grid[y], smp.grid[y + 1], _difference_norm(images[y + 1], images[y], norm))
+              for y in range(len(smp) - 1)]
     return ContinuityModuli(metric, tuple(values),
                             max(v for _, _, v in values) if values else 0.0)
 
@@ -138,9 +166,9 @@ def _contract(rng: GridRange, x_index: int, delta: float, *images) -> GridRange:
     return rng
 
 
-def _compressed_resolvent(dec, level: float) -> np.ndarray:
+def _compressed_resolvent(dec, level: float, dense: bool) -> np.ndarray:
     mask = np.abs(dec.eigenvalues) <= level
-    return projector(dec, mask, weights=1.0 / (dec.eigenvalues + 1j))
+    return _spectral_function(dec, mask, 1.0 / (dec.eigenvalues + 1j), dense)
 
 
 def graph_continuity_certify(smp: FamilySample, x_index: int,
@@ -159,13 +187,14 @@ def graph_continuity_certify(smp: FamilySample, x_index: int,
     level = pair.level
     rng = pair.range
 
-    compressed = {y: _compressed_resolvent(smp.decompositions[y], level)
+    dense = _dense_chain(smp.decompositions[rng.lo_index:rng.hi_index + 1])
+    compressed = {y: _compressed_resolvent(smp.decompositions[y], level, dense)
                   for y in rng.indices()}
     base = compressed[x_index]
     rng = _contract(rng, x_index, delta, compressed)
 
     compressed_modulus = max(
-        operator_norm(compressed[y] - base) for y in rng.indices()
+        _difference_norm(compressed[y], base, operator_norm) for y in rng.indices()
     )
     tail_bound = 0.0
     for y in rng.indices():
@@ -173,9 +202,10 @@ def graph_continuity_certify(smp: FamilySample, x_index: int,
         outside = ev[np.abs(ev) > level]
         if outside.size:
             tail_bound = max(tail_bound, float(np.max(1.0 / np.sqrt(1.0 + outside ** 2))))
-    resolvents = {y: resolvent_at_i(smp.operators[y]) for y in rng.indices()}
+    resolvents = {y: _image(smp.operators[y], "graph", dense) for y in rng.indices()}
     final_bound = max(
-        operator_norm(resolvents[y] - resolvents[x_index]) for y in rng.indices()
+        _difference_norm(resolvents[y], resolvents[x_index], operator_norm)
+        for y in rng.indices()
     )
 
     if tail_bound >= delta:
@@ -187,7 +217,7 @@ def graph_continuity_certify(smp: FamilySample, x_index: int,
 
     embed = None
     if smp.dim <= EMBED_DIM_LIMIT:
-        embed = tuple(compressed[y] for y in rng.indices())
+        embed = tuple(_dense_form(compressed[y]) for y in rng.indices())
     return GraphContinuityCertificate(
         x_index=x_index,
         delta=float(delta),
@@ -347,14 +377,15 @@ def _riesz_chain_certify(smp: FamilySample, x_index: int, delta: float, cap: flo
     upper_q = {}
     lower_q = {}
     block_center = {}
-    eye = np.eye(smp.dim)
+    dense = _dense_chain(smp.decompositions[rng.lo_index:rng.hi_index + 1])
+    eye = np.eye(smp.dim) if dense else np.ones(smp.dim)
     for y, ev, fv in zip(rng.indices(), ev_rng, fv_rng):
         dec = smp.decompositions[y]
         inner = np.abs(ev) < level
-        window_q[y] = projector(dec, inner)
-        upper_q[y] = projector(dec, ev >= level)
+        window_q[y] = _spectral_function(dec, inner, dense=dense)
+        upper_q[y] = _spectral_function(dec, ev >= level, dense=dense)
         lower_q[y] = eye - window_q[y] - upper_q[y]  # exact by construction
-        block_center[y] = projector(dec, inner, weights=fv)
+        block_center[y] = _spectral_function(dec, inner, fv, dense)
     rng = _contract(rng, x_index, delta, block_center, lower_q, upper_q)
 
     # phase 2, on the contracted range the certificate reports
@@ -363,32 +394,33 @@ def _riesz_chain_certify(smp: FamilySample, x_index: int, delta: float, cap: flo
     full_image = {}
     projections = []
     blocks = []
+    embed = smp.dim <= EMBED_DIM_LIMIT
     for y in rng.indices():
         dec = smp.decompositions[y]
         ev = dec.eigenvalues
         fv = value_map(ev)
-        block_lower = projector(dec, ev <= -level, weights=fv)
-        block_upper = projector(dec, ev >= level, weights=fv)
-        full_image[y] = projector(dec, np.ones(ev.shape, dtype=bool), weights=fv)
-        projections.append((window_q[y], upper_q[y], lower_q[y]))
-        blocks.append((block_lower, block_center[y], block_upper))
-        split_residual = max(split_residual, hermitian_norm(
-            full_image[y] - (block_lower + block_center[y] + block_upper)
-        ))
+        block_lower = _spectral_function(dec, ev <= -level, fv, dense)
+        block_upper = _spectral_function(dec, ev >= level, fv, dense)
+        full_image[y] = _spectral_function(dec, np.ones(ev.shape, dtype=bool), fv, dense)
+        if embed:
+            projections.append(tuple(map(_dense_form, (window_q[y], upper_q[y], lower_q[y]))))
+            blocks.append(tuple(map(_dense_form, (block_lower, block_center[y], block_upper))))
+        split_residual = max(split_residual, _difference_norm(
+            full_image[y], block_lower + block_center[y] + block_upper, hermitian_norm))
         # the upper projection equals "everything >= strict level" minus the
         # [strict level, level) part of the window block; level > strict level
         # because the pair is searched above it
-        p_eps = projector(dec, ev >= strict_eps)
-        p_band = projector(dec, (ev >= strict_eps) & (ev < level))
+        p_eps = _spectral_function(dec, ev >= strict_eps, dense=dense)
+        p_band = _spectral_function(dec, (ev >= strict_eps) & (ev < level), dense=dense)
         upper_split_residual = max(upper_split_residual,
-                                   hermitian_norm(upper_q[y] - (p_eps - p_band)))
-        center_modulus = max(center_modulus,
-                             hermitian_norm(block_center[y] - block_center[x_index]))
-        lower_projection_modulus = max(lower_projection_modulus,
-                                       hermitian_norm(lower_q[y] - lower_q[x_index]))
-        upper_projection_modulus = max(upper_projection_modulus,
-                                       hermitian_norm(upper_q[y] - upper_q[x_index]))
-    final_bound = max(hermitian_norm(full_image[y] - full_image[x_index])
+                                   _difference_norm(upper_q[y], p_eps - p_band, hermitian_norm))
+        center_modulus = max(center_modulus, _difference_norm(
+            block_center[y], block_center[x_index], hermitian_norm))
+        lower_projection_modulus = max(lower_projection_modulus, _difference_norm(
+            lower_q[y], lower_q[x_index], hermitian_norm))
+        upper_projection_modulus = max(upper_projection_modulus, _difference_norm(
+            upper_q[y], upper_q[x_index], hermitian_norm))
+    final_bound = max(_difference_norm(full_image[y], full_image[x_index], hermitian_norm)
                       for y in rng.indices())
 
     for name, value in (("split_residual", split_residual),
@@ -403,7 +435,6 @@ def _riesz_chain_certify(smp: FamilySample, x_index: int, delta: float, cap: flo
     if final_bound >= 7.0 * delta:
         raise BoundViolated("final_bound", final_bound, 7.0 * delta)
 
-    embed = smp.dim <= EMBED_DIM_LIMIT
     return RieszContinuityCertificate(
         x_index=x_index,
         delta=float(delta),

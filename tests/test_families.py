@@ -187,6 +187,11 @@ class TestMatrixPathRefusals:
                      1, id="ragged"),
         pytest.param('{"dim": 1, "grid": [0, 1], "matrices": [[[[1, 0]]], [[[1, 0, 2]]]]}', 1,
                      id="triple"),
+        pytest.param('{"dim": 1, "grid": [0, 1], "matrices": [[[[1, 0]]], [[[true, 0]]]]}', 1,
+                     id="true entry"),
+        pytest.param('{"dim": 2, "grid": [0, 1], "matrices": [[[[false, 0], [0, 0]], '
+                     '[[0, 0], [1, 0]]], [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}', 0,
+                     id="false entry"),
         pytest.param('{"dim": 1, "grid": [0, 1], "matrices": [[[[1, 0]]]]}', None,
                      id="count"),
         pytest.param('{"dim": 1, "grid": [0, 1], "matrices": [[[[1, 0]]], [[[1, 0]]]}', None,
@@ -205,6 +210,29 @@ class TestMatrixPathRefusals:
         if grid_index is not None:
             assert f"grid index {grid_index}" in message
         assert _analysis_error(path)["type"] == "FamilyModelError"
+
+    @pytest.mark.parametrize("token", ["true", "false"])
+    def test_both_readers_refuse_a_boolean_alike(self, tmp_path, token):
+        path = tmp_path / "family.json"
+        path.write_text(f'{{"dim": 1, "grid": [0, 1], '
+                        f'"matrices": [[[[1, 0]]], [[[2, {token}]]]]}}')
+        data = path.read_bytes()
+        assert families._fast_matrix_path(str(path), data) is None
+        outcomes = [_outcome(lambda: families.load_matrix_path(str(path))),
+                    _outcome(lambda: families._json_matrix_path(str(path), data))]
+        assert outcomes[0] == outcomes[1] == (
+            "FamilyModelError", f"malformed matrix path file {path}: matrix at grid index 1 "
+                                "holds a boolean, not a number")
+
+    def test_strings_that_spell_numbers_are_still_read(self, tmp_path):
+        path = tmp_path / "family.json"
+        path.write_text('{"dim": 1, "grid": [0, 1], "matrices": [[[["0.5", 0]]], [[[2, "-0"]]]]}')
+        grid, matrices = families.load_matrix_path(str(path))
+        assert [m.tolist() for m in matrices] == [[[0.5 + 0j]], [[2 + 0j]]]
+        path.write_text('{"dim": 1, "grid": [0, 1], "matrices": [[[[1, 0]]], [[["-inf", 0]]]]}')
+        with pytest.raises(NonFiniteEntry) as err:
+            families.load_matrix_path(str(path))
+        assert err.value.grid_index == 1
 
     def test_bytes_that_are_not_utf8(self, tmp_path):
         path = tmp_path / "family.json"
@@ -445,6 +473,27 @@ class TestTruncationCheck:
         report = truncation_check(spec, None, [1, 2, 3], RealWindow(-1.0, 1.0))
         assert len(calls) == 1
         assert [(s.dim_small, s.dim_big) for s in report.steps] == [(1, 2), (2, 3)]
+
+    def test_run_analysis_reads_the_file_once(self, tmp_path, monkeypatch):
+        grid = [0.0, 0.5, 1.0]
+        coupling = 0.1 * (np.eye(3, k=1) + np.eye(3, k=-1))
+        mats = [np.stack([m.real, m.imag], axis=-1).tolist()
+                for m in (np.diag([x - 0.5, 2.0, -2.0]) + coupling for x in grid)]
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"dim": 3, "grid": grid, "matrices": mats}))
+        calls = []
+        load = families.load_matrix_path
+        monkeypatch.setattr(families, "load_matrix_path",
+                            lambda p: calls.append(p) or load(p))
+        bundle = run_analysis({
+            "family": {"kind": "matrix_path_file", "dim": 3, "params": {"path": str(path)}},
+            "seed": 0,
+            "analyses": [{"kind": "truncation",
+                          "params": {"dims": [1, 2, 3], "window": [-1.0, 1.0]}}],
+        }, output_dir=tmp_path / "out")
+        assert len(calls) == 1
+        steps = bundle.report["analyses"][0]["result"]["steps"]
+        assert [(s["dim_small"], s["dim_big"]) for s in steps] == [(1, 2), (2, 3)]
 
     def test_dirac_window_spectrum_identical(self):
         grid = ParameterGrid.linspace(0.0, 0.3, 4)

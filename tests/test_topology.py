@@ -1,15 +1,19 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specfam import (
+    FamilySample,
     FamilySpec,
     GridRange,
     HermitianOperator,
     ParameterGrid,
     PolarizationCheck,
+    bounded_transform,
     bounded_transform_scalar,
     certify_adapted_pair,
     continuity_modulus,
@@ -29,8 +33,15 @@ from specfam import (
     transform_clearing_level,
 )
 from specfam import topology
-from specfam.errors import BoundViolated, NoGap, StrictAdaptednessFailed
-from specfam.spectral import TAU_EDGE_DEFAULT, TAU_RECONSTRUCT, hermitian_norm, projector
+from specfam.errors import BoundViolated, CertificationError, NoGap, StrictAdaptednessFailed
+from specfam.spectral import (
+    _EIGH_EXACT_BAND,
+    TAU_EDGE_DEFAULT,
+    TAU_RECONSTRUCT,
+    _difference_norm,
+    hermitian_norm,
+    projector,
+)
 
 from conftest import constant_sample, random_hermitian
 
@@ -444,3 +455,156 @@ def test_nan_argument_is_refused_as_a_value_error(call, message):
     smp = sample(FamilySpec("linear_crossing", 5), ParameterGrid.linspace(0.0, 1.0, 11))
     with pytest.raises(ValueError, match=message):
         call(smp)
+
+
+def _write_matrix_file(path, grid, matrices) -> str:
+    """Complex matrices as a matrix path file, written with plain ``json``."""
+    path.write_text(json.dumps({
+        "dim": len(matrices[0]), "grid": list(grid),
+        "matrices": [[[[float(np.real(v)), float(np.imag(v))] for v in row] for row in m]
+                     for m in matrices]}))
+    return str(path)
+
+
+def _load(path, dim):
+    return sample(FamilySpec("matrix_path_file", dim, {"path": path}))
+
+
+def _dense_twin(smp):
+    """The same family with every operator dense and undecomposed, so it goes through eigh."""
+    return FamilySample(smp.grid, tuple(HermitianOperator(op.entries) for op in smp.operators))
+
+
+def _bits(value):
+    """A certificate field or distance, comparable bit for bit; matrices by
+    shape, dtype and value (the sign of a zero entry is not compared)."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple) and value and not isinstance(value[0], (int, float)):
+        stack = np.asarray(value)
+        assert stack.shape[-2:] == (stack.shape[-1],) * 2 and stack.dtype == complex
+        return stack.shape, stack.tolist()
+    return value
+
+
+def _outcome(call):
+    """Every field of the certificate ``call`` returns, or the refusal it raises."""
+    try:
+        cert = call()
+    except (CertificationError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return {f.name: _bits(getattr(cert, f.name)) for f in dataclasses.fields(cert)}
+
+
+def _every_result(smp):
+    """Every graph and Riesz certificate and every distance the family gives."""
+    results = {}
+    for metric in ("graph", "riesz"):
+        moduli = continuity_modulus(smp, metric)
+        results[metric] = ([_bits(v) for edge in moduli.per_edge for v in edge],
+                           _bits(moduli.max_modulus))
+    first, last = smp.operators[0], smp.operators[-1]
+    results["distances"] = (_bits(graph_distance(first, last)), _bits(riesz_distance(first, last)))
+    for x in range(len(smp)):
+        for delta in (0.45, 0.2):
+            results["graph", x, delta] = _outcome(lambda: graph_continuity_certify(smp, x, delta))
+        for delta in (0.2, 0.1):
+            results["riesz", x, delta] = _outcome(
+                lambda: riesz_continuity_certify(smp, x, delta, cap=0.5))
+    return results
+
+
+# repeated values, signed zeros and both signs come from the sampled values
+_FILE_ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 6.0]),
+                        st.floats(-60.0, 60.0))
+
+
+@st.composite
+def diagonal_files(draw):
+    """The diagonals of a matrix file: dims 1-12, 2-6 grid points, entries
+    moving linearly or not at all, and now and then one entry at +-1e150."""
+    dim, points = draw(st.integers(1, 12)), draw(st.integers(2, 6))
+    base = draw(st.lists(_FILE_ENTRY, min_size=dim, max_size=dim))
+    slope = draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, -1.0, 4.0]), min_size=dim,
+                          max_size=dim))
+    grid = [k / (points - 1) for k in range(points)]
+    rows = [[b if s == 0.0 else b + s * x for b, s in zip(base, slope)] for x in grid]
+    for row in rows:
+        if draw(st.integers(0, 5)) == 0:
+            row[draw(st.integers(0, dim - 1))] = draw(st.sampled_from([1e150, -1e150]))
+    return grid, rows
+
+
+class TestDiagonalMatrixFiles:
+    """A matrix file of diagonal matrices takes the diagonal form when eigh
+    would return its sorted diagonal bit for bit, and gives the same
+    certificates and distances as its dense eigh twin."""
+
+    @given(diagonal_files())
+    @settings(max_examples=60, deadline=None)
+    def test_every_field_equals_the_dense_twin(self, tmp_path_factory, case):
+        grid, rows = case
+        path = _write_matrix_file(tmp_path_factory.getbasetemp() / "diagonal.json", grid,
+                                  [np.diag(row) for row in rows])
+        smp = _load(path, len(rows[0]))
+        twin = _dense_twin(smp)
+        lo, hi = _EIGH_EXACT_BAND
+        for row, dec in zip(rows, smp.decompositions):
+            top = max(abs(v) for v in row)
+            assert (dec.order is not None) == (top == 0.0 or lo <= top <= hi)
+            assert (dec.basis is None) == (dec.order is not None)
+        assert smp.eigenvalue_matrix.tobytes() == twin.eigenvalue_matrix.tobytes()
+        assert _every_result(smp) == _every_result(twin)
+
+    def test_ties_are_ordered_otherwise_by_eigh_and_change_nothing(self, tmp_path):
+        grid = [0.0, 0.25, 0.5, 0.75, 1.0]
+        rows = [[4.0, -3.0, 4.0, 0.5 * x - 0.2, -3.0, 4.0, -6.0, 6.0] for x in grid]
+        smp = _load(_write_matrix_file(tmp_path / "ties.json", grid,
+                                       [np.diag(row) for row in rows]), 8)
+        twin = _dense_twin(smp)
+        assert all(dec.order is not None for dec in smp.decompositions)
+        # no mask or eigen-index interval splits a tie, so the order inside one is unseen
+        assert any(not np.array_equal(dec.eigenvectors, ref.eigenvectors)
+                   for dec, ref in zip(smp.decompositions, twin.decompositions))
+        results = _every_result(smp)
+        assert results == _every_result(twin)
+        assert isinstance(results["graph", 2, 0.45], dict)
+        assert isinstance(results["riesz", 2, 0.2], dict)
+
+    def test_entries_beyond_the_band_stay_on_eigh(self, tmp_path):
+        d = np.array([1e150, 2.5, -1.3e150, 0.1])
+        # LAPACK scales such a matrix, and its eigenvalues are no longer the entries
+        assert not np.array_equal(np.linalg.eigh(np.diag(d))[0], np.sort(d))
+        smp = _load(_write_matrix_file(tmp_path / "big.json", [0.0, 1.0],
+                                       [np.diag(d), np.diag(d)]), 4)
+        for dec in smp.decompositions:
+            assert dec.order is None and dec.basis is not None
+        assert (smp.eigenvalue_matrix.tobytes()
+                == _dense_twin(smp).eigenvalue_matrix.tobytes())
+
+    def test_one_tiny_off_diagonal_entry_keeps_the_matrix_dense(self, tmp_path):
+        m = np.diag([1.0, -2.0, 3.0]).astype(complex)
+        m[0, 2] = m[2, 0] = 1e-300
+        smp = _load(_write_matrix_file(tmp_path / "tiny.json", [0.0, 1.0],
+                                       [np.diag([1.0, -2.0, 3.0]), m]), 3)
+        assert smp.decompositions[0].order is not None
+        assert smp.decompositions[1].order is None
+        # a chain over both points is dense throughout
+        assert _every_result(smp) == _every_result(_dense_twin(smp))
+
+    def test_public_functions_stay_dense(self, tmp_path):
+        smp = _load(_write_matrix_file(tmp_path / "flat.json", [0.0, 1.0],
+                                       [np.diag([1.0, -2.0, 3.0])] * 2), 3)
+        op = smp.operators[0]
+        dec = smp.decompositions[0]
+        assert vars(op).keys() == {"_diagonal", "_decomposition"}
+        assert resolvent_at_i(op).shape == (3, 3)
+        assert projector(dec, np.ones(3, dtype=bool)).shape == (3, 3)
+        assert vars(bounded_transform(op)).keys() == {"_diagonal", "_decomposition"}
+        assert bounded_transform(op).entries.shape == (3, 3)
+
+    def test_a_vector_and_a_matrix_never_broadcast(self):
+        for a, b in ((np.zeros(3), np.zeros((3, 3))), (np.zeros((3, 3)), np.ones(3))):
+            for norm in (hermitian_norm, operator_norm):
+                with pytest.raises(ValueError, match="share one form"):
+                    _difference_norm(a, b, norm)
