@@ -369,17 +369,11 @@ def _run_one(kind: str, params: dict, smp, spec, grid):
         return report.passed and report.routes_agree, payload, csv_tables
     if kind == "graph-continuity":
         cert = graph_continuity_certify(smp, params["x_index"], params["delta"])
-        # reports stay matrix-free; the embedded matrices are a library feature
-        payload = jsonable(dataclasses.replace(cert, compressed_resolvents=None))
-        del payload["compressed_resolvents"]
-        return True, {"certificate": payload}, csv_tables
+        return True, {"certificate": jsonable(cert)}, csv_tables
     if kind == "riesz-continuity":
         cert = riesz_continuity_certify(smp, params["x_index"], params["delta"],
                                         params.get("cap", 0.5))
-        payload = jsonable(dataclasses.replace(cert, projections=None,
-                                               transform_blocks=None))
-        del payload["projections"], payload["transform_blocks"]
-        return True, {"certificate": payload}, csv_tables
+        return True, {"certificate": jsonable(cert)}, csv_tables
     if kind == "flow":
         tracked = flow_by_tracking(smp)
         partitioned = flow_by_partition(smp)

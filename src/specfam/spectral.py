@@ -337,11 +337,6 @@ def _spectral_function(dec: SpectralDecomposition, mask: np.ndarray,
     return out
 
 
-def _dense_form(image: np.ndarray) -> np.ndarray:
-    """A ``_spectral_function`` image as the dense complex d x d matrix it stands for."""
-    return np.diag(image.astype(complex)) if image.ndim == 1 else image
-
-
 def _difference_norm(a: np.ndarray, b: np.ndarray, norm) -> float:
     """Spectral norm of ``a - b``, two images of one chain of ``_spectral_function``.
 

@@ -21,8 +21,8 @@ diagonal generators and diagonal matrix files), each image is the length-d
 diagonal of its operator; otherwise all of them are dense.  Either way the
 values, and so every certificate field and distance, are the same bits.  A
 dense resolvent at +i or bounded transform is the public
-``resolvent_at_i(op)`` or ``bounded_transform(op).entries``, and certificates
-embed dense d x d matrices in both forms.
+``resolvent_at_i(op)`` or ``bounded_transform(op).entries``.  Certificates
+hold only their scalar bound chain, range and level; no matrix leaves a chain.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from .spectral import (
     TAU_EDGE_DEFAULT,
     TAU_RECONSTRUCT,
     HermitianOperator,
-    _dense_form,
     _difference_norm,
     _spectral_function,
     bounded_transform,
@@ -64,9 +63,6 @@ from .spectral import (
     operator_norm,
     resolvent_at_i,
 )
-
-#: matrices are embedded in certificates only up to this dimension
-EMBED_DIM_LIMIT = 64
 
 
 def _dense_chain(decompositions) -> bool:
@@ -148,7 +144,6 @@ class GraphContinuityCertificate:
     tail_bound: float
     compressed_modulus: float
     final_bound: float
-    compressed_resolvents: tuple[np.ndarray, ...] | None
 
 
 def _contract(rng: GridRange, x_index: int, delta: float, *images) -> GridRange:
@@ -156,12 +151,17 @@ def _contract(rng: GridRange, x_index: int, delta: float, *images) -> GridRange:
     Frobenius distance ``delta`` of its base-point value.
 
     Frobenius norms dominate spectral ones, so the contraction is safe and
-    callers evaluate exact norms on the survivors only.  A single point has
-    distance 0, so the loop ends.
+    callers evaluate exact norms on the survivors only.  The base point has
+    distance 0, so the range must only exclude the nearest far point on each
+    side of it, and the one-point shrinks stop there.
     """
     frob = {y: max(float(np.linalg.norm(image[y] - image[x_index])) for image in images)
             for y in rng.indices()}
-    while max(frob[y] for y in rng.indices()) >= delta:
+    lo = next((y + 1 for y in reversed(range(rng.lo_index, x_index)) if frob[y] >= delta),
+              rng.lo_index)
+    hi = next((y - 1 for y in range(x_index + 1, rng.hi_index + 1) if frob[y] >= delta),
+              rng.hi_index)
+    while rng.lo_index < lo or rng.hi_index > hi:
         rng = shrink_toward(rng, x_index)
     return rng
 
@@ -215,9 +215,6 @@ def graph_continuity_certify(smp: FamilySample, x_index: int,
     if final_bound >= 3.0 * delta:
         raise BoundViolated("final_bound", final_bound, 3.0 * delta)
 
-    embed = None
-    if smp.dim <= EMBED_DIM_LIMIT:
-        embed = tuple(_dense_form(compressed[y]) for y in rng.indices())
     return GraphContinuityCertificate(
         x_index=x_index,
         delta=float(delta),
@@ -227,7 +224,6 @@ def graph_continuity_certify(smp: FamilySample, x_index: int,
         tail_bound=tail_bound,
         compressed_modulus=compressed_modulus,
         final_bound=final_bound,
-        compressed_resolvents=embed,
     )
 
 
@@ -251,10 +247,13 @@ def strict_adaptedness_certify(smp: FamilySample, x_index: int, epsilon: float,
     base point; the reported modulus is the largest adjacent-edge projection
     distance over it, and the check passes when that stays below ``cap``.
     The upper projection at each point is the one onto the eigen-indices
-    [#(lambda < epsilon), dim), normed by ``adapted._interval_modulus``.
+    [#(lambda < epsilon), dim), normed by ``adapted._interval_modulus``.  A
+    cap must be non-negative.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
+    if not cap >= 0:
+        raise ValueError("the modulus cap must be non-negative")
     if not 0 <= x_index < len(smp):
         raise ValueError("base index outside the grid")
     margins = level_margins(smp.eigenvalue_matrix, epsilon)
@@ -290,7 +289,7 @@ class RieszContinuityCertificate:
     (< 7 delta).
 
     The two defects are maxima over the strict-adapted range intersected with
-    the pair's range; every other field, matrices included, is on ``range``.
+    the pair's range; every other field is on ``range``.
     """
 
     x_index: int
@@ -309,8 +308,6 @@ class RieszContinuityCertificate:
     lower_projection_modulus: float
     upper_projection_modulus: float
     final_bound: float
-    projections: tuple | None
-    transform_blocks: tuple | None
 
 
 def _riesz_chain_certify(smp: FamilySample, x_index: int, delta: float, cap: float,
@@ -325,6 +322,8 @@ def _riesz_chain_certify(smp: FamilySample, x_index: int, delta: float, cap: flo
     """
     if not 0.0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 1/2)")
+    if not cap >= 0:
+        raise ValueError("the modulus cap must be non-negative")
     if not 0 <= x_index < len(smp):
         raise ValueError("base index outside the grid")
     ceiling = truncation_ceiling(smp)
@@ -373,7 +372,6 @@ def _riesz_chain_certify(smp: FamilySample, x_index: int, delta: float, cap: flo
     if lower_defect >= delta:
         raise BoundViolated("lower_defect", lower_defect, delta)
 
-    window_q = {}
     upper_q = {}
     lower_q = {}
     block_center = {}
@@ -382,9 +380,9 @@ def _riesz_chain_certify(smp: FamilySample, x_index: int, delta: float, cap: flo
     for y, ev, fv in zip(rng.indices(), ev_rng, fv_rng):
         dec = smp.decompositions[y]
         inner = np.abs(ev) < level
-        window_q[y] = _spectral_function(dec, inner, dense=dense)
         upper_q[y] = _spectral_function(dec, ev >= level, dense=dense)
-        lower_q[y] = eye - window_q[y] - upper_q[y]  # exact by construction
+        # the lower projection is exact by construction
+        lower_q[y] = eye - _spectral_function(dec, inner, dense=dense) - upper_q[y]
         block_center[y] = _spectral_function(dec, inner, fv, dense)
     rng = _contract(rng, x_index, delta, block_center, lower_q, upper_q)
 
@@ -392,9 +390,6 @@ def _riesz_chain_certify(smp: FamilySample, x_index: int, delta: float, cap: flo
     split_residual = upper_split_residual = 0.0
     center_modulus = lower_projection_modulus = upper_projection_modulus = 0.0
     full_image = {}
-    projections = []
-    blocks = []
-    embed = smp.dim <= EMBED_DIM_LIMIT
     for y in rng.indices():
         dec = smp.decompositions[y]
         ev = dec.eigenvalues
@@ -402,9 +397,6 @@ def _riesz_chain_certify(smp: FamilySample, x_index: int, delta: float, cap: flo
         block_lower = _spectral_function(dec, ev <= -level, fv, dense)
         block_upper = _spectral_function(dec, ev >= level, fv, dense)
         full_image[y] = _spectral_function(dec, np.ones(ev.shape, dtype=bool), fv, dense)
-        if embed:
-            projections.append(tuple(map(_dense_form, (window_q[y], upper_q[y], lower_q[y]))))
-            blocks.append(tuple(map(_dense_form, (block_lower, block_center[y], block_upper))))
         split_residual = max(split_residual, _difference_norm(
             full_image[y], block_lower + block_center[y] + block_upper, hermitian_norm))
         # the upper projection equals "everything >= strict level" minus the
@@ -452,8 +444,6 @@ def _riesz_chain_certify(smp: FamilySample, x_index: int, delta: float, cap: flo
         lower_projection_modulus=lower_projection_modulus,
         upper_projection_modulus=upper_projection_modulus,
         final_bound=final_bound,
-        projections=tuple(projections) if embed else None,
-        transform_blocks=tuple(blocks) if embed else None,
     )
 
 
@@ -473,7 +463,8 @@ def riesz_continuity_certify(smp: FamilySample, x_index: int, delta: float,
     transform clears 1 - delta, splits the operator there, and verifies the
     full bound chain.  Raises ``StrictAdaptednessFailed`` when no level makes
     the upper projections continuous, ``NoGap`` when the ceiling forbids the
-    larger level, and ``BoundViolated`` when an inequality fails.
+    larger level, and ``BoundViolated`` when an inequality fails.  A cap must
+    be non-negative.
     """
     return _riesz_chain_certify(
         smp, x_index, delta, cap,

@@ -1,7 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
-from specfam import FamilySample, HermitianOperator, ParameterGrid
+from specfam import (
+    FamilySample,
+    HermitianOperator,
+    ParameterGrid,
+    RealWindow,
+    spectral_projection,
+)
 from specfam.spectral import _install_decomposition
 
 #: scales of the diagonal entries: inside the band where ``eigvalsh`` returns
@@ -31,6 +39,25 @@ def with_nan_eigenvalue(values, nan_index, n_points=5):
     _install_decomposition(smp.operators[nan_index], eigenvalues,
                            np.eye(len(values), dtype=complex))
     return smp
+
+
+def riesz_partition_defect(smp, cert) -> float:
+    """Largest entry of q + q+ + q- - I over a Riesz certificate's range.
+
+    The window, upper and lower projections at ``cert.level`` are built
+    apart, each by ``spectral_projection``, so their sum is not the identity
+    by construction.
+    """
+    level = cert.level
+    windows = (RealWindow(-level, level, lo_closed=False, hi_closed=False),
+               RealWindow(level, math.inf, lo_closed=False),
+               RealWindow(-math.inf, -level, hi_closed=False))
+    eye = np.eye(smp.dim)
+    return max(
+        float(np.max(np.abs(sum(spectral_projection(smp.operators[y], w).projection.entries
+                                for w in windows) - eye)))
+        for y in cert.range.indices()
+    )
 
 
 def count_eigvalsh(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import numbers
 import os
@@ -13,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from specfam import (
     FamilySpec,
+    GraphContinuityCertificate,
     ParameterGrid,
+    RieszContinuityCertificate,
     canonical_json,
     jsonable,
     run_analysis,
@@ -406,6 +409,43 @@ class TestCsvCells:
         assert path.read_text() == ("a,b,c\n"
                                     "0.10000000000000001,0.33333333333333331,-0\n"
                                     "1.0000000000000001e+300,nan,-inf\n")
+
+
+# the payload keys of each continuity certificate in report.json
+GRAPH_CERTIFICATE_KEYS = {"x_index", "delta", "level", "range", "window_rank", "tail_bound",
+                          "compressed_modulus", "final_bound"}
+RIESZ_CERTIFICATE_KEYS = {"x_index", "delta", "transform", "strict_level", "strict_modulus",
+                          "level", "range", "window_rank", "split_residual",
+                          "upper_split_residual", "upper_defect", "lower_defect",
+                          "center_modulus", "lower_projection_modulus",
+                          "upper_projection_modulus", "final_bound"}
+
+
+class TestContinuityPayload:
+    """A continuity certificate reaches report.json as exactly its fields, so a
+    field added to it shows here before it reaches a report."""
+
+    @pytest.mark.parametrize("family, grid, diagonal", [
+        ({"kind": "dirac_circle", "dim": 11, "params": {"alpha": [3.0, 1.0]}},
+         {"start": -0.5, "end": 0.5, "points": 21}, True),
+        ({"kind": "harmonic_perturbed", "dim": 16, "params": {"coupling": [0.0, 0.6]}},
+         {"start": 0.0, "end": 1.0, "points": 41}, False),
+    ], ids=["diagonal", "dense"])
+    def test_payload_keys_are_the_certificate_fields(self, tmp_path, family, grid, diagonal):
+        smp = sample(FamilySpec(family["kind"], family["dim"], family["params"]),
+                     ParameterGrid.linspace(grid["start"], grid["end"], grid["points"]))
+        assert all((dec.order is not None) == diagonal for dec in smp.decompositions)
+        config = base_config(family=family, grid=grid, analyses=[
+            {"kind": "graph-continuity", "params": {"delta": 0.45, "x_index": 10}},
+            {"kind": "riesz-continuity", "params": {"delta": 0.2, "x_index": 10}},
+        ])
+        run_analysis(config, output_dir=tmp_path)
+        graph, riesz = json.loads((tmp_path / "report.json").read_text())["analyses"]
+        for entry, cls, keys in ((graph, GraphContinuityCertificate, GRAPH_CERTIFICATE_KEYS),
+                                 (riesz, RieszContinuityCertificate, RIESZ_CERTIFICATE_KEYS)):
+            assert entry["passed"]
+            reported = entry["result"]["certificate"].keys()
+            assert reported == {f.name for f in dataclasses.fields(cls)} == keys
 
 
 class TestRunAnalysis:

@@ -157,7 +157,7 @@ class TestDiagonalForm:
     @settings(max_examples=150, deadline=None)
     @given(d=st.lists(_DIAGONAL_ENTRY, min_size=1, max_size=6),
            lam=st.floats(-1e300, 1e300))
-    def test_matches_the_dense_form(self, d, lam):
+    def test_matches_the_dense_operator(self, d, lam):
         d = np.array(d)
         op, twin = diagonal_operator(d), _dense_twin(d)
         assert _bytes(op.entries) == _bytes(twin.entries)

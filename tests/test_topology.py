@@ -33,6 +33,7 @@ from specfam import (
     transform_clearing_level,
 )
 from specfam import topology
+from specfam.adapted import shrink_toward
 from specfam.errors import BoundViolated, CertificationError, NoGap, StrictAdaptednessFailed
 from specfam.spectral import (
     _EIGH_EXACT_BAND,
@@ -43,7 +44,7 @@ from specfam.spectral import (
     projector,
 )
 
-from conftest import constant_sample, random_hermitian
+from conftest import constant_sample, random_hermitian, riesz_partition_defect
 
 
 def scalar_graph(a, b):
@@ -172,10 +173,36 @@ class TestGraphContinuityCertify:
         moduli = continuity_modulus(smp, "graph")
         assert moduli.max_modulus < 0.45
 
-    def test_embeds_matrices_at_small_dim(self):
-        cert = graph_continuity_certify(constant_sample([-30.0, 1.0, -1.0, 30.0]), 2, 0.1)
-        assert cert.compressed_resolvents is not None
-        assert cert.compressed_resolvents[0].shape == (4, 4)
+
+def _contract_one_point_at_a_time(rng, x_index, delta, *images):
+    """The reference contraction: shrink while any point of the range is far."""
+    frob = {y: max(float(np.linalg.norm(image[y] - image[x_index])) for image in images)
+            for y in rng.indices()}
+    while max(frob[y] for y in rng.indices()) >= delta:
+        rng = shrink_toward(rng, x_index)
+    return rng
+
+
+@st.composite
+def contraction_cases(draw):
+    """A range, a base point in it, a delta and one to three image chains of
+    small vectors, with distances from the base on both sides of delta."""
+    lo = draw(st.integers(0, 3))
+    hi = draw(st.integers(lo, lo + 30))
+    x_index = draw(st.integers(lo, hi))
+    size = draw(st.integers(1, 3))
+    value = st.floats(-2.0, 2.0, allow_subnormal=False)
+    images = [{y: np.array(draw(st.lists(value, min_size=size, max_size=size)))
+               for y in range(lo, hi + 1)} for _ in range(draw(st.integers(1, 3)))]
+    return GridRange(lo, hi), x_index, draw(st.floats(0.01, 3.0)), images
+
+
+@given(contraction_cases())
+@settings(max_examples=300, deadline=None)
+def test_contract_matches_the_one_point_loop(case):
+    rng, x_index, delta, images = case
+    assert (topology._contract(rng, x_index, delta, *images)
+            == _contract_one_point_at_a_time(rng, x_index, delta, *images))
 
 
 class TestStrictAdaptedness:
@@ -186,6 +213,15 @@ class TestStrictAdaptedness:
                         polarized_continuity_certify):
             with pytest.raises(ValueError, match="base index outside the grid"):
                 certify(smp, x_index, 0.2, cap=0.5)
+
+    def test_negative_cap_refused(self):
+        # no positive eigenvalue leaves the Riesz level search empty, and an
+        # empty search must not blame the family for the argument
+        smp = constant_sample([-3.0, -1.0])
+        for certify in (strict_adaptedness_certify, riesz_continuity_certify,
+                        polarized_continuity_certify):
+            with pytest.raises(ValueError, match="the modulus cap must be non-negative"):
+                certify(smp, 2, 0.2, cap=-1.0)
 
     def test_constant_family_passes(self):
         result = strict_adaptedness_certify(constant_sample([-1.0, 1.0]), 2, 0.5, cap=0.1)
@@ -232,9 +268,7 @@ class TestRieszContinuityCertify:
         grid = ParameterGrid.linspace(-0.5, 0.5, 51)
         smp = sample(FamilySpec("dirac_circle", 41, {"alpha": (3.0, 1.0)}), grid)
         cert = riesz_continuity_certify(smp, 25, 0.2, cap=0.5)
-        eye = np.eye(smp.dim)
-        for q, qp, qm in cert.projections:
-            assert np.max(np.abs(q + qp + qm - eye)) <= 1e-14
+        assert riesz_partition_defect(smp, cert) <= 1e-14
         assert cert.upper_split_residual <= 1e-12
         assert cert.final_bound < 7 * 0.2
 
@@ -447,8 +481,13 @@ NAN = float("nan")
     (lambda smp: covering_construction(smp, 5, NAN), "target level c must be positive"),
     (lambda smp: discrete_spectrum_certify(smp, [NAN]), "b_levels must be positive"),
     (lambda smp: PolarizationCheck(norm_slack=NAN), "norm slack must be non-negative"),
+    (lambda smp: strict_adaptedness_certify(smp, 5, 0.5, NAN), "modulus cap must be non-negative"),
+    (lambda smp: riesz_continuity_certify(smp, 5, 0.2, NAN), "modulus cap must be non-negative"),
+    (lambda smp: polarized_continuity_certify(smp, 5, 0.2, NAN),
+     "modulus cap must be non-negative"),
 ], ids=["graph-delta", "find-b", "strict-epsilon", "certify-level", "covering-c",
-        "discrete-b_levels", "polarization-norm_slack"])
+        "discrete-b_levels", "polarization-norm_slack", "strict-cap", "riesz-cap",
+        "polarized-cap"])
 def test_nan_argument_is_refused_as_a_value_error(call, message):
     # a NaN passes a check written as ``x <= 0``, and would then be blamed on
     # the truncation, the spectrum or the family
@@ -476,15 +515,8 @@ def _dense_twin(smp):
 
 
 def _bits(value):
-    """A certificate field or distance, comparable bit for bit; matrices by
-    shape, dtype and value (the sign of a zero entry is not compared)."""
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, tuple) and value and not isinstance(value[0], (int, float)):
-        stack = np.asarray(value)
-        assert stack.shape[-2:] == (stack.shape[-1],) * 2 and stack.dtype == complex
-        return stack.shape, stack.tolist()
-    return value
+    """A certificate field or distance, comparable bit for bit."""
+    return value.hex() if isinstance(value, float) else value
 
 
 def _outcome(call):
