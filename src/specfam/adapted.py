@@ -39,6 +39,7 @@ level) once per scan.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,13 +265,14 @@ def certify_adapted_pair(smp: FamilySample, grid_range: GridRange, level: float,
     ``TAU_EDGE_DEFAULT`` of a spectrum, ``RankJump`` when the window rank
     changes between two adjacent points, and ``ModulusExceeded`` when a cap is
     given and either continuity modulus lands above it; the refusal names the
-    first edge attaining that modulus.  A cap must be non-negative.
+    first edge attaining that modulus.  The level must be positive and
+    finite, a cap non-negative.
 
     The window at each point is the eigen-index interval
     [#(lambda < -level), #(lambda <= level)).
     """
-    if not level > 0:
-        raise ValueError("window level must be positive")
+    if not 0 < level < math.inf:
+        raise ValueError("window level must be positive and finite")
     if grid_range.hi_index >= len(smp):
         raise ValueError("grid range exceeds the sample")
     if cap is not None and not cap >= 0:
@@ -605,8 +607,8 @@ def discrete_spectrum_certify(smp: FamilySample, b_levels,
     the report checks that both routes pass or fail at the same grid points.
     """
     b_levels = tuple(float(b) for b in b_levels)
-    if not b_levels or any(not b > 0 for b in b_levels):
-        raise ValueError("b_levels must be positive")
+    if not b_levels or any(not 0 < b < math.inf for b in b_levels):
+        raise ValueError("b_levels must be positive and finite")
     shifts = None
     if include_definitional:
         shifts = np.linspace(-max(b_levels), max(b_levels), SWEEP_COUNT)

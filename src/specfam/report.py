@@ -195,8 +195,10 @@ def _grid_length(config: dict) -> int | None:
 
 
 def _real(value) -> bool:
-    """A JSON number; ``true`` and ``false`` are not numbers."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A finite JSON number.  ``true`` and ``false`` are not numbers, and
+    neither are ``Infinity``, ``-Infinity`` and ``NaN``, which ``json`` reads."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def _integer(value) -> bool:
@@ -236,8 +238,11 @@ def validate_config(config: dict) -> None:
                               "must be an integer in [0, 2**64)") from None
     grid = config.get("grid")
     if isinstance(grid, dict):
+        for key in ("start", "end"):
+            _require(_real(grid[key]), f"grid.{key}", "must be a finite number")
         _require(grid["end"] > grid["start"], "grid.end", "must exceed grid.start")
     elif isinstance(grid, list):
+        _require(all(map(_real, grid)), "grid", "must hold finite numbers")
         _require(all(b > a for a, b in zip(grid, grid[1:])), "grid",
                  "must be strictly increasing")
     n_points = _grid_length(config)
@@ -258,27 +263,27 @@ def validate_config(config: dict) -> None:
         if kind == "certify-adapted":
             level = need("level")
             _require(_real(level) and level > 0,
-                     f"{base}.level", "must be a positive number")
+                     f"{base}.level", "must be a positive finite number")
             check("cap", lambda v: v is None or _non_negative(v),
-                  "must be a non-negative number or null")
+                  "must be a non-negative finite number or null")
         elif kind == "discrete-spectrum":
             levels = need("b_levels")
             _require(isinstance(levels, list) and levels, f"{base}.b_levels",
                      "must be a non-empty array")
             _require(all(_real(b) and b > 0 for b in levels),
-                     f"{base}.b_levels", "must be positive")
+                     f"{base}.b_levels", "must be positive finite numbers")
             check("definitional", lambda v: isinstance(v, bool), "must be a boolean")
         elif kind == "graph-continuity":
             delta = need("delta")
             _require(_real(delta) and delta > 0,
-                     f"{base}.delta", "must be positive")
+                     f"{base}.delta", "must be a positive finite number")
             need("x_index")
         elif kind == "riesz-continuity":
             delta = need("delta")
             _require(_real(delta) and 0 < delta < 0.5,
                      f"{base}.delta", "out of (0, 0.5)")
             need("x_index")
-            check("cap", _non_negative, "must be a non-negative number")
+            check("cap", _non_negative, "must be a non-negative finite number")
         elif kind == "polarized":
             levels = need("b_levels")
             _require(isinstance(levels, list) and levels, f"{base}.b_levels",
@@ -291,9 +296,9 @@ def validate_config(config: dict) -> None:
                          f"{base}.b_levels", "out of (0, 1)")
             else:
                 _require(all(_real(b) and b > 0 for b in levels),
-                         f"{base}.b_levels", "must be positive")
+                         f"{base}.b_levels", "must be positive finite numbers")
             for name in ("eta", "norm_slack"):
-                check(name, _real, "must be a number")
+                check(name, _real, "must be a finite number")
             check("interior_budget", lambda v: v is None or _integer(v),
                   "must be an integer or null")
         elif kind == "truncation":
@@ -305,9 +310,9 @@ def validate_config(config: dict) -> None:
             window = need("window")
             _require(isinstance(window, list) and len(window) == 2
                      and all(_real(w) for w in window) and window[0] <= window[1],
-                     f"{base}.window", "must be [lo, hi] with lo <= hi")
+                     f"{base}.window", "must be finite [lo, hi] with lo <= hi")
             check("tau", lambda v: v is None or _real(v),
-                  "must be a number or null")
+                  "must be a finite number or null")
         for key in ("x_index", "lo_index", "hi_index"):
             check(key, _integer, "must be an integer")
             # a matrix file's grid length is known only once the file is read

@@ -21,22 +21,27 @@ work.  ``random_crossings`` has a fixed basis, but an exact decomposition
 there would change eigenvalue bits and so report bytes.
 
 Every function of an operator, sum_j w_j v_j v_j* over some of its
-eigenpairs, is built by ``_spectral_function``.  For a decomposition in
-permutation form it returns the length-d diagonal of that operator (w_j at
-standard index ``order[j]``); otherwise, or when asked, the dense d x d
-matrix ``projector`` builds.  Both hold the same values, since a projector
-built from the permuted identity columns has exact entries.
-``_difference_norm`` norms the difference of two such images, and refuses a
-vector and a matrix together: one chain of images takes one form.  The
-public ``projector``, ``resolvent_at_i`` and ``bounded_transform(...).entries``
-always return dense d x d matrices; ``bounded_transform`` of an operator in
-permutation form is itself in diagonal form.
+eigenpairs, is built by ``_spectral_function``, or for a run of points at once
+by ``_spectral_functions``.  For a decomposition in permutation form it is the
+length-d diagonal of that operator (w_j at standard index ``order[j]``), and
+a run of them is one (r, d) scatter; otherwise, or when asked, it is the dense
+d x d matrix ``projector`` builds, and a run of them is a stack of those.
+Both forms hold the same values, since a projector built from the permuted
+identity columns has exact entries.  ``_difference_norm`` norms the
+difference of two such images, ``_difference_norms`` each row or slice of a
+stacked difference, and a vector and a matrix are refused together: one
+chain of images takes one form.  The public ``projector``,
+``resolvent_at_i`` and ``bounded_transform(...).entries`` always return dense
+d x d matrices; ``bounded_transform`` of an operator in permutation form is
+itself in diagonal form.
 
 ``hermitian_norm`` looks at its input before it calls the eigensolver: a
 matrix with no nonzero off-diagonal entry is normed as max |Re a_ii|.  The
 value equals the eigensolver's bits while the entries lie within about
 [1e-146, 1e146] and is exact beyond that band.  ``operator_norm`` keeps the
-SVD on every input.
+SVD on every input; a complex diagonal in diagonal form is normed with the
+SVD's own arithmetic instead (``_complex_diagonal_norms``), which gives the
+same bits inside a band and at every dimension but 2.
 
 Tolerances follow the usual backward-error scale of dense Hermitian
 eigensolvers at moderate dimensions.
@@ -71,6 +76,11 @@ _TRANSFORM_SATURATION = 1e154
 # matrix) a diagonal matrix's eigenvalues are its entries, bit for bit.  The
 # band is kept one binade inside those limits
 _EIGH_EXACT_BAND = (2.0 ** -484, 2.0 ** 484)
+# LAPACK's SVD (zgesdd) scales a matrix whose largest entry modulus lies
+# outside [2**-459, 2**459], which rounds the singular values.  The band
+# bounds max(|Re z|, |Im z|), which is within a factor sqrt(2) of the modulus,
+# and is kept at least one binade inside those limits
+_SVD_EXACT_BAND = (2.0 ** -458, 2.0 ** 457)
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,16 +347,40 @@ def _spectral_function(dec: SpectralDecomposition, mask: np.ndarray,
     return out
 
 
+def _spectral_functions(decs, masks: np.ndarray, weights: np.ndarray | None = None,
+                        dense: bool = False) -> np.ndarray:
+    """``_spectral_function`` at each of ``decs``, stacked: row k is the image
+    of ``decs[k]`` with ``masks[k]`` and ``weights[k]``.
+
+    ``masks`` is a boolean (r, d) array over eigen-indices and ``weights`` a
+    float or complex (r, d) array or None.  Unless ``dense``, every
+    decomposition must be in permutation form, and the result is one (r, d)
+    scatter of the masked weights into the standard indices.  With ``dense``
+    it is the (r, d, d) stack of the dense images, built point by point.  The
+    adapted-pair edge norms, which build one or two images per edge, keep the
+    one-point ``_spectral_function``.
+    """
+    if dense:
+        return np.stack([_spectral_function(dec, mask, None if weights is None else weights[k],
+                                            dense=True)
+                         for k, (dec, mask) in enumerate(zip(decs, masks))])
+    values = masks.astype(float) if weights is None else np.where(masks, weights, 0)
+    out = np.zeros(values.shape, dtype=values.dtype)
+    np.put_along_axis(out, np.stack([dec.order for dec in decs]), values, axis=1)
+    return out
+
+
 def _difference_norm(a: np.ndarray, b: np.ndarray, norm) -> float:
     """Spectral norm of ``a - b``, two images of one chain of ``_spectral_function``.
 
-    ``norm`` is ``hermitian_norm`` or ``operator_norm``, and a dense difference
-    goes to it.  A real diagonal difference is normed as its largest absolute
-    entry, the value ``hermitian_norm`` takes on its dense form.  A complex one
-    is made dense and goes to ``norm``: on a complex diagonal the SVD's value
-    differs from max |z| in the last bit on some inputs (see
-    ``operator_norm``).  A vector and a matrix are refused, since their
-    difference would broadcast to a wrong d x d matrix.
+    The value is ``_difference_norms``' on the one difference: ``norm`` of a
+    dense one, the largest absolute entry of a real diagonal, and for a
+    complex diagonal max_j dlapy3(Re z_j, Im z_j, 0), the SVD's own bits, with
+    no SVD unless the dimension is 2 or the entries leave ``_SVD_EXACT_BAND``
+    (see ``_complex_diagonal_norms``).  The real and dense forms, which every
+    edge of the discrete-spectrum scan takes, skip the stacking.  A vector
+    and a matrix are refused, since their difference would broadcast to a
+    wrong d x d matrix.
     """
     if a.shape != b.shape:
         raise ValueError(f"images of one chain must share one form, got shapes "
@@ -355,8 +389,57 @@ def _difference_norm(a: np.ndarray, b: np.ndarray, norm) -> float:
     if diff.ndim == 2:
         return norm(diff)
     if diff.dtype.kind == "c":
-        return norm(np.diag(diff))
+        return float(_complex_diagonal_norms(diff[None])[0])
     return float(np.abs(diff).max())
+
+
+def _difference_norms(diffs: np.ndarray, norm) -> np.ndarray:
+    """Spectral norm of each row (diagonal form) or slice (dense form) of
+    ``diffs``, a stacked difference of images of one chain.
+
+    A dense slice goes to ``norm``, ``hermitian_norm`` or ``operator_norm``,
+    one LAPACK call each.  A real diagonal row is normed as its largest
+    absolute entry, the value ``hermitian_norm`` takes on its dense form; a
+    complex one by ``_complex_diagonal_norms``, with the bits ``operator_norm``
+    gives on its dense form.  Only the graph chain's resolvents are complex,
+    and it norms them with ``operator_norm``.
+    """
+    if diffs.ndim == 3:
+        return np.array([norm(m) for m in diffs], dtype=float)
+    if diffs.dtype.kind == "c":
+        return _complex_diagonal_norms(diffs)
+    return np.abs(diffs).max(axis=1)
+
+
+def _complex_diagonal_norms(z: np.ndarray) -> np.ndarray:
+    """Per row of the (r, d) complex ``z``, ``operator_norm(np.diag(row))``
+    bit for bit, with no SVD where that can be done.
+
+    The SVD (zgesdd) bidiagonalizes with Householder steps (zlarfg), which
+    turn each diagonal entry into dlapy3(Re z, Im z, 0) = w sqrt((|Re z|/w)^2
+    + (|Im z|/w)^2) with w = max(|Re z|, |Im z|), and leave every
+    off-diagonal entry 0; dlasq1 then returns those values unchanged, and the
+    norm is their maximum.  An entry with w = 0 counts as 0.  That holds at
+    every dimension but 2, where dlasq1 hands the two values to dlas2, which
+    can round them, and while the largest w lies in ``_SVD_EXACT_BAND`` (or
+    is 0): outside it zgesdd scales the matrix first.  Those rows take
+    ``operator_norm``.
+    """
+    re, im = np.abs(z.real), np.abs(z.imag)
+    w = np.maximum(re, im)
+    nonzero = w > 0
+    # w is 0 only where both parts are, and those entries count as 0
+    q = np.divide(re, w, out=np.zeros_like(w), where=nonzero) ** 2
+    q += np.divide(im, w, out=np.zeros_like(w), where=nonzero) ** 2
+    out = (w * np.sqrt(q)).max(axis=1)
+    top = w.max(axis=1)
+    lo, hi = _SVD_EXACT_BAND
+    svd = (top != 0) & ((top < lo) | (top > hi))
+    if z.shape[1] == 2:
+        svd[:] = True
+    for k in np.flatnonzero(svd):
+        out[k] = operator_norm(np.diag(z[k]))
+    return out
 
 
 def spectral_projection(op: HermitianOperator, window: RealWindow,
@@ -428,10 +511,12 @@ def operator_norm(m: np.ndarray) -> float:
     """Largest singular value; equals max |eigenvalue| for Hermitian input.
 
     It takes no diagonal shortcut, unlike ``hermitian_norm``: on a complex
-    diagonal the SVD's value differs from max |z| by one ulp on about 4% of
-    inputs (74 of 2,000 random diagonals of dims 1-41 at scales 1e-3 to 1e3),
-    so a shortcut would move the bits of the graph certificate's
-    ``compressed_modulus`` and ``final_bound`` and of the graph distances.
+    diagonal the SVD's value is not max |z| (``hypot``) but max dlapy3(Re z,
+    Im z, 0), which differs from it by one ulp on about 4% of inputs (74 of
+    2,000 random diagonals of dims 1-41 at scales 1e-3 to 1e3).  Images in
+    diagonal form reach those bits without an SVD through
+    ``_complex_diagonal_norms``, which gives the mechanism, its band and why
+    dimension 2 still takes the SVD.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

@@ -9,20 +9,27 @@ window / upper spectral blocks, applies the bounded transform blockwise, and
 verifies the seven-term bound on transform differences.  Both refuse to
 return a certificate whose inequalities do not hold.
 
-Both chains first contract the range around the base point, building only
-what the contraction reads, then build everything else on the contracted
-``range`` they report.  Every field is measured there, except the Riesz
-chain's scalar outer-block defects, gated first on the uncontracted range.
+A chain, like a distance, works on whole ranges: each image it reads is one
+array over the range, whose row k belongs to the range's k-th grid point,
+built by ``spectral._spectral_functions`` and normed row by row by
+``spectral._difference_norms``.  When every point of the range holds its
+eigenbasis as a permutation (the diagonal generators and diagonal matrix
+files), an image is one (r, d) array of diagonals, built by one scatter, and
+its norms are elementwise reductions with no eigensolver and no SVD;
+otherwise each point's dense matrix is built as before and the image is their
+(r, d, d) stack, normed one slice per LAPACK call.  Either way the values,
+and so every certificate field and distance, are the same bits.  A dense
+resolvent at +i or bounded transform is the public ``resolvent_at_i(op)`` or
+``bounded_transform(op).entries``.
 
-Every matrix a chain or a distance reads is built by
-``spectral._spectral_function`` and normed by ``spectral._difference_norm``.
-When every point of the chain holds its eigenbasis as a permutation (the
-diagonal generators and diagonal matrix files), each image is the length-d
-diagonal of its operator; otherwise all of them are dense.  Either way the
-values, and so every certificate field and distance, are the same bits.  A
-dense resolvent at +i or bounded transform is the public
-``resolvent_at_i(op)`` or ``bounded_transform(op).entries``.  Certificates
-hold only their scalar bound chain, range and level; no matrix leaves a chain.
+Both chains first contract the range around the base point: ``_contract``
+walks outward from it on each side and stops at the first point where an
+image leaves Frobenius distance delta of its base value, so it norms only
+the points it keeps and one more per side.  Everything else is built on the
+contracted ``range`` the certificate reports.  Every field is measured there,
+except the Riesz chain's scalar outer-block defects, gated first on the
+uncontracted range.  Certificates hold only their scalar bound chain, range
+and level; no matrix leaves a chain.
 """
 
 from __future__ import annotations
@@ -54,8 +61,8 @@ from .spectral import (
     TAU_EDGE_DEFAULT,
     TAU_RECONSTRUCT,
     HermitianOperator,
-    _difference_norm,
-    _spectral_function,
+    _difference_norms,
+    _spectral_functions,
     bounded_transform,
     bounded_transform_scalar,
     decompose,
@@ -71,27 +78,32 @@ def _dense_chain(decompositions) -> bool:
     return any(dec.order is None for dec in decompositions)
 
 
-def _image(op: HermitianOperator, metric: str, dense: bool) -> np.ndarray:
-    """The resolvent at +i (``graph``) or the bounded transform (``riesz``) of ``op``.
+def _norm(metric: str):
+    return operator_norm if metric == "graph" else hermitian_norm
 
-    Dense, it is what ``resolvent_at_i`` or ``bounded_transform(op).entries``
+
+def _images(ops, decs, metric: str, dense: bool) -> np.ndarray:
+    """Row k: the resolvent at +i (``graph``) or the bounded transform
+    (``riesz``) of ``ops[k]``, whose decomposition is ``decs[k]``.
+
+    Dense, a row is what ``resolvent_at_i`` or ``bounded_transform(op).entries``
     returns; the latter is symmetrized by ``HermitianOperator``, which a raw
     V f(Lambda) V* is not.  Otherwise it is the diagonal of the same matrix.
     """
     if dense:
-        return resolvent_at_i(op) if metric == "graph" else bounded_transform(op).entries
-    dec = decompose(op)
-    ev = dec.eigenvalues
+        return np.stack([resolvent_at_i(op) if metric == "graph" else bounded_transform(op).entries
+                         for op in ops])
+    ev = np.stack([dec.eigenvalues for dec in decs])
     weights = 1.0 / (ev + 1j) if metric == "graph" else bounded_transform_scalar(ev)
-    return _spectral_function(dec, np.ones(ev.shape, dtype=bool), weights)
+    return _spectral_functions(decs, np.ones(ev.shape, dtype=bool), weights)
 
 
 def _metric_distance(a: HermitianOperator, b: HermitianOperator, metric: str) -> float:
     if a.dim != b.dim:
         raise ValueError("operators must share a dimension")
-    dense = _dense_chain((decompose(a), decompose(b)))
-    return _difference_norm(_image(a, metric, dense), _image(b, metric, dense),
-                            operator_norm if metric == "graph" else hermitian_norm)
+    decs = (decompose(a), decompose(b))
+    images = _images((a, b), decs, metric, _dense_chain(decs))
+    return float(_difference_norms(images[:1] - images[1:], _norm(metric))[0])
 
 
 def graph_distance(a: HermitianOperator, b: HermitianOperator) -> float:
@@ -117,11 +129,10 @@ def continuity_modulus(smp: FamilySample, metric: str = "graph") -> ContinuityMo
     """Adjacent-edge distances, the grid surrogate of a continuity statement."""
     if metric not in ("graph", "riesz"):
         raise ValueError(f"unknown metric {metric!r}")
-    dense = _dense_chain(smp.decompositions)
-    images = [_image(op, metric, dense) for op in smp.operators]
-    norm = operator_norm if metric == "graph" else hermitian_norm
-    values = [(smp.grid[y], smp.grid[y + 1], _difference_norm(images[y + 1], images[y], norm))
-              for y in range(len(smp) - 1)]
+    images = _images(smp.operators, smp.decompositions, metric,
+                     _dense_chain(smp.decompositions))
+    norms = _difference_norms(images[1:] - images[:-1], _norm(metric))
+    values = [(smp.grid[y], smp.grid[y + 1], value) for y, value in enumerate(norms.tolist())]
     return ContinuityModuli(metric, tuple(values),
                             max(v for _, _, v in values) if values else 0.0)
 
@@ -150,25 +161,35 @@ def _contract(rng: GridRange, x_index: int, delta: float, *images) -> GridRange:
     """Shrink ``rng`` toward the base point until every image stays within
     Frobenius distance ``delta`` of its base-point value.
 
+    Row k of each image belongs to grid point ``rng.lo_index + k``.
     Frobenius norms dominate spectral ones, so the contraction is safe and
     callers evaluate exact norms on the survivors only.  The base point has
     distance 0, so the range must only exclude the nearest far point on each
-    side of it, and the one-point shrinks stop there.
+    side of it: the walk outward from the base point stops there, and the
+    one-point shrinks stop once it is excluded.
     """
-    frob = {y: max(float(np.linalg.norm(image[y] - image[x_index])) for image in images)
-            for y in rng.indices()}
-    lo = next((y + 1 for y in reversed(range(rng.lo_index, x_index)) if frob[y] >= delta),
-              rng.lo_index)
-    hi = next((y - 1 for y in range(x_index + 1, rng.hi_index + 1) if frob[y] >= delta),
-              rng.hi_index)
+    base = x_index - rng.lo_index
+
+    def far(k):
+        return any(np.linalg.norm(image[k] - image[base]) >= delta for image in images)
+
+    lo = next((y + 1 for y in range(x_index - 1, rng.lo_index - 1, -1)
+               if far(y - rng.lo_index)), rng.lo_index)
+    hi = next((y - 1 for y in range(x_index + 1, rng.hi_index + 1)
+               if far(y - rng.lo_index)), rng.hi_index)
     while rng.lo_index < lo or rng.hi_index > hi:
         rng = shrink_toward(rng, x_index)
     return rng
 
 
-def _compressed_resolvent(dec, level: float, dense: bool) -> np.ndarray:
-    mask = np.abs(dec.eigenvalues) <= level
-    return _spectral_function(dec, mask, 1.0 / (dec.eigenvalues + 1j), dense)
+def _rows(outer: GridRange, inner: GridRange) -> slice:
+    """The rows of an image over ``outer`` that belong to ``inner``."""
+    return slice(inner.lo_index - outer.lo_index, inner.hi_index - outer.lo_index + 1)
+
+
+def _spread(image: np.ndarray, base: int, norm) -> float:
+    """The largest norm of a row's difference from row ``base``."""
+    return float(_difference_norms(image - image[base], norm).max())
 
 
 def graph_continuity_certify(smp: FamilySample, x_index: int,
@@ -181,32 +202,27 @@ def graph_continuity_certify(smp: FamilySample, x_index: int,
     less than delta, using a cheap Frobenius bound to drive the contraction
     and exact spectral norms on the surviving range.
     """
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
     pair = find_adapted_pair(smp, x_index, 1.0 / delta)
     level = pair.level
-    rng = pair.range
+    pair_rng = pair.range
 
-    dense = _dense_chain(smp.decompositions[rng.lo_index:rng.hi_index + 1])
-    compressed = {y: _compressed_resolvent(smp.decompositions[y], level, dense)
-                  for y in rng.indices()}
-    base = compressed[x_index]
-    rng = _contract(rng, x_index, delta, compressed)
+    decs = smp.decompositions[pair_rng.lo_index:pair_rng.hi_index + 1]
+    ev = smp.eigenvalue_matrix[pair_rng.lo_index:pair_rng.hi_index + 1]
+    dense = _dense_chain(decs)
+    compressed = _spectral_functions(decs, np.abs(ev) <= level, 1.0 / (ev + 1j), dense)
+    rng = _contract(pair_rng, x_index, delta, compressed)
 
-    compressed_modulus = max(
-        _difference_norm(compressed[y], base, operator_norm) for y in rng.indices()
-    )
-    tail_bound = 0.0
-    for y in rng.indices():
-        ev = smp.decompositions[y].eigenvalues
-        outside = ev[np.abs(ev) > level]
-        if outside.size:
-            tail_bound = max(tail_bound, float(np.max(1.0 / np.sqrt(1.0 + outside ** 2))))
-    resolvents = {y: _image(smp.operators[y], "graph", dense) for y in rng.indices()}
-    final_bound = max(
-        _difference_norm(resolvents[y], resolvents[x_index], operator_norm)
-        for y in rng.indices()
-    )
+    rows = _rows(pair_rng, rng)
+    base = x_index - rng.lo_index
+    compressed_modulus = _spread(compressed[rows], base, operator_norm)
+    ev = ev[rows]
+    tail_bound = float(np.max(1.0 / np.sqrt(1.0 + ev ** 2), where=np.abs(ev) > level,
+                              initial=0.0))
+    resolvents = _images(smp.operators[rng.lo_index:rng.hi_index + 1], decs[rows], "graph",
+                         dense)
+    final_bound = _spread(resolvents, base, operator_norm)
 
     if tail_bound >= delta:
         raise BoundViolated("tail_bound", tail_bound, delta)
@@ -359,61 +375,50 @@ def _riesz_chain_certify(smp: FamilySample, x_index: int, delta: float, cap: flo
 
     level = pair.level
     strict_eps = strict_result.epsilon
-    rng = strict_result.range.intersect(pair.range)
+    outer = strict_result.range.intersect(pair.range)
 
     # phase 1, on strict ∩ pair: the scalar defects, then only what the
     # contraction reads
-    ev_rng = smp.eigenvalue_matrix[rng.lo_index:rng.hi_index + 1]
-    fv_rng = value_map(ev_rng)
-    upper_defect = float(np.max(np.abs(fv_rng - 1.0), where=ev_rng >= level, initial=0.0))
-    lower_defect = float(np.max(np.abs(fv_rng + 1.0), where=ev_rng <= -level, initial=0.0))
+    ev = smp.eigenvalue_matrix[outer.lo_index:outer.hi_index + 1]
+    fv = value_map(ev)
+    upper_defect = float(np.max(np.abs(fv - 1.0), where=ev >= level, initial=0.0))
+    lower_defect = float(np.max(np.abs(fv + 1.0), where=ev <= -level, initial=0.0))
     if upper_defect >= delta:
         raise BoundViolated("upper_defect", upper_defect, delta)
     if lower_defect >= delta:
         raise BoundViolated("lower_defect", lower_defect, delta)
 
-    upper_q = {}
-    lower_q = {}
-    block_center = {}
-    dense = _dense_chain(smp.decompositions[rng.lo_index:rng.hi_index + 1])
+    decs = smp.decompositions[outer.lo_index:outer.hi_index + 1]
+    dense = _dense_chain(decs)
+    inner = np.abs(ev) < level
+    upper_q = _spectral_functions(decs, ev >= level, dense=dense)
+    # the lower projection is exact by construction
     eye = np.eye(smp.dim) if dense else np.ones(smp.dim)
-    for y, ev, fv in zip(rng.indices(), ev_rng, fv_rng):
-        dec = smp.decompositions[y]
-        inner = np.abs(ev) < level
-        upper_q[y] = _spectral_function(dec, ev >= level, dense=dense)
-        # the lower projection is exact by construction
-        lower_q[y] = eye - _spectral_function(dec, inner, dense=dense) - upper_q[y]
-        block_center[y] = _spectral_function(dec, inner, fv, dense)
-    rng = _contract(rng, x_index, delta, block_center, lower_q, upper_q)
+    lower_q = eye - _spectral_functions(decs, inner, dense=dense) - upper_q
+    block_center = _spectral_functions(decs, inner, fv, dense)
+    rng = _contract(outer, x_index, delta, block_center, lower_q, upper_q)
 
     # phase 2, on the contracted range the certificate reports
-    split_residual = upper_split_residual = 0.0
-    center_modulus = lower_projection_modulus = upper_projection_modulus = 0.0
-    full_image = {}
-    for y in rng.indices():
-        dec = smp.decompositions[y]
-        ev = dec.eigenvalues
-        fv = value_map(ev)
-        block_lower = _spectral_function(dec, ev <= -level, fv, dense)
-        block_upper = _spectral_function(dec, ev >= level, fv, dense)
-        full_image[y] = _spectral_function(dec, np.ones(ev.shape, dtype=bool), fv, dense)
-        split_residual = max(split_residual, _difference_norm(
-            full_image[y], block_lower + block_center[y] + block_upper, hermitian_norm))
-        # the upper projection equals "everything >= strict level" minus the
-        # [strict level, level) part of the window block; level > strict level
-        # because the pair is searched above it
-        p_eps = _spectral_function(dec, ev >= strict_eps, dense=dense)
-        p_band = _spectral_function(dec, (ev >= strict_eps) & (ev < level), dense=dense)
-        upper_split_residual = max(upper_split_residual,
-                                   _difference_norm(upper_q[y], p_eps - p_band, hermitian_norm))
-        center_modulus = max(center_modulus, _difference_norm(
-            block_center[y], block_center[x_index], hermitian_norm))
-        lower_projection_modulus = max(lower_projection_modulus, _difference_norm(
-            lower_q[y], lower_q[x_index], hermitian_norm))
-        upper_projection_modulus = max(upper_projection_modulus, _difference_norm(
-            upper_q[y], upper_q[x_index], hermitian_norm))
-    final_bound = max(_difference_norm(full_image[y], full_image[x_index], hermitian_norm)
-                      for y in rng.indices())
+    rows = _rows(outer, rng)
+    base = x_index - rng.lo_index
+    decs, ev, fv = decs[rows], ev[rows], fv[rows]
+    upper_q, lower_q, block_center = upper_q[rows], lower_q[rows], block_center[rows]
+    block_lower = _spectral_functions(decs, ev <= -level, fv, dense)
+    block_upper = _spectral_functions(decs, ev >= level, fv, dense)
+    full_image = _spectral_functions(decs, np.ones(ev.shape, dtype=bool), fv, dense)
+    split_residual = float(_difference_norms(
+        full_image - (block_lower + block_center + block_upper), hermitian_norm).max())
+    # the upper projection equals "everything >= strict level" minus the
+    # [strict level, level) part of the window block; level > strict level
+    # because the pair is searched above it
+    p_eps = _spectral_functions(decs, ev >= strict_eps, dense=dense)
+    p_band = _spectral_functions(decs, (ev >= strict_eps) & (ev < level), dense=dense)
+    upper_split_residual = float(_difference_norms(upper_q - (p_eps - p_band),
+                                                   hermitian_norm).max())
+    center_modulus = _spread(block_center, base, hermitian_norm)
+    lower_projection_modulus = _spread(lower_q, base, hermitian_norm)
+    upper_projection_modulus = _spread(upper_q, base, hermitian_norm)
+    final_bound = _spread(full_image, base, hermitian_norm)
 
     for name, value in (("split_residual", split_residual),
                         ("upper_split_residual", upper_split_residual)):

@@ -171,6 +171,10 @@ class TestCanonicalJson:
 
 
 
+INF = float("inf")
+NAN = float("nan")
+
+
 class TestValidateConfig:
     def test_valid_config_accepted(self):
         validate_config(base_config())
@@ -211,6 +215,23 @@ class TestValidateConfig:
         with pytest.raises(ConfigError) as err:
             validate_config(config)
         assert str(err.value) == "analyses[0].params.b_levels out of (0, 1)"
+
+    @pytest.mark.parametrize("grid, path", [
+        ({"start": -INF, "end": 1.0, "points": 11}, "grid.start"),
+        ({"start": 0.0, "end": INF, "points": 11}, "grid.end"),
+        ({"start": 0.0, "end": NAN, "points": 11}, "grid.end"),
+        ([0.0, 0.5, INF], "grid"),
+    ])
+    def test_non_finite_grid_refused_with_its_path(self, tmp_path, grid, path):
+        config = base_config(grid=grid)
+        with pytest.raises(ConfigError) as err:
+            validate_config(config)
+        assert err.value.path == path
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        result = CliRunner().invoke(main, ["validate", str(cfg)])
+        assert result.exit_code == 2
+        assert path in result.output
 
     @pytest.mark.parametrize("family, analysis, field", [
         ("generated", {"kind": "certify-adapted", "params": {"level": 1.0, "cap": "big"}}, "cap"),
@@ -276,6 +297,27 @@ class TestValidateConfig:
                        "params": {"b_levels": [0.5], "interior_budget": None}}, None),
         ("generated", {"kind": "truncation",
                        "params": {"dims": [5, 7], "window": [-1, 1], "tau": None}}, None),
+        # json reads Infinity, -Infinity and NaN, and they are no numbers here
+        # either: an infinite level passed, an infinite delta was blamed on
+        # an internal bound, and infinite b_levels reached numpy
+        ("generated", {"kind": "certify-adapted", "params": {"level": INF}}, "level"),
+        ("generated", {"kind": "certify-adapted", "params": {"level": -INF}}, "level"),
+        ("generated", {"kind": "certify-adapted", "params": {"level": 1.0, "cap": INF}}, "cap"),
+        ("generated", {"kind": "graph-continuity", "params": {"delta": INF, "x_index": 5}},
+         "delta"),
+        ("generated", {"kind": "discrete-spectrum", "params": {"b_levels": [0.5, INF]}},
+         "b_levels"),
+        ("generated", {"kind": "polarized",
+                       "params": {"b_levels": [INF], "mode": "correspondence"}}, "b_levels"),
+        ("generated", {"kind": "riesz-continuity",
+                       "params": {"delta": 0.2, "x_index": 5, "cap": INF}}, "cap"),
+        ("generated", {"kind": "polarized", "params": {"b_levels": [0.5], "eta": NAN}}, "eta"),
+        ("generated", {"kind": "polarized", "params": {"b_levels": [0.5], "norm_slack": INF}},
+         "norm_slack"),
+        ("generated", {"kind": "truncation", "params": {"dims": [5, 7], "window": [-INF, INF]}},
+         "window"),
+        ("generated", {"kind": "truncation",
+                       "params": {"dims": [5, 7], "window": [-1, 1], "tau": NAN}}, "tau"),
     ])
     def test_param_types_refused_with_their_path(self, tmp_path, family, analysis, field):
         config = base_config(analyses=[analysis])

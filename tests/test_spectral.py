@@ -19,9 +19,12 @@ from specfam import (
     zero_operator,
 )
 from specfam.errors import EdgeOnSpectrum, NonFiniteEntry, NotHermitianError
+from specfam import spectral
 from specfam.spectral import (
+    _SVD_EXACT_BAND,
     TAU_PROJECTION,
     TAU_RECONSTRUCT,
+    _complex_diagonal_norms,
     _install_decomposition,
     hermitian_norm,
     projector,
@@ -381,6 +384,79 @@ class TestOperatorNorm:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             operator_norm(np.zeros((2, 3)))
+
+
+def count_operator_norms(monkeypatch):
+    """Record every ``spectral.operator_norm`` call, passing it through."""
+    calls = []
+    original = spectral.operator_norm
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(spectral, "operator_norm", counted)
+    return calls
+
+
+#: row scales on both sides of each edge of the SVD's band and well inside it
+_SVD_SCALES = [2.0 ** -461, 2.0 ** -458, 2.0 ** -455, 1e-12, 1.0, 1e12,
+               2.0 ** 454, 2.0 ** 457, 2.0 ** 460]
+
+
+@st.composite
+def complex_diagonals(draw):
+    """One to three complex diagonals of one dim in 1-41, each at its own
+    scale, with zeros, -0.0 and purely real or purely imaginary rows."""
+    dim = draw(st.integers(1, 41))
+    part = st.builds(lambda sign, v: sign * v, st.sampled_from([-1.0, -0.0, 0.0, 1.0]),
+                     st.floats(0.125, 8.0))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        scale = draw(st.sampled_from(_SVD_SCALES))
+        re = np.array(draw(st.lists(part, min_size=dim, max_size=dim))) * scale
+        im = np.array(draw(st.lists(part, min_size=dim, max_size=dim))) * scale
+        kind = draw(st.sampled_from(["complex", "real", "imaginary"]))
+        if kind == "real":
+            im = np.copysign(0.0, im)
+        elif kind == "imaginary":
+            re = np.copysign(0.0, re)
+        row = np.empty(dim, dtype=complex)
+        row.real, row.imag = re, im
+        rows.append(row)
+    return np.stack(rows)
+
+
+class TestComplexDiagonalNorms:
+    @settings(max_examples=400, deadline=None)
+    @given(z=complex_diagonals())
+    def test_equals_the_svd_bit_for_bit(self, z):
+        expected = [float(np.linalg.norm(np.diag(row), 2)).hex() for row in z]
+        assert [v.hex() for v in _complex_diagonal_norms(z).tolist()] == expected
+
+    @pytest.mark.parametrize("dim", [1, 3, 41])
+    def test_in_band_takes_no_svd(self, dim, rng):
+        z = rng.standard_normal((5, dim)) + 1j * rng.standard_normal((5, dim))
+        # every row's largest max(|Re|, |Im|) is 1, and one row is 0
+        top = np.maximum(abs(z.real), abs(z.imag)).max(axis=1, keepdims=True)
+        z.real /= top
+        z.imag /= top
+        z[0] = 0.0
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_operator_norms(mp)
+            for edge in _SVD_EXACT_BAND:
+                _complex_diagonal_norms(z * edge)
+        assert not calls
+
+    def test_dim_2_and_rows_beyond_the_band_take_the_svd(self, rng):
+        z = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        z[1] *= 2.0 ** -470
+        z[2] *= 2.0 ** 470
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_operator_norms(mp)
+            _complex_diagonal_norms(z)
+            _complex_diagonal_norms(z[:, :2])
+        assert [m.shape for m in calls] == [(4, 4), (4, 4), (2, 2), (2, 2), (2, 2)]
 
 
 class TestRealWindow:

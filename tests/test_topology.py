@@ -32,7 +32,7 @@ from specfam import (
     strict_adaptedness_certify,
     transform_clearing_level,
 )
-from specfam import topology
+from specfam import spectral, topology
 from specfam.adapted import shrink_toward
 from specfam.errors import BoundViolated, CertificationError, NoGap, StrictAdaptednessFailed
 from specfam.spectral import (
@@ -201,7 +201,9 @@ def contraction_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_contract_matches_the_one_point_loop(case):
     rng, x_index, delta, images = case
-    assert (topology._contract(rng, x_index, delta, *images)
+    # _contract reads each image as one array whose row k is grid point lo + k
+    stacked = [np.stack([image[y] for y in rng.indices()]) for image in images]
+    assert (topology._contract(rng, x_index, delta, *stacked)
             == _contract_one_point_at_a_time(rng, x_index, delta, *images))
 
 
@@ -496,6 +498,27 @@ def test_nan_argument_is_refused_as_a_value_error(call, message):
         call(smp)
 
 
+INF = float("inf")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda smp: graph_continuity_certify(smp, 5, INF), "delta must be positive and finite"),
+    (lambda smp: certify_adapted_pair(smp, GridRange(0, 3), INF),
+     "window level must be positive and finite"),
+    (lambda smp: certify_adapted_pair(smp, GridRange(0, 3), -INF),
+     "window level must be positive and finite"),
+    (lambda smp: discrete_spectrum_certify(smp, [0.5, INF]),
+     "b_levels must be positive and finite"),
+], ids=["graph-delta", "certify-level", "certify-negative-level", "discrete-b_levels"])
+def test_infinite_argument_is_refused_as_a_value_error(call, message):
+    # an infinite level gave a passing certificate, an infinite delta was
+    # blamed on the lower level bound b = 1/delta, and infinite b_levels
+    # reached numpy's linspace
+    smp = sample(FamilySpec("linear_crossing", 5), ParameterGrid.linspace(0.0, 1.0, 11))
+    with pytest.raises(ValueError, match=message):
+        call(smp)
+
+
 def _write_matrix_file(path, grid, matrices) -> str:
     """Complex matrices as a matrix path file, written with plain ``json``."""
     path.write_text(json.dumps({
@@ -634,6 +657,23 @@ class TestDiagonalMatrixFiles:
         assert projector(dec, np.ones(3, dtype=bool)).shape == (3, 3)
         assert vars(bounded_transform(op)).keys() == {"_diagonal", "_decomposition"}
         assert bounded_transform(op).entries.shape == (3, 3)
+
+    def test_graph_chain_in_diagonal_form_takes_no_svd(self, monkeypatch):
+        smp = sample(FamilySpec("dirac_circle", 41), ParameterGrid.linspace(-0.3, 0.3, 31))
+        assert all(dec.order is not None for dec in smp.decompositions)
+        calls = []
+        for module in (spectral, topology):
+            def counted(m, original=module.operator_norm):
+                calls.append(m.shape)
+                return original(m)
+            monkeypatch.setattr(module, "operator_norm", counted)
+        graph_continuity_certify(smp, 15, 0.45)
+        continuity_modulus(smp, "graph")
+        graph_distance(smp.operators[0], smp.operators[30])
+        assert calls == []
+        # the dense twin norms every graph difference with the SVD
+        graph_continuity_certify(_dense_twin(smp), 15, 0.45)
+        assert calls and set(calls) == {(41, 41)}
 
     def test_a_vector_and_a_matrix_never_broadcast(self):
         for a, b in ((np.zeros(3), np.zeros((3, 3))), (np.zeros((3, 3)), np.ones(3))):
