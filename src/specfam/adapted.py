@@ -19,14 +19,9 @@ Eigenvalues are sorted, so a window, like the upper part [epsilon, oo) of
 strict adaptedness, is an interval of eigen-indices.  ``_interval_modulus``
 norms edge differences of interval projections and memoizes them on the
 sample by (edge, left interval, right interval), so overlapping ranges, as
-in the discrete-spectrum scan, norm every distinct edge once.  Both fibres
-of an edge come from ``spectral._spectral_function`` in one form: when both
-hold their eigenbasis as a permutation (the diagonal generators, diagonal
-matrix files, and their shifts and bounded transforms) they are length-d
-vectors and the norm is the largest entry of their difference, with no
-projector and no eigensolver; otherwise both are dense projectors, normed
-with ``hermitian_norm``, which runs ``eigvalsh`` only when their difference
-has a nonzero off-diagonal entry.
+in the discrete-spectrum scan, norm every distinct edge once.  It builds and
+norms its missing edges over whole ranges, as the topology chains do, with
+``spectral._spectral_functions`` and ``spectral._difference_norms``.
 
 The unbounded and the weak (polarized) discrete-spectrum certificates share
 one engine, ``_scan_levels``, and differ only in the level ceiling and the
@@ -53,7 +48,13 @@ from .errors import (
     RankJump,
 )
 from .families import FamilySample
-from .spectral import TAU_EDGE_DEFAULT, _difference_norm, _spectral_function, hermitian_norm
+from .spectral import (
+    TAU_EDGE_DEFAULT,
+    _dense_range,
+    _difference_norms,
+    _spectral_functions,
+    hermitian_norm,
+)
 
 #: fraction of the smallest spectral radius that bounds admissible levels
 CEILING_FRACTION = 0.9
@@ -217,39 +218,27 @@ def _interval_modulus(smp: FamilySample, lo: int, starts, stops,
 
     At point ``lo + k`` the operator is the projection onto the eigen-indices
     ``[starts[k], stops[k])``, or with ``weighted`` the operator compressed to
-    them.  A norm missing from the sample's store is computed and stored.
-
-    When both ends of an edge hold their eigenbasis as a permutation, both
-    operators are diagonal in the standard basis: each end is a length-d
-    vector (ones, or the eigenvalues, at the selected standard indices) and
-    the norm is the largest absolute entry of their difference, built without
-    the two d x d projectors.  Any other edge builds both projectors and
-    norms their difference with ``hermitian_norm``, which is itself exact on
-    a diagonal difference and calls ``eigvalsh`` only on a dense one.  Both
-    routes give the eigensolver's bits while the entries lie within about
-    [1e-146, 1e146]; outside that band LAPACK rescales a diagonal matrix and
-    rounds its eigenvalues, and the exact value is kept.
+    them.  Norms missing from the sample's store are computed and stored:
+    the images over the span from the first missing edge to the last are
+    built by one ``_spectral_functions`` call, and the missing differences
+    are normed with ``hermitian_norm``.
     """
     memo = smp.restriction_moduli if weighted else smp.projection_moduli
     first, last = starts.tolist(), stops.tolist()
     keys = list(zip(range(lo, lo + len(first) - 1), first, last, first[1:], last[1:]))
     values = list(map(memo.get, keys))
-    decs = smp.decompositions[lo:lo + len(first)]
-    if None in values:
+    missing = [k for k, value in enumerate(values) if value is None]
+    if missing:
+        span = slice(missing[0], missing[-1] + 2)
+        decs = smp.decompositions[lo + span.start:lo + span.stop]
         index = np.arange(smp.dim)
-        masks = (index >= starts[:, None]) & (index < stops[:, None])
-
-    def fibre(k, dense):
-        dec = decs[k]
-        return _spectral_function(dec, masks[k], dec.eigenvalues if weighted else None, dense)
-
-    held_at, held = None, None  # (point, form) and fibre of the last miss's right end
-    for k, value in enumerate(values):
-        if value is None:
-            dense = decs[k].order is None or decs[k + 1].order is None
-            left = held if held_at == (k, dense) else fibre(k, dense)
-            held_at, held = (k + 1, dense), fibre(k + 1, dense)
-            values[k] = memo[keys[k]] = _difference_norm(held, left, hermitian_norm)
+        masks = (index >= starts[span, None]) & (index < stops[span, None])
+        weights = np.stack([dec.eigenvalues for dec in decs]) if weighted else None
+        images = _spectral_functions(decs, masks, weights, _dense_range(decs))
+        rows = np.array(missing) - span.start
+        norms = _difference_norms(images[rows + 1] - images[rows], hermitian_norm)
+        for k, value in zip(missing, norms.tolist()):
+            values[k] = memo[keys[k]] = value
     if not values:
         return 0.0, None
     modulus = max(values)

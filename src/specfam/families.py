@@ -144,13 +144,9 @@ class FamilySample:
 
         Maps (left grid index, left start, left stop, right start, right stop)
         to the norm of the difference of the projections onto eigen-indices
-        [start, stop) at the two ends of the edge.  When both ends are in
-        permutation form the value is the largest entry of a difference of two
-        0/1 vectors; when the dense projectors' difference is diagonal,
-        ``hermitian_norm`` takes the same value without ``eigvalsh``.  Either
-        way it is exact and equal to the ``eigvalsh`` norm;
-        ``adapted._interval_modulus`` says when that also holds for the
-        restriction store.
+        [start, stop) at the two ends of the edge.  The value does not depend
+        on which range normed the edge first: a difference of permutation-form
+        images is diagonal, and its norm is its largest entry in either form.
         """
         return {}
 
@@ -355,13 +351,13 @@ def _fast_matrix_path(path: str, data: bytes) -> tuple[ParameterGrid, list[np.nd
     if count < 1 or 6 * dim * dim * count > end - start:
         return None
     text = np.frombuffer(data, np.uint8, count=end - start, offset=start)
-    if not _matrices_text_ok(text, _skeleton(count, dim)):
+    if not _matrices_text_ok(text, count, dim):
         return None
     values = np.fromstring(data[start:end].translate(None, b"[]"), dtype=float, sep=",")
     if values.size != count * dim * dim * 2 or not np.isfinite(values).all():
         return None
     pairs = values.reshape(count, dim, dim, 2)
-    return grid, list(pairs[..., 0] + 1j * pairs[..., 1])
+    return grid, [p[..., 0] + 1j * p[..., 1] for p in pairs]
 
 
 def _json_matrix_path(path: str, data: bytes) -> tuple[ParameterGrid, list[np.ndarray]]:
@@ -452,8 +448,9 @@ def _skeleton(count: int, dim: int) -> bytes:
     return b"[" + b",".join([matrix] * count) + b"]"
 
 
-def _matrices_text_ok(text: np.ndarray, skeleton: bytes) -> bool:
-    """True when the bytes are the skeleton with one JSON number in each T.
+def _matrices_text_ok(text: np.ndarray, count: int, dim: int) -> bool:
+    """True when the bytes are the ``_skeleton`` of ``count`` dim x dim
+    matrices with one JSON number in each T.
 
     Whitespace may sit anywhere between tokens.  The bytes are checked one
     block at a time, with uint8, uint16 and bool temporaries of one block;
@@ -461,6 +458,10 @@ def _matrices_text_ok(text: np.ndarray, skeleton: bytes) -> bool:
     separator, carry into the next.
     """
     classes, quads = _scan_tables()
+    # built after the cached tables: on the first call, tables allocated
+    # above the freed skeleton would keep its megabytes resident for the
+    # rest of the load
+    skeleton = _skeleton(count, dim)
     tail = np.full(3, _WS, np.uint8)
     marker = _WS
     done = 0

@@ -21,27 +21,27 @@ work.  ``random_crossings`` has a fixed basis, but an exact decomposition
 there would change eigenvalue bits and so report bytes.
 
 Every function of an operator, sum_j w_j v_j v_j* over some of its
-eigenpairs, is built by ``_spectral_function``, or for a run of points at once
-by ``_spectral_functions``.  For a decomposition in permutation form it is the
-length-d diagonal of that operator (w_j at standard index ``order[j]``), and
-a run of them is one (r, d) scatter; otherwise, or when asked, it is the dense
-d x d matrix ``projector`` builds, and a run of them is a stack of those.
-Both forms hold the same values, since a projector built from the permuted
-identity columns has exact entries.  ``_difference_norm`` norms the
-difference of two such images, ``_difference_norms`` each row or slice of a
-stacked difference, and a vector and a matrix are refused together: one
-chain of images takes one form.  The public ``projector``,
-``resolvent_at_i`` and ``bounded_transform(...).entries`` always return dense
-d x d matrices; ``bounded_transform`` of an operator in permutation form is
-itself in diagonal form.
+eigenpairs, is built for a run of points at once by ``_spectral_functions``,
+in the form ``_dense_range`` chooses for the whole run.  When every point
+holds its eigenbasis as a permutation, row k is the length-d diagonal of
+point k's image (w_j at standard index ``order[j]``), and the run is one
+(r, d) scatter; when any point is dense, every row is ``projector``'s dense
+d x d matrix.  Both forms hold the same values, since a projector built from
+the permuted identity columns has exact entries.  ``_difference_norms``
+norms each row or slice of a difference of such images.  The public
+``projector``, ``resolvent_at_i`` and ``bounded_transform(...).entries``
+always return dense d x d matrices; ``bounded_transform`` of an operator in
+permutation form is itself in diagonal form.
 
 ``hermitian_norm`` looks at its input before it calls the eigensolver: a
-matrix with no nonzero off-diagonal entry is normed as max |Re a_ii|.  The
-value equals the eigensolver's bits while the entries lie within about
-[1e-146, 1e146] and is exact beyond that band.  ``operator_norm`` keeps the
-SVD on every input; a complex diagonal in diagonal form is normed with the
-SVD's own arithmetic instead (``_complex_diagonal_norms``), which gives the
-same bits inside a band and at every dimension but 2.
+matrix with no nonzero off-diagonal entry is normed as max |Re a_ii|, the
+value its diagonal form takes, so a difference of permutation-form images has
+one norm whichever form its run was built in.  The value equals the
+eigensolver's bits while the entries lie within about [1e-146, 1e146] and is
+exact beyond that band.  ``operator_norm`` keeps the SVD on every input; a
+complex diagonal in diagonal form is normed with the SVD's own arithmetic
+instead (``_complex_diagonal_norms``), which gives the same bits inside a
+band and at every dimension but 2.
 
 Tolerances follow the usual backward-error scale of dense Hermitian
 eigensolvers at moderate dimensions.
@@ -58,8 +58,6 @@ from .errors import EdgeOnSpectrum, NonFiniteEntry, NotHermitianError
 
 #: relative hermiticity tolerance, scaled by the largest entry magnitude
 TAU_HERMITIAN_REL = 1e-10
-#: idempotency / hermiticity tolerance for spectral projections
-TAU_PROJECTION = 1e-9
 #: reconstruction and oracle-agreement tolerance
 TAU_RECONSTRUCT = 1e-9
 #: clearance a window endpoint must keep from the spectrum: every certificate,
@@ -323,74 +321,31 @@ def projector(dec: SpectralDecomposition, mask: np.ndarray,
     return (vecs * np.asarray(weights)[mask]) @ vecs.conj().T
 
 
-def _spectral_function(dec: SpectralDecomposition, mask: np.ndarray,
-                       weights: np.ndarray | None = None,
-                       dense: bool = False) -> np.ndarray:
-    """Sum of w_j v_j v_j* over the masked eigenpairs (w_j = 1 without weights).
-
-    ``weights`` is a float or complex array over all eigen-indices.  In
-    permutation form, unless ``dense``, the operator is diagonal in the
-    standard basis and comes back as its length-d diagonal, of the weights'
-    dtype: w_j at index ``order[j]`` for each masked j, 0 elsewhere.
-    Otherwise it is ``projector``'s dense d x d matrix, whose diagonal holds
-    the same values when the basis is the permuted identity.
-    """
-    if dense or dec.order is None:
-        return projector(dec, mask, weights)
-    if weights is None:
-        out = np.zeros(dec.eigenvalues.size)
-        out[dec.order[mask]] = 1.0
-    else:
-        values = weights[mask]
-        out = np.zeros(dec.eigenvalues.size, dtype=values.dtype)
-        out[dec.order[mask]] = values
-    return out
+def _dense_range(decompositions) -> bool:
+    """Whether images over these decompositions are built dense: unless every
+    one is in permutation form, all of them are."""
+    return any(dec.order is None for dec in decompositions)
 
 
 def _spectral_functions(decs, masks: np.ndarray, weights: np.ndarray | None = None,
                         dense: bool = False) -> np.ndarray:
-    """``_spectral_function`` at each of ``decs``, stacked: row k is the image
-    of ``decs[k]`` with ``masks[k]`` and ``weights[k]``.
+    """Row k: sum_j w_j v_j v_j* over the eigenpairs of ``decs[k]`` that
+    ``masks[k]`` selects, with w = ``weights[k]`` (1 without weights).
 
     ``masks`` is a boolean (r, d) array over eigen-indices and ``weights`` a
-    float or complex (r, d) array or None.  Unless ``dense``, every
-    decomposition must be in permutation form, and the result is one (r, d)
-    scatter of the masked weights into the standard indices.  With ``dense``
-    it is the (r, d, d) stack of the dense images, built point by point.  The
-    adapted-pair edge norms, which build one or two images per edge, keep the
-    one-point ``_spectral_function``.
+    float or complex (r, d) array or None; ``dense`` is ``_dense_range`` of
+    the run the images belong to.  Unless ``dense``, every decomposition is
+    in permutation form, and the result is one (r, d) scatter of the masked
+    weights into the standard indices, of the weights' dtype.  With ``dense``
+    it is the (r, d, d) stack of ``projector``'s matrices.
     """
     if dense:
-        return np.stack([_spectral_function(dec, mask, None if weights is None else weights[k],
-                                            dense=True)
+        return np.stack([projector(dec, mask, None if weights is None else weights[k])
                          for k, (dec, mask) in enumerate(zip(decs, masks))])
     values = masks.astype(float) if weights is None else np.where(masks, weights, 0)
     out = np.zeros(values.shape, dtype=values.dtype)
     np.put_along_axis(out, np.stack([dec.order for dec in decs]), values, axis=1)
     return out
-
-
-def _difference_norm(a: np.ndarray, b: np.ndarray, norm) -> float:
-    """Spectral norm of ``a - b``, two images of one chain of ``_spectral_function``.
-
-    The value is ``_difference_norms``' on the one difference: ``norm`` of a
-    dense one, the largest absolute entry of a real diagonal, and for a
-    complex diagonal max_j dlapy3(Re z_j, Im z_j, 0), the SVD's own bits, with
-    no SVD unless the dimension is 2 or the entries leave ``_SVD_EXACT_BAND``
-    (see ``_complex_diagonal_norms``).  The real and dense forms, which every
-    edge of the discrete-spectrum scan takes, skip the stacking.  A vector
-    and a matrix are refused, since their difference would broadcast to a
-    wrong d x d matrix.
-    """
-    if a.shape != b.shape:
-        raise ValueError(f"images of one chain must share one form, got shapes "
-                         f"{a.shape} and {b.shape}")
-    diff = a - b
-    if diff.ndim == 2:
-        return norm(diff)
-    if diff.dtype.kind == "c":
-        return float(_complex_diagonal_norms(diff[None])[0])
-    return float(np.abs(diff).max())
 
 
 def _difference_norms(diffs: np.ndarray, norm) -> np.ndarray:

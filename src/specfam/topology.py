@@ -12,15 +12,15 @@ return a certificate whose inequalities do not hold.
 A chain, like a distance, works on whole ranges: each image it reads is one
 array over the range, whose row k belongs to the range's k-th grid point,
 built by ``spectral._spectral_functions`` and normed row by row by
-``spectral._difference_norms``.  When every point of the range holds its
-eigenbasis as a permutation (the diagonal generators and diagonal matrix
-files), an image is one (r, d) array of diagonals, built by one scatter, and
-its norms are elementwise reductions with no eigensolver and no SVD;
-otherwise each point's dense matrix is built as before and the image is their
-(r, d, d) stack, normed one slice per LAPACK call.  Either way the values,
-and so every certificate field and distance, are the same bits.  A dense
-resolvent at +i or bounded transform is the public ``resolvent_at_i(op)`` or
-``bounded_transform(op).entries``.
+``spectral._difference_norms``, in the form ``spectral._dense_range``
+picks for the range.  When every point of the range holds its eigenbasis as
+a permutation (the diagonal generators and diagonal matrix files), an image
+is one (r, d) array of diagonals, built by one scatter, and its norms are
+elementwise reductions with no eigensolver and no SVD; otherwise the image
+is the (r, d, d) stack of each point's dense matrix, normed one slice per
+LAPACK call.  Either way the values, and so every certificate field and
+distance, are the same bits.  A dense resolvent at +i or bounded transform is
+the public ``resolvent_at_i(op)`` or ``bounded_transform(op).entries``.
 
 Both chains first contract the range around the base point: ``_contract``
 walks outward from it on each side and stops at the first point where an
@@ -61,6 +61,7 @@ from .spectral import (
     TAU_EDGE_DEFAULT,
     TAU_RECONSTRUCT,
     HermitianOperator,
+    _dense_range,
     _difference_norms,
     _spectral_functions,
     bounded_transform,
@@ -70,12 +71,6 @@ from .spectral import (
     operator_norm,
     resolvent_at_i,
 )
-
-
-def _dense_chain(decompositions) -> bool:
-    """Whether a chain over these decompositions builds dense images: unless
-    every one is in permutation form, all of them are."""
-    return any(dec.order is None for dec in decompositions)
 
 
 def _norm(metric: str):
@@ -102,7 +97,7 @@ def _metric_distance(a: HermitianOperator, b: HermitianOperator, metric: str) ->
     if a.dim != b.dim:
         raise ValueError("operators must share a dimension")
     decs = (decompose(a), decompose(b))
-    images = _images((a, b), decs, metric, _dense_chain(decs))
+    images = _images((a, b), decs, metric, _dense_range(decs))
     return float(_difference_norms(images[:1] - images[1:], _norm(metric))[0])
 
 
@@ -130,7 +125,7 @@ def continuity_modulus(smp: FamilySample, metric: str = "graph") -> ContinuityMo
     if metric not in ("graph", "riesz"):
         raise ValueError(f"unknown metric {metric!r}")
     images = _images(smp.operators, smp.decompositions, metric,
-                     _dense_chain(smp.decompositions))
+                     _dense_range(smp.decompositions))
     norms = _difference_norms(images[1:] - images[:-1], _norm(metric))
     values = [(smp.grid[y], smp.grid[y + 1], value) for y, value in enumerate(norms.tolist())]
     return ContinuityModuli(metric, tuple(values),
@@ -210,7 +205,7 @@ def graph_continuity_certify(smp: FamilySample, x_index: int,
 
     decs = smp.decompositions[pair_rng.lo_index:pair_rng.hi_index + 1]
     ev = smp.eigenvalue_matrix[pair_rng.lo_index:pair_rng.hi_index + 1]
-    dense = _dense_chain(decs)
+    dense = _dense_range(decs)
     compressed = _spectral_functions(decs, np.abs(ev) <= level, 1.0 / (ev + 1j), dense)
     rng = _contract(pair_rng, x_index, delta, compressed)
 
@@ -389,7 +384,7 @@ def _riesz_chain_certify(smp: FamilySample, x_index: int, delta: float, cap: flo
         raise BoundViolated("lower_defect", lower_defect, delta)
 
     decs = smp.decompositions[outer.lo_index:outer.hi_index + 1]
-    dense = _dense_chain(decs)
+    dense = _dense_range(decs)
     inner = np.abs(ev) < level
     upper_q = _spectral_functions(decs, ev >= level, dense=dense)
     # the lower projection is exact by construction

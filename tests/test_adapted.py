@@ -753,8 +753,9 @@ class TestWholeGridScan:
 
 
 class TestDiagonalEdgeNorms:
-    """Edges whose two fibres are in permutation form are normed as a vector
-    difference; every other edge takes the dense projector and eigensolver."""
+    """A range whose points are all in permutation form is normed as vector
+    differences; a range with any dense point builds dense projectors
+    throughout and norms every edge with ``hermitian_norm``."""
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), dim=st.integers(1, 7), points=st.integers(2, 6),
@@ -783,7 +784,8 @@ class TestDiagonalEdgeNorms:
         decs = smp.decompositions
         diagonal = [decs[y].order is not None and decs[y + 1].order is not None
                     for y in range(points - 1)]
-        assert len(calls) == diagonal.count(False)
+        dense = any(dec.order is None for dec in decs)
+        assert len(calls) == (points - 1 if dense else 0)
         for y, value in enumerate(values):
             ends = [projector(decs[z], interval_mask(dim, starts[z], stops[z]),
                               weights=decs[z].eigenvalues if weighted else None)
@@ -796,7 +798,7 @@ class TestDiagonalEdgeNorms:
                 assert not np.any(difference - np.diag(np.diag(difference)))
                 assert value == np.max(np.abs(np.diag(difference).real))
 
-    @pytest.mark.parametrize("forms", ["PPD", "DPP", "PDP", "DDP", "PDDPP"])
+    @pytest.mark.parametrize("forms", ["PPD", "DPP", "PDP", "DDP", "PDDPP", "PPP"])
     def test_mixed_edges_take_the_dense_path(self, monkeypatch, forms):
         # P: permutation form (``diagonal_operator``), D: dense basis from eigh;
         # the lowest eigenvalue moves between standard basis vectors
@@ -807,9 +809,51 @@ class TestDiagonalEdgeNorms:
         calls = count_norms(monkeypatch, specfam.adapted)
         cert = certify_adapted_pair(smp, GridRange(0, len(forms) - 1), 3.5)
         assert cert.rank == 3 and cert.projection_modulus == 1.0
-        mixed = sum(a != b or a == "D" for a, b in zip(forms, forms[1:]))
-        assert len(calls) == 2 * mixed
+        # one dense point makes every edge of the range dense
+        assert len(calls) == (2 * (len(forms) - 1) if "D" in forms else 0)
         assert_stores_match_dense_oracle(smp)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 6), points=st.integers(3, 7),
+           scale=st.sampled_from(IN_BAND_SCALES + OUT_OF_BAND_SCALES),
+           weighted=st.booleans())
+    def test_stores_do_not_depend_on_which_range_came_first(self, data, dim, points, scale,
+                                                            weighted):
+        # a permutation-form sub-range and one dense point outside it: the
+        # sub-range's edges are dense in the whole range, vectors on their own
+        length = data.draw(st.integers(2, points - 1))
+        sub_lo = data.draw(st.integers(0, points - length))
+        sub = range(sub_lo, sub_lo + length)
+        dense_at = data.draw(st.sampled_from([y for y in range(points) if y not in sub]))
+        # full mantissas: out of band, eigvalsh rounds a weighted diagonal
+        # difference often enough to tell the two forms apart
+        entry = st.integers(-4000, 4000).map(lambda k: k / 1000 * scale)
+        ops = []
+        for y in range(points):
+            values = data.draw(st.lists(entry, min_size=dim, max_size=dim))
+            dense = y == dense_at or (y not in sub and data.draw(st.booleans()))
+            ops.append(HermitianOperator(np.diag(values)) if dense else diagonal_operator(values))
+        starts = np.array([data.draw(st.integers(0, dim)) for _ in range(points)])
+        stops = np.array([data.draw(st.integers(int(a), dim)) for a in starts])
+        grid = ParameterGrid.linspace(0.0, 1.0, points)
+        whole_first, sub_first = FamilySample(grid, tuple(ops)), FamilySample(grid, tuple(ops))
+        part = slice(sub.start, sub.stop)
+
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_norms(mp, specfam.adapted)
+            _interval_modulus(whole_first, 0, starts, stops, weighted=weighted)
+            assert len(calls) == points - 1
+            _interval_modulus(sub_first, sub.start, starts[part], stops[part], weighted=weighted)
+            assert len(calls) == points - 1
+        _interval_modulus(whole_first, sub.start, starts[part], stops[part], weighted=weighted)
+        _interval_modulus(sub_first, 0, starts, stops, weighted=weighted)
+
+        def bits(smp):
+            memo = smp.restriction_moduli if weighted else smp.projection_moduli
+            return {key: value.hex() for key, value in memo.items()}
+
+        assert len(bits(whole_first)) == points - 1
+        assert bits(whole_first) == bits(sub_first)
 
 
 class TestEdgeClearance:

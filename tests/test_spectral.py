@@ -22,7 +22,6 @@ from specfam.errors import EdgeOnSpectrum, NonFiniteEntry, NotHermitianError
 from specfam import spectral
 from specfam.spectral import (
     _SVD_EXACT_BAND,
-    TAU_PROJECTION,
     TAU_RECONSTRUCT,
     _complex_diagonal_norms,
     _install_decomposition,
@@ -31,6 +30,9 @@ from specfam.spectral import (
 )
 
 from conftest import IN_BAND_SCALES, OUT_OF_BAND_SCALES, count_eigvalsh, random_hermitian
+
+#: idempotency / hermiticity tolerance for spectral projections
+TAU_PROJECTION = 1e-9
 
 
 class TestDecompose:

@@ -39,7 +39,6 @@ from specfam.spectral import (
     _EIGH_EXACT_BAND,
     TAU_EDGE_DEFAULT,
     TAU_RECONSTRUCT,
-    _difference_norm,
     hermitian_norm,
     projector,
 )
@@ -674,9 +673,3 @@ class TestDiagonalMatrixFiles:
         # the dense twin norms every graph difference with the SVD
         graph_continuity_certify(_dense_twin(smp), 15, 0.45)
         assert calls and set(calls) == {(41, 41)}
-
-    def test_a_vector_and_a_matrix_never_broadcast(self):
-        for a, b in ((np.zeros(3), np.zeros((3, 3))), (np.zeros((3, 3)), np.ones(3))):
-            for norm in (hermitian_norm, operator_norm):
-                with pytest.raises(ValueError, match="share one form"):
-                    _difference_norm(a, b, norm)
