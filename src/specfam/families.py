@@ -19,7 +19,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -269,7 +269,8 @@ def load_matrix_path(path: str) -> tuple[ParameterGrid, list[np.ndarray]]:
     A well-formed file is read by ``_fast_matrix_path``, which never builds
     the nested lists of ``json``; anything it does not certify goes to
     ``_json_matrix_path``, whose errors are the reader's errors.  Both read
-    every number token as ``strtod`` does, so they agree bit for bit.
+    every number token with ``json``'s own number scanner, integers as
+    floats, so they agree bit for bit.
     """
     try:
         with open(path, "rb") as fh:
@@ -323,11 +324,11 @@ def _fast_matrix_path(path: str, data: bytes) -> tuple[ParameterGrid, list[np.nd
     """The file read without ``json`` building its matrices, or None to fall back.
 
     The ``"matrices"`` value is cut out, and the rest parsed with ``[]`` in
-    its place.  The value is accepted only if it is exactly ``len(grid)``
-    dim x dim matrices of pairs with one JSON number per slot, all finite;
-    then one ``np.fromstring`` reads all of them.  A file with non-ASCII
-    bytes or a backslash, or with ``"matrices"`` anywhere but once, falls
-    back, as does every error: ``_json_matrix_path`` names it.
+    its place.  The value is read by ``_matrix_numbers``, which accepts only
+    ``len(grid)`` dim x dim matrices of pairs with one finite JSON number per
+    slot.  A file with non-ASCII bytes or a backslash, or with
+    ``"matrices"`` anywhere but once, falls back, as does every error:
+    ``_json_matrix_path`` names it.
     """
     key = b'"matrices"'
     if not data.isascii() or b"\\" in data or data.count(key) != 1:
@@ -347,14 +348,11 @@ def _fast_matrix_path(path: str, data: bytes) -> tuple[ParameterGrid, list[np.nd
     except (ValueError, RecursionError):
         return None
     count = len(grid)
-    # every pair takes at least six bytes, so a bogus header builds no huge skeleton
-    if count < 1 or 6 * dim * dim * count > end - start:
+    # every pair takes at least six bytes, so a bogus header allocates nothing huge
+    if 6 * dim * dim * count > end - start:
         return None
-    text = np.frombuffer(data, np.uint8, count=end - start, offset=start)
-    if not _matrices_text_ok(text, count, dim):
-        return None
-    values = np.fromstring(data[start:end].translate(None, b"[]"), dtype=float, sep=",")
-    if values.size != count * dim * dim * 2 or not np.isfinite(values).all():
+    values = _matrix_numbers(data[start:end], count, dim)
+    if values is None:
         return None
     pairs = values.reshape(count, dim, dim, 2)
     return grid, [p[..., 0] + 1j * p[..., 1] for p in pairs]
@@ -401,98 +399,52 @@ def _json_matrix_path(path: str, data: bytes) -> tuple[ParameterGrid, list[np.nd
     return grid, matrices
 
 
-# byte classes of the matrices text: JSON whitespace, the three skeleton
-# bytes, the six kinds of number byte, and everything else
-_WS, _OPEN, _CLOSE, _COMMA, _MINUS, _PLUS, _ZERO, _DIGIT, _DOT, _EXP, _OTHER = range(11)
-#: bytes of the matrices text checked per step, so every temporary stays small
-_SCAN_BLOCK = 1 << 16
+_NUMBER_BYTES = b"0123456789+-.eE"
+_WHITESPACE = b" \t\n\r"
+_NUMBERS_AS_ZERO = bytes.maketrans(_NUMBER_BYTES, b"0" * len(_NUMBER_BYTES))
+_BRACKETS_AS_SPACE = bytes.maketrans(b"[]", b"  ")
+#: bytes of the matrices text read per step, cut at a comma so no token is split
+_CHUNK = 1 << 16
+#: the number scanner of ``_json_matrix_path``, which reads integers as floats too
+_NUMBER_READER = json.JSONDecoder(parse_int=float)
 
 
-@cache
-def _scan_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Byte -> class, and which runs of four classes may end a JSON number's byte.
+def _matrix_numbers(text: bytes, count: int, dim: int) -> np.ndarray | None:
+    """The numbers of ``count`` dim x dim matrices of [re, im] pairs, or None.
 
-    Indexed by the four classes packed four bits each, a run is allowed when
-    its last step is and it does not start an integer part with a 0 and a
-    digit (``01``, ``-01``).  Checked at every byte, these runs allow every
-    JSON number and reject all else but a second ``.`` or ``e`` in one
-    token, which ``_matrices_text_ok`` rejects.
+    ``text`` is read only if ``json`` reads it as such matrices, all finite:
+    - with the number bytes and whitespace deleted, it is the matrices' brackets
+      and commas, ``[,]`` for each pair; any other byte survives and fails;
+    - with whitespace deleted and every number byte read as ``0``, no ``0[``
+      or ``]0`` occurs, so every number sits in a pair (checked per chunk:
+      neither can span the comma a chunk is cut at);
+    - with the brackets read as spaces, it is one comma-separated list, read
+      by ``json`` in chunks cut at a comma: an empty slot, two tokens in one
+      slot or a malformed token is an error, and a chunk of one empty slot
+      reads as no number, which leaves the count short.
     """
-    classes = np.full(256, _OTHER, np.uint8)
-    for chars, cls in ((b" \t\n\r", _WS), (b"[", _OPEN), (b"]", _CLOSE), (b",", _COMMA),
-                       (b"-", _MINUS), (b"+", _PLUS), (b"0", _ZERO), (b"123456789", _DIGIT),
-                       (b".", _DOT), (b"eE", _EXP)):
-        classes[list(chars)] = cls
-    sep, digit = (_WS, _OPEN, _CLOSE, _COMMA), (_ZERO, _DIGIT)
-    follows = {_MINUS: digit, _PLUS: digit, _DOT: digit,
-               _ZERO: sep + digit + (_DOT, _EXP), _EXP: (_MINUS, _PLUS) + digit}
-    follows[_DIGIT] = follows[_ZERO]
-    step = np.zeros((16, 16), bool)
-    for a in sep:
-        step[a, sep + (_MINUS,) + digit] = True
-    for a, nexts in follows.items():
-        step[a, list(nexts)] = True
-    c0, c1, c2, c3 = np.indices((16,) * 4)
-    is_sep = np.isin(np.arange(16), sep)
-    is_digit = np.isin(np.arange(16), digit)
-    leading_zero = ((is_sep[c1] & (c2 == _ZERO) & is_digit[c3])
-                    | (is_sep[c0] & (c1 == _MINUS) & (c2 == _ZERO) & is_digit[c3]))
-    quads = step[c2, c3] & ~leading_zero
-    return classes, quads.ravel()
-
-
-def _skeleton(count: int, dim: int) -> bytes:
-    """The brackets and commas of ``count`` dim x dim matrices of pairs, a T per number."""
-    row = b"[" + b",".join([b"[T,T]"] * dim) + b"]"
+    row = b"[" + b",".join([b"[,]"] * dim) + b"]"
     matrix = b"[" + b",".join([row] * dim) + b"]"
-    return b"[" + b",".join([matrix] * count) + b"]"
-
-
-def _matrices_text_ok(text: np.ndarray, count: int, dim: int) -> bool:
-    """True when the bytes are the ``_skeleton`` of ``count`` dim x dim
-    matrices with one JSON number in each T.
-
-    Whitespace may sit anywhere between tokens.  The bytes are checked one
-    block at a time, with uint8, uint16 and bool temporaries of one block;
-    the last three classes of a block, and its last ``.``, ``e`` or
-    separator, carry into the next.
-    """
-    classes, quads = _scan_tables()
-    # built after the cached tables: on the first call, tables allocated
-    # above the freed skeleton would keep its megabytes resident for the
-    # rest of the load
-    skeleton = _skeleton(count, dim)
-    tail = np.full(3, _WS, np.uint8)
-    marker = _WS
-    done = 0
-    for lo in range(0, text.size, _SCAN_BLOCK):
-        raw = text[lo:lo + _SCAN_BLOCK]
-        cls = np.concatenate((tail, classes[raw]))
-        quad = cls[:-3].astype(np.uint16) << 12
-        quad |= cls[1:-2].astype(np.uint16) << 8
-        quad |= cls[2:-1].astype(np.uint16) << 4
-        quad |= cls[3:]
-        if not quads[quad].all():
-            return False
-        number = cls[2:] >= _MINUS
-        tail = cls[-3:]
-        cls = cls[3:]
-        # the skeleton: every bracket and comma, and a T where a token starts
-        starts = number[1:] & ~number[:-1]
-        symbols = np.where(number[1:], np.uint8(ord("T")), raw)
-        symbols = symbols[starts | ((cls >= _OPEN) & (cls <= _COMMA))]
-        if symbols.tobytes() != skeleton[done:done + symbols.size]:
-            return False
-        done += symbols.size
-        # within a token at most one '.', at most one 'e', and no '.' after the 'e'
-        marks = cls[(cls <= _COMMA) | (cls == _DOT) | (cls == _EXP)]
-        if marks.size:
-            marks = np.concatenate(([marker], marks))
-            before, after = marks[:-1], marks[1:]
-            if np.any((before >= _DOT) & (after == _DOT) | (before == _EXP) & (after == _EXP)):
-                return False
-            marker = marks[-1]
-    return done == len(skeleton)
+    skeleton = b"[" + b",".join([matrix] * count) + b"]"
+    if text.translate(None, _NUMBER_BYTES + _WHITESPACE) != skeleton:
+        return None
+    values = np.empty(2 * dim * dim * count)
+    filled = lo = 0
+    while lo < len(text):
+        cut = text.find(b",", lo + _CHUNK)
+        cut = len(text) if cut < 0 else cut
+        chunk = text[lo:cut]
+        placed = chunk.translate(_NUMBERS_AS_ZERO, _WHITESPACE)
+        if b"0[" in placed or b"]0" in placed:
+            return None
+        try:
+            numbers = _NUMBER_READER.decode(f"[{chunk.translate(_BRACKETS_AS_SPACE).decode()}]")
+            values[filled:filled + len(numbers)] = numbers
+        except ValueError:
+            return None
+        filled += len(numbers)
+        lo = cut + 1
+    return values if filled == values.size and np.isfinite(values).all() else None
 
 
 def _make_generator(spec: FamilySpec):

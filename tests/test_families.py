@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 import struct
 
 import numpy as np
@@ -314,7 +315,7 @@ _VALUES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
 
 
 def _dump(value, layout, rnd, depth=0) -> str:
-    """Nested lists of raw token strings as JSON text, in one of four layouts."""
+    """Nested lists of raw token strings as JSON text, in one of five layouts."""
     if isinstance(value, str):
         return value
     items = [_dump(v, layout, rnd, depth + 1) for v in value]
@@ -325,6 +326,8 @@ def _dump(value, layout, rnd, depth=0) -> str:
     if layout == "indent":
         pad = "\n" + "  " * (depth + 1)
         return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+    if layout == "tabs":
+        return "[\t" + ",\t".join(items) + "\t]"
 
     def ws():
         return "".join(rnd.choice(" \t\n\r") for _ in range(rnd.randrange(3)))
@@ -337,7 +340,12 @@ def _bad_token(rnd) -> str:
 
 
 def _corrupt_matrices(matrices, kind, rnd) -> None:
-    """Break the nested token lists in place: a bad token, a ragged row, a wrong count."""
+    """Break the nested token lists in place: a bad token, a ragged row, a wrong count.
+
+    A ``misplaced`` number is not made here but in the dumped text (``_misplace_number``).
+    """
+    if kind == "misplaced":
+        return
     y = rnd.randrange(len(matrices))
     row = rnd.choice(matrices[y])
     if kind == "token":
@@ -352,8 +360,22 @@ def _corrupt_matrices(matrices, kind, rnd) -> None:
                     lambda: matrices.append(list(matrices[y]))])()
 
 
+def _misplace_number(text: str, rnd) -> str:
+    """Move one number token across the bracket next to it: ``[1,`` -> ``1[,``, ``,2]`` -> ``,]2``.
+
+    The brackets, the commas and the number of tokens stay as they were.
+    """
+    number = r"-?\d[\d.eE+-]*"
+    spot = rnd.choice(list(re.finditer(rf"\[(\s*)({number})|({number})(\s*)\]", text)))
+    if spot.group(2):
+        moved = spot.group(2) + spot.group(1) + "["
+    else:
+        moved = "]" + spot.group(4) + spot.group(3)
+    return text[:spot.start()] + moved + text[spot.end():]
+
+
 _TEXT_CORRUPTIONS = ["drop", "insert", "non-ascii", "duplicate", "nested"]
-_MATRIX_CORRUPTIONS = ["token", "ragged", "empty slot", "extra"]
+_MATRIX_CORRUPTIONS = ["token", "ragged", "empty slot", "extra", "misplaced"]
 
 
 def _corrupt_text(text: str, kind: str, rnd) -> str:
@@ -382,14 +404,17 @@ def matrix_files(draw, corruption=None):
     tokens = iter([_number_token(v, f) for v, f in zip(values, forms)])
     matrices = [[[[next(tokens), next(tokens)] for _ in range(dim)] for _ in range(dim)]
                 for _ in range(count)]
-    layout = draw(st.sampled_from(["compact", "dumps", "indent", "spaces"]))
+    layout = draw(st.sampled_from(["compact", "dumps", "indent", "spaces", "tabs"]))
     rnd = draw(st.randoms(use_true_random=False))
     if corruption in _MATRIX_CORRUPTIONS:
         _corrupt_matrices(matrices, corruption, rnd)
     fields = {"dim": str(dim), "grid": json.dumps([0.5 * k for k in range(count)]),
               "matrices": _dump(matrices, layout, rnd)}
+    if corruption == "misplaced":
+        fields["matrices"] = _misplace_number(fields["matrices"], rnd)
     keys = draw(st.permutations(list(fields)))
-    sep = {"compact": ",", "dumps": ", ", "indent": ",\n", "spaces": " ,\r\n"}[layout]
+    sep = {"compact": ",", "dumps": ", ", "indent": ",\n", "spaces": " ,\r\n",
+           "tabs": ",\t"}[layout]
     text = "{" + sep.join(f'"{k}": {fields[k]}' for k in keys) + "}"
     return _corrupt_text(text, corruption, rnd) if corruption in _TEXT_CORRUPTIONS else text
 
@@ -442,19 +467,29 @@ class TestMatrixPathReader:
         '{"dim": 1, "grid": [0, 1], "matrices": [[[[1, 2]]], [[[2, 0]]]], "matrices": []}',
         '{"dim": 1, "grid": [0, 1], "matrices": [[[[1, 2]]], [[[1e400, 0]]]]}',
         '{"dim": 1, "grid": [0, 1], "a\\"matrices": [], "matrices": [[[[1, 2]]], [[[2, 0]]]]}',
+        # the brackets, commas and count are right, but a number sits outside its pair
+        '{"dim": 1, "grid": [0, 1], "matrices": [[[[1, 2]]], [[7 [, 0]]]]}',
+        '{"dim": 1, "grid": [0, 1], "matrices": [[[[1, ]2]], [[[2, 0]]]]}',
     ])
     def test_what_the_fast_path_refuses(self, text):
         # each would be misread (or read at all) by a parse that skipped a check
         assert families._fast_matrix_path("family.json", text.encode()) is None
 
-    def test_the_block_boundary_carries_state(self, monkeypatch):
-        # blocks of 8 bytes split tokens, leading zeros and exponents across blocks
-        monkeypatch.setattr(families, "_SCAN_BLOCK", 8)
-        good = '{"dim": 1, "grid": [0, 1], "matrices": [[[[1.25e-05, -0]]], [[[10.5, 0e0]]]]}'
-        assert families._fast_matrix_path("f", good.encode()) is not None
-        for bad in ("1.25e-0.5", "1.2.5e-05", "1 5", "-01"):
-            text = good.replace("1.25e-05", bad)
-            assert families._fast_matrix_path("f", text.encode()) is None, bad
+    def test_chunks_are_cut_at_a_comma(self, monkeypatch):
+        # chunks of 8 bytes would split tokens here unless cut at a comma;
+        # the second layout puts whitespace on both sides of every cut
+        monkeypatch.setattr(families, "_CHUNK", 8)
+        compact = '{"dim": 1, "grid": [0, 1], "matrices": [[[[1.25e-05, -0]]], [[[10.5, 0e0]]]]}'
+        for good in (compact, compact.replace(", ", " ,\n\t")):
+            fast = families._fast_matrix_path("f", good.encode())
+            assert fast is not None, good
+            assert (_outcome(lambda: fast)
+                    == _outcome(lambda: families._json_matrix_path("f", good.encode())))
+            for bad in ("1.25e-0.5", "1.2.5e-05", "1 5", "-01"):
+                text = good.replace("1.25e-05", bad)
+                assert families._fast_matrix_path("f", text.encode()) is None, bad
+            # an empty last slot leaves the last chunk without a number
+            assert families._fast_matrix_path("f", good.replace("0e0", "").encode()) is None
 
 
 class TestTruncationCheck:
