@@ -15,14 +15,21 @@ class SpecfamError(Exception):
 class NotHermitianError(SpecfamError, ValueError):
     """Input matrix deviates from its conjugate transpose beyond tolerance."""
 
-    def __init__(self, deviation: float, tolerance: float, entry: tuple[int, int]):
+    def __init__(self, deviation: float, tolerance: float, entry: tuple[int, int],
+                 grid_index: int | None = None):
         self.deviation = deviation
         self.tolerance = tolerance
         self.entry = entry
+        self.grid_index = grid_index
+        where = f" at grid index {grid_index}" if grid_index is not None else ""
         super().__init__(
-            f"matrix is not Hermitian: |A - A*| reaches {deviation:.6g} at entry "
+            f"matrix{where} is not Hermitian: |A - A*| reaches {deviation:.6g} at entry "
             f"{entry}, allowed {tolerance:.6g}"
         )
+
+    def at_grid_index(self, grid_index: int | None) -> "NotHermitianError":
+        """The same error, naming the grid point whose matrix it refuses."""
+        return NotHermitianError(self.deviation, self.tolerance, self.entry, grid_index)
 
 
 class NonFiniteEntry(SpecfamError, ValueError):
@@ -36,7 +43,7 @@ class NonFiniteEntry(SpecfamError, ValueError):
         where = f" at grid index {grid_index}" if grid_index is not None else ""
         super().__init__(f"matrix entry {entry} is not finite ({value}){where}")
 
-    def at_grid_index(self, grid_index: int) -> "NonFiniteEntry":
+    def at_grid_index(self, grid_index: int | None) -> "NonFiniteEntry":
         """The same error, naming the grid point whose matrix holds the entry."""
         return NonFiniteEntry(self.entry, self.value, grid_index)
 

@@ -23,11 +23,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import FamilyModelError, NonFiniteEntry
+from .errors import FamilyModelError, NonFiniteEntry, NotHermitianError
 from .spectral import (
     HermitianOperator,
     RealWindow,
     SpectralDecomposition,
+    _decomposed_stack,
     _exact_if_diagonal,
     bounded_transform,
     decompose,
@@ -255,12 +256,12 @@ class _RandomPath:
         q, _ = np.linalg.qr(raw)
         self.basis = q
 
-    def operator(self, x: float) -> HermitianOperator:
+    def matrices(self, points: np.ndarray) -> np.ndarray:
+        """The (n, d, d) stack of the path's matrices at the n ``points``."""
         branch = self.signs * self.amplitudes * np.sin(
-            2.0 * np.pi * (x + self.phases)
+            2.0 * np.pi * (points[:, None] + self.phases)
         )
-        m = (self.basis * branch) @ self.basis.conj().T
-        return HermitianOperator(m)
+        return (self.basis * branch[:, None, :]) @ self.basis.conj().T
 
 
 def load_matrix_path(path: str) -> tuple[ParameterGrid, list[np.ndarray]]:
@@ -447,7 +448,29 @@ def _matrix_numbers(text: bytes, count: int, dim: int) -> np.ndarray | None:
     return values if filled == values.size and np.isfinite(values).all() else None
 
 
+def _at_each_point(gen, values) -> tuple[HermitianOperator, ...]:
+    """``gen`` of each value in turn; a refused matrix names its grid index."""
+    ops = []
+    for y, value in enumerate(values):
+        try:
+            ops.append(gen(value))
+        except (NonFiniteEntry, NotHermitianError) as exc:
+            raise exc.at_grid_index(y) from None
+    return tuple(ops)
+
+
 def _make_generator(spec: FamilySpec):
+    """The function that builds the family's operators at an array of grid points.
+
+    The dense generators, ``harmonic_perturbed`` and ``random_crossings``,
+    build the whole grid at once: one (n, d, d) stack of matrices, validated
+    in one pass and decomposed by one stacked ``eigh``, whose eigenpairs each
+    operator carries (``spectral._decomposed_stack``).  The other generators
+    build one operator per point.  ``dirac_circle`` and ``tangent_blowup`` are
+    diagonal and carry their exact decompositions.  ``linear_crossing`` is
+    diagonal too but stays dense and is decomposed by ``eigh`` only when
+    read, because the benchmark's own tests pin its decomposition work.
+    """
     kind, dim, params = spec.kind, spec.dim, spec.params
     if kind == "dirac_circle":
         n_modes = (dim - 1) // 2
@@ -457,16 +480,16 @@ def _make_generator(spec: FamilySpec):
         def gen(x):
             return diagonal_operator(modes + alpha(x))
 
-        return gen
+        return lambda points: _at_each_point(gen, points)
     if kind == "harmonic_perturbed":
         coupling = _path_coefficients(params.get("coupling"), 0.0)
-        ladder = np.arange(dim, dtype=float) + 0.5 - dim / 2.0
+        ladder = np.diag(np.arange(dim, dtype=float) + 0.5 - dim / 2.0)
         mixing = _hilbert_matrix(dim)
 
-        def gen(x):
-            return HermitianOperator(np.diag(ladder) + coupling(x) * mixing)
+        def matrices(points):
+            return ladder + np.array([coupling(x) for x in points])[:, None, None] * mixing
 
-        return gen
+        return lambda points: _decomposed_stack(matrices(points))
     if kind == "tangent_blowup":
         pad = params.get("padding")
         pad = list(pad) if pad is not None else _padding_values(dim - 1)
@@ -480,7 +503,7 @@ def _make_generator(spec: FamilySpec):
                 )
             return diagonal_operator([math.tan(math.pi * x)] + pad)
 
-        return gen
+        return lambda points: _at_each_point(gen, points)
     if kind == "linear_crossing":
         pad = _padding_values(dim - 1)
 
@@ -488,15 +511,21 @@ def _make_generator(spec: FamilySpec):
         def gen(x):
             return HermitianOperator(np.diag([x - 0.5] + pad))
 
-        return gen
+        return lambda points: _at_each_point(gen, points)
     if kind == "random_crossings":
         path = _RandomPath(dim, params.get("seed", 0))
-        return path.operator
+        return lambda points: _decomposed_stack(path.matrices(points))
     raise FamilyModelError(f"no generator for kind {kind!r}")
 
 
 def sample(spec: FamilySpec, grid: ParameterGrid | None = None) -> FamilySample:
-    """Evaluate the family on the grid; deterministic given spec, grid and seed."""
+    """Evaluate the family on the grid; deterministic given spec, grid and seed.
+
+    ``harmonic_perturbed`` and ``random_crossings`` are built and decomposed
+    for the whole grid at once (see ``_make_generator``); a matrix file's
+    matrices are validated one at a time.  A refused matrix names its grid
+    index.
+    """
     if spec.kind == "matrix_path_file":
         path = spec.params.get("path")
         if not path:
@@ -512,18 +541,11 @@ def sample(spec: FamilySpec, grid: ParameterGrid | None = None) -> FamilySample:
         ):
             raise FamilyModelError("provided grid does not match the grid stored in the file")
         # validated densely first, so a diagonal file is refused as a dense one is
-        return FamilySample(file_grid, tuple(_exact_if_diagonal(HermitianOperator(m))
-                                             for m in matrices))
+        return FamilySample(file_grid, _at_each_point(
+            lambda m: _exact_if_diagonal(HermitianOperator(m)), matrices))
     if grid is None:
         raise FamilyModelError("a parameter grid is required for generated families")
-    gen = _make_generator(spec)
-    ops = []
-    for y, x in enumerate(grid.points):
-        try:
-            ops.append(gen(x))
-        except NonFiniteEntry as exc:
-            raise exc.at_grid_index(y) from None
-    return FamilySample(grid, tuple(ops))
+    return FamilySample(grid, _make_generator(spec)(grid.points))
 
 
 def _truncation_offset(kind: str, dim_small: int, dim_big: int) -> int:

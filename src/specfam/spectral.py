@@ -15,10 +15,14 @@ the sorting permutation, so no eigensolver runs and no dense eigenbasis is
 stored either.  The ``dirac_circle`` and ``tangent_blowup`` generators use
 this form, and so does a matrix file's operator whose off-diagonal entries
 are all zero, when ``eigh`` would return its sorted diagonal bit for bit
-(``_exact_if_diagonal``).  ``linear_crossing`` is diagonal too but stays on
-``eigh`` for now, because the benchmark's own tests pin its decomposition
-work.  ``random_crossings`` has a fixed basis, but an exact decomposition
-there would change eigenvalue bits and so report bytes.
+(``_exact_if_diagonal``).  The dense generators, ``harmonic_perturbed`` and
+``random_crossings``, build their whole grid at once: ``_hermitian_stack``
+validates the (n, d, d) stack by the rule ``HermitianOperator`` applies to a
+stack of one, and ``_decomposed_stack`` gives every operator its eigenpairs
+from one stacked ``eigh``, the bits ``decompose`` would give it alone.
+``linear_crossing`` is diagonal but stays dense and is decomposed lazily, one
+``eigh`` per point, because the benchmark's own tests pin its decomposition
+work.
 
 Every function of an operator, sum_j w_j v_j v_j* over some of its
 eigenpairs, is built for a run of points at once by ``_spectral_functions``,
@@ -90,9 +94,9 @@ class HermitianOperator:
     (``NonFiniteEntry``) and validating that the input deviates from its
     adjoint by at most ``TAU_HERMITIAN_REL`` times the largest entry, the
     constructor replaces it with the average of the matrix and its conjugate
-    transpose.  ``diagonal_operator`` stores only the finite real diagonal;
-    reading ``entries`` then builds the same read-only dense matrix on each
-    call without keeping it.
+    transpose (``_hermitian_stack`` on a stack of one).  ``diagonal_operator``
+    stores only the finite real diagonal; reading ``entries`` then builds the
+    same read-only dense matrix on each call without keeping it.
     """
 
     entries: np.ndarray
@@ -103,31 +107,11 @@ class HermitianOperator:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         if m.shape[0] < 1:
             raise ValueError("operator dimension must be at least 1")
-        finite = np.isfinite(m)
-        if not finite.all():
-            i, j = (int(k) for k in np.argwhere(~finite)[0])
-            raise NonFiniteEntry((i, j), complex(m[i, j]))
-        scale = float(np.max(np.abs(m)))
-        factor, c, c_scale = 1.0, m, scale
-        if scale > _HALF_MAX:
-            # a modulus or a difference may overflow to inf here and switch the
-            # check off, so check a quarter of the matrix, scaled exactly
-            factor = 4.0
-            c = m / factor
-            c_scale = float(np.max(np.abs(c)))
-        deviation = np.abs(c - c.conj().T)
-        worst = float(deviation.max())
-        if worst > TAU_HERMITIAN_REL * c_scale:
-            i, j = np.unravel_index(int(deviation.argmax()), deviation.shape)
-            raise NotHermitianError(factor * worst, factor * TAU_HERMITIAN_REL * c_scale,
-                                    (int(i), int(j)))
-        if scale <= _HALF_MAX:
-            # exact on Hermitian input, subnormal entries included
-            sym = (m + m.conj().T) / 2.0
-        else:
-            # the sum would overflow; halving first rounds only subnormals
-            sym = 0.5 * m + 0.5 * m.conj().T
-        sym.setflags(write=False)
+        try:
+            sym = _hermitian_stack(m[None])[0]
+        except (NonFiniteEntry, NotHermitianError) as exc:
+            # a lone matrix has no grid point to name
+            raise exc.at_grid_index(None) from None
         object.__setattr__(self, "entries", sym)
 
     @property
@@ -144,6 +128,74 @@ class HermitianOperator:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"HermitianOperator(dim={self.dim})"
+
+
+def _hermitian_stack(m: np.ndarray) -> np.ndarray:
+    """The complex (n, d, d) stack ``m`` validated and made exactly Hermitian,
+    read-only; the rule ``HermitianOperator`` applies to a stack of one.
+
+    Matrix k is refused if an entry is NaN or infinite (``NonFiniteEntry``) or
+    if it deviates from its adjoint by more than ``TAU_HERMITIAN_REL`` times its
+    largest entry modulus (``NotHermitianError``); otherwise it becomes the
+    average of itself and its conjugate transpose.  The first refused matrix
+    raises the error it would raise alone, with ``grid_index`` k.
+    """
+    finite = np.isfinite(m)
+    stop = len(m) if finite.all() else int(finite.all(axis=(1, 2)).argmin())
+    head = m[:stop]
+    adjoint = head.conj().transpose(0, 2, 1)
+    scale = np.abs(head).max(axis=(1, 2))
+    big = scale > _HALF_MAX
+    any_big = big.any()
+    c, c_adjoint, c_scale = head, adjoint, scale
+    if any_big:
+        # a modulus or a difference may overflow to inf there and switch the
+        # check off, so check a quarter of those matrices, scaled exactly
+        c = head / np.where(big, 4.0, 1.0)[:, None, None]
+        c_adjoint = c.conj().transpose(0, 2, 1)
+        c_scale = np.abs(c).max(axis=(1, 2))
+    deviation = np.abs(c - c_adjoint)
+    worst = deviation.max(axis=(1, 2))
+    failed = worst > TAU_HERMITIAN_REL * c_scale
+    if failed.any():
+        k = int(failed.argmax())
+        i, j = np.unravel_index(int(deviation[k].argmax()), deviation.shape[1:])
+        f = 4.0 if big[k] else 1.0
+        raise NotHermitianError(f * float(worst[k]), f * TAU_HERMITIAN_REL * float(c_scale[k]),
+                                (int(i), int(j)), grid_index=k)
+    if stop < len(m):
+        i, j = (int(t) for t in np.argwhere(~finite[stop])[0])
+        raise NonFiniteEntry((i, j), complex(m[stop, i, j]), grid_index=stop)
+    if any_big:
+        # their sum would overflow; halving first rounds only subnormals
+        sym = 0.5 * head + 0.5 * adjoint
+        small = ~big
+        sym[small] = (head[small] + adjoint[small]) / 2.0
+    else:
+        # exact on Hermitian input, subnormal entries included
+        sym = (head + adjoint) / 2.0
+    sym.setflags(write=False)
+    return sym
+
+
+def _decomposed_stack(matrices: np.ndarray) -> tuple[HermitianOperator, ...]:
+    """One operator per matrix of the (n, d, d) stack, validated by
+    ``_hermitian_stack`` and carrying its eigenpairs from one stacked ``eigh``.
+
+    ``eigh`` decomposes each matrix of a stack as it decomposes that matrix
+    alone, so every operator holds the bits ``decompose`` would give it.
+    """
+    sym = _hermitian_stack(np.asarray(matrices, dtype=complex))
+    w, v = np.linalg.eigh(sym)
+    w.setflags(write=False)
+    v.setflags(write=False)
+    ops = []
+    for entries, values, basis in zip(sym, w, v):
+        op = object.__new__(HermitianOperator)
+        object.__setattr__(op, "entries", entries)
+        object.__setattr__(op, "_decomposition", SpectralDecomposition(values, basis))
+        ops.append(op)
+    return tuple(ops)
 
 
 class _DiagonalOperator(HermitianOperator):
@@ -284,8 +336,9 @@ def _install_decomposition(op: HermitianOperator, eigenvalues: np.ndarray,
 def decompose(op: HermitianOperator) -> SpectralDecomposition:
     """Eigendecomposition with ascending eigenvalues, cached on the operator.
 
-    An operator that carries its exact decomposition (``diagonal_operator``)
-    gets it back without an eigensolver.  The LAPACK driver behind
+    An operator that carries its decomposition (``diagonal_operator``'s exact
+    one, or the one ``_decomposed_stack`` installs) gets it back without an
+    eigensolver.  The LAPACK driver behind
     ``numpy.linalg.eigh`` is deterministic for a fixed input, which fixes the
     tie-breaking inside degenerate clusters; nothing downstream depends on
     that choice, only on the spanned subspaces.

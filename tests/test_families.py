@@ -4,6 +4,7 @@ import math
 import random
 import re
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from specfam import (
 )
 from specfam import families
 from specfam.spectral import projector
-from specfam.errors import EdgeOnSpectrum, FamilyModelError, NonFiniteEntry
+from specfam.errors import EdgeOnSpectrum, FamilyModelError, NonFiniteEntry, NotHermitianError
 
 from conftest import constant_sample
 
@@ -153,6 +154,21 @@ class TestMatrixPathFile:
         assert err.value.entry == (0, 0)
         assert "grid index 1" in str(err.value)
 
+    def test_non_hermitian_matrix_names_grid_index(self, tmp_path):
+        mats = []
+        for coupling in (0.0, 0.0, 0.5, 1.0):
+            m = np.diag([0.5, 2.0, -2.0]).astype(complex)
+            m[0, 1] = coupling
+            mats.append(np.stack([m.real, m.imag], axis=-1).tolist())
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"dim": 3, "grid": [0.0, 0.3, 0.6, 1.0], "matrices": mats}))
+        with pytest.raises(NotHermitianError) as err:
+            sample(FamilySpec("matrix_path_file", 3, {"path": str(path)}))
+        assert (err.value.grid_index, err.value.entry) == (2, (0, 1))
+        assert str(err.value).startswith("matrix at grid index 2 is not Hermitian: ")
+        error = _analysis_error(path, 3)
+        assert (error["type"], error["grid_index"]) == ("NotHermitianError", 2)
+
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "family.json"
         path.write_text(json.dumps({"dim": 2, "grid": [0.0, 1.0]}))
@@ -166,10 +182,10 @@ class TestMatrixPathFile:
         assert str(missing) in str(err.value)
 
 
-def _analysis_error(path):
-    """The error a flow analysis of the dim-1 matrix file at ``path`` reports."""
+def _analysis_error(path, dim=1):
+    """The error a flow analysis of the dim-``dim`` matrix file at ``path`` reports."""
     bundle = run_analysis({
-        "family": {"kind": "matrix_path_file", "dim": 1, "params": {"path": str(path)}},
+        "family": {"kind": "matrix_path_file", "dim": dim, "params": {"path": str(path)}},
         "seed": 0,
         "analyses": [{"kind": "flow", "params": {}}],
     }, output_dir=path.parent / "out")
@@ -716,3 +732,115 @@ class TestExactDecompositions:
         spec = FamilySpec("tangent_blowup", 5, {"padding": [2, 2, -2, -2]})
         with pytest.raises(FamilyModelError, match="pole"):
             sample(spec, ParameterGrid(np.array([0.1, 1.5])))
+
+
+def _per_point_reference(spec, points):
+    """The dense generator's operators built one point at a time, each with its
+    own ``eigh``: (operator, eigenvalues, eigenvectors) per point."""
+    dim = spec.dim
+    if spec.kind == "random_crossings":
+        path = families._RandomPath(dim, spec.params["seed"])
+
+        def matrix(x):
+            branch = path.signs * path.amplitudes * np.sin(2.0 * np.pi * (x + path.phases))
+            return (path.basis * branch) @ path.basis.conj().T
+    else:
+        coupling = families._path_coefficients(spec.params.get("coupling"), 0.0)
+        ladder = np.arange(dim, dtype=float) + 0.5 - dim / 2.0
+        mixing = families._hilbert_matrix(dim)
+
+        def matrix(x):
+            return np.diag(ladder) + coupling(x) * mixing
+
+    out = []
+    for x in points:
+        op = HermitianOperator(matrix(x))
+        out.append((op, *np.linalg.eigh(op.entries)))
+    return out
+
+
+def _assert_matches_reference(smp, spec):
+    reference = _per_point_reference(spec, smp.grid.points)
+    for op, (ref, w, v) in zip(smp.operators, reference, strict=True):
+        dec = vars(op)["_decomposition"]
+        assert op.entries.tobytes() == ref.entries.tobytes()
+        assert dec.eigenvalues.tobytes() == w.tobytes()
+        assert dec.eigenvectors.tobytes() == v.tobytes()
+        assert not (op.entries.flags.writeable or dec.eigenvalues.flags.writeable
+                    or dec.eigenvectors.flags.writeable)
+    return reference
+
+
+_SEEDS = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
+
+
+@st.composite
+def dense_specs(draw, dims=st.integers(1, 16)):
+    dim = draw(dims)
+    if draw(st.booleans()):
+        return FamilySpec("random_crossings", dim, {"seed": draw(_SEEDS)})
+    coupling = draw(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+    return FamilySpec("harmonic_perturbed", dim, {"coupling": coupling})
+
+
+@st.composite
+def grids(draw):
+    start = draw(st.floats(-2.0, 2.0))
+    return ParameterGrid.linspace(start, start + draw(st.floats(0.01, 3.0)),
+                                  draw(st.integers(2, 250)))
+
+
+class TestWholeGridGenerators:
+    """``random_crossings`` and ``harmonic_perturbed`` build and decompose the
+    whole grid at once, with the bits of one point at a time and one ``eigh``
+    each."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=dense_specs(), grid=grids(), lam=st.floats(-1.0, 1.0))
+    def test_sample_and_shift_match_one_point_at_a_time(self, spec, grid, lam):
+        smp = sample(spec, grid)
+        reference = _assert_matches_reference(smp, spec)
+        shifted = smp.shifted(lam)
+        for op, (ref, w, v) in zip(shifted.operators, reference, strict=True):
+            assert op.entries.tobytes() == ref.shifted(lam).entries.tobytes()
+            dec = vars(op)["_decomposition"]
+            assert dec.eigenvalues.tobytes() == (w - lam).tobytes()
+            assert dec.eigenvectors.tobytes() == v.tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(spec=dense_specs(), grid=grids(),
+           dims=st.lists(st.integers(1, 16), min_size=2, max_size=3, unique=True))
+    def test_truncation_resamples_match_one_point_at_a_time(self, spec, grid, dims):
+        made = []
+
+        def recording(s, g):
+            made.append((s, sample(s, g)))
+            return made[-1][1]
+
+        dims = sorted(dims)
+        with mock.patch.object(families, "sample", recording):
+            try:
+                truncation_check(spec, grid, dims, RealWindow(-0.45, 0.45))
+            except EdgeOnSpectrum:
+                pass
+        assert [s.dim for s, _ in made] == dims
+        for s, smp in made:
+            _assert_matches_reference(smp, s)
+
+    def test_no_eigh_after_sampling(self, monkeypatch):
+        smp = sample(FamilySpec("random_crossings", 6, {"seed": 7}),
+                     ParameterGrid.linspace(0.0, 0.77, 40))
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: pytest.fail("eigh called"))
+        assert smp.eigenvalue_matrix.shape == (40, 6)
+        assert flow_by_tracking(smp).flow == flow_by_partition(smp).flow
+
+    @pytest.mark.parametrize("coupling, error, entry", [
+        (lambda x: np.nan if x > 0.6 else x, NonFiniteEntry, (0, 0)),
+        (lambda x: 1j if x > 0.6 else x, NotHermitianError, (0, 0)),
+    ], ids=["non-finite", "not Hermitian"])
+    def test_refused_fiber_names_grid_index(self, coupling, error, entry):
+        spec = FamilySpec("harmonic_perturbed", 3, {"coupling": coupling})
+        with pytest.raises(error) as err:
+            sample(spec, ParameterGrid.linspace(0.0, 1.0, 5))
+        assert (err.value.grid_index, err.value.entry) == (3, entry)
+        assert "grid index 3" in str(err.value)

@@ -136,6 +136,111 @@ class TestDecompose:
             assert op.entries.tobytes() == ((m + m.conj().T) / 2.0).tobytes()
 
 
+def _one_matrix_rule(m):
+    """The symmetrized entries of one matrix, or the error refusing it, by the
+    single-matrix rule written out one step at a time: the reference that
+    ``spectral._hermitian_stack`` and ``HermitianOperator`` must match."""
+    m = np.array(m, dtype=complex)
+    finite = np.isfinite(m)
+    if not finite.all():
+        i, j = (int(k) for k in np.argwhere(~finite)[0])
+        return NonFiniteEntry((i, j), complex(m[i, j]))
+    scale = float(np.max(np.abs(m)))
+    factor, c, c_scale = 1.0, m, scale
+    if scale > spectral._HALF_MAX:
+        factor = 4.0
+        c = m / factor
+        c_scale = float(np.max(np.abs(c)))
+    deviation = np.abs(c - c.conj().T)
+    worst = float(deviation.max())
+    if worst > spectral.TAU_HERMITIAN_REL * c_scale:
+        i, j = np.unravel_index(int(deviation.argmax()), deviation.shape)
+        return NotHermitianError(factor * worst, factor * spectral.TAU_HERMITIAN_REL * c_scale,
+                                 (int(i), int(j)))
+    if scale <= spectral._HALF_MAX:
+        return (m + m.conj().T) / 2.0
+    return 0.5 * m + 0.5 * m.conj().T
+
+
+def _error_fields(exc):
+    """What a refusal says: its type, message and every field but the value's
+    NaN, which never equals itself."""
+    fields = {k: (repr(v) if k == "value" else v) for k, v in vars(exc).items()}
+    return type(exc).__name__, str(exc), fields
+
+
+@st.composite
+def mixed_stacks(draw):
+    """A stack of matrices of one dimension, each ordinary, above half the
+    largest float, subnormal, holding signed zeros, non-finite or not Hermitian."""
+    dim = draw(st.integers(1, 5))
+    kinds = draw(st.lists(st.sampled_from(["ordinary", "huge", "subnormal", "zeros",
+                                           "non-finite", "not Hermitian"]),
+                          min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = []
+    for kind in kinds:
+        raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        m = (raw + raw.conj().T) / 2.0
+        # a relative error within the tolerance, so the average is not the input
+        m[0, -1] *= 1.0 + 1e-12
+        i, j = (int(k) for k in rng.integers(0, dim, 2))
+        if kind == "huge":
+            m = m / np.max(np.abs(m)) * (float(np.finfo(float).max) * rng.uniform(0.5, 0.7))
+        elif kind == "subnormal":
+            m *= 1e-310
+        elif kind == "zeros":
+            m[rng.random((dim, dim)) < 0.5] = complex(-0.0, -0.0)
+        elif kind == "non-finite":
+            m[i, j] = draw(st.sampled_from([np.nan, np.inf, -np.inf, complex(0.0, np.inf)]))
+        elif kind == "not Hermitian":
+            m[i, j] += 1.0 if i != j else 1j
+        stack.append(m)
+    return np.array(stack)
+
+
+class TestHermitianStack:
+    """``_hermitian_stack`` keeps, matrix by matrix, the bits and the first
+    refusal of the single-matrix rule, and so of ``HermitianOperator``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(stack=mixed_stacks())
+    def test_matches_one_matrix_at_a_time(self, stack):
+        expected = []
+        for k, m in enumerate(stack):
+            outcome = _one_matrix_rule(m)
+            if isinstance(outcome, Exception):
+                with pytest.raises(type(outcome)) as alone:
+                    HermitianOperator(m)
+                assert _error_fields(alone.value) == _error_fields(outcome)
+                expected = outcome.at_grid_index(k)
+                break
+            assert HermitianOperator(m).entries.tobytes() == outcome.tobytes()
+            expected.append(outcome)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if isinstance(expected, Exception):
+                with pytest.raises(type(expected)) as err:
+                    spectral._hermitian_stack(stack)
+                assert _error_fields(err.value) == _error_fields(expected)
+                return
+            sym = spectral._hermitian_stack(stack)
+        assert sym.tobytes() == np.array(expected).tobytes()
+        assert not sym.flags.writeable
+
+    def test_first_refusal_wins_whatever_its_kind(self):
+        ok = np.eye(2, dtype=complex)
+        skew = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        nan = np.diag([np.nan, 1.0]).astype(complex)
+        with pytest.raises(NotHermitianError) as err:
+            spectral._hermitian_stack(np.array([ok, skew, nan]))
+        assert err.value.grid_index == 1
+        assert "matrix at grid index 1 is not Hermitian" in str(err.value)
+        with pytest.raises(NonFiniteEntry) as err:
+            spectral._hermitian_stack(np.array([ok, nan, skew]))
+        assert (err.value.grid_index, err.value.entry) == (1, (0, 0))
+
+
 def _dense_twin(d):
     """``diag(d)`` stored densely, carrying the same exact decomposition as
     ``diagonal_operator(d)``, so only the stored form differs."""
