@@ -16,20 +16,29 @@ operator, so certificates above the ceiling would certify the truncation,
 not the family.
 
 Eigenvalues are sorted, so a window, like the upper part [epsilon, oo) of
-strict adaptedness, is an interval of eigen-indices.  ``_interval_modulus``
-norms edge differences of interval projections and memoizes them on the
-sample by (edge, left interval, right interval), so overlapping ranges, as
-in the discrete-spectrum scan, norm every distinct edge once.  It builds and
-norms its missing edges over whole ranges, as the topology chains do, with
-``spectral._spectral_functions`` and ``spectral._difference_norms``.
+strict adaptedness, is an interval of eigen-indices.  Edge differences of
+interval projections are normed and memoized on the sample by (edge, left
+interval, right interval), so overlapping ranges, as in the
+discrete-spectrum scan, norm every distinct edge once.  One edge routine,
+``_RunEdges``, fills those stores: it takes many runs of points at once,
+builds only the edges the stores lack, as the topology chains build images,
+with ``spectral._spectral_functions``, and norms them with
+``spectral._difference_norms``.
+
+``_certify_pairs`` certifies a batch of (range, level) pairs in one pass:
+per-point margins and ranks give each pair's first refusal, and the edges of
+all other pairs form one ``_RunEdges`` table.  ``certify_adapted_pair`` is its
+one-pair case, and ``_interval_modulus`` (strict adaptedness) the one-run
+case of the edge routine.
 
 The unbounded and the weak (polarized) discrete-spectrum certificates share
 one engine, ``_scan_levels``, and differ only in the level ceiling and the
 shift grid of the definitional sweep.  The engine works on the whole grid at
 once: per lower bound b it chooses every point's level with the row-wise rule
-``find_adapted_pair`` applies to its one row, grows the ranges from one
-margin and rank pass per distinct level, and certifies each distinct (range,
-level) once per scan.
+``find_adapted_pair`` applies to its one row and grows the ranges from one
+table of margins and ranks for all distinct levels (``_level_blocks``).  The
+distinct (range, level) pairs of all b levels then go to ``_certify_pairs``
+in one call.
 """
 
 from __future__ import annotations
@@ -196,19 +205,162 @@ def _widest_levels(abs_sorted: np.ndarray, lo: float,
             np.take_along_axis(keep, best, axis=-1)[..., 0])
 
 
+#: entries of each (levels, rows) array of a level table block, and of each
+#: (points, dim) array a batch of certifications compares at once
+_TABLE_ENTRIES = 1 << 12
+
+
+def _level_blocks(ev: np.ndarray, levels: np.ndarray):
+    """Per block of the ascending distinct ``levels``, its slice and the
+    margins and ranks of every row of ``ev`` at its levels: (levels, rows)
+    arrays of exactly the values ``level_margins`` and ``level_ranks`` give.
+
+    A value v is at most level l exactly when ``searchsorted(levels, v)`` is
+    at most l, so a row's ranks at every level are one cumulated histogram.
+    Rounded subtraction is monotone and sign-symmetric, so the smallest
+    |(|lambda| - level)| of a row sits at one of the two absolute eigenvalues
+    around the level; a row holding NaN has margin NaN, as ``np.min`` gives
+    it.  Each block's arrays keep within ``_TABLE_ENTRIES`` entries.
+    """
+    absolute = np.sort(np.abs(ev), axis=1)
+    rows, dim = absolute.shape
+    nan_rows = np.isnan(absolute[:, -1])
+    row = np.arange(rows)
+    step = max(1, _TABLE_ENTRIES // rows)
+    for j in range(0, len(levels), step):
+        level = levels[j:j + step]
+        bins = len(level) + 1
+        where = np.searchsorted(level, absolute) + bins * row[:, None]
+        counts = np.bincount(where.ravel(), minlength=rows * bins).reshape(rows, bins)
+        ranks = np.cumsum(counts[:, :-1], axis=1).T
+        below = level[:, None] - absolute[row, np.maximum(ranks - 1, 0)]
+        above = absolute[row, np.minimum(ranks, dim - 1)] - level[:, None]
+        margins = np.minimum(np.where(ranks > 0, below, np.inf),
+                             np.where(ranks < dim, above, np.inf))
+        margins[:, nan_rows] = np.nan
+        yield slice(j, j + len(level)), margins, ranks
+
+
 def _grown_ranges(margins: np.ndarray, ranks: np.ndarray,
                   xs: np.ndarray | int) -> tuple[np.ndarray, np.ndarray]:
     """Per base point, the ends (lo, hi) of the run around it of clear
     margins and constant rank: the maximal range a window keeps adapted.
 
+    ``margins`` and ranks hold one row per level, or are one row; ``xs`` and
+    the ends index their flattened points, and no run crosses a row's end.
     A base point whose own margin is not clear is a run of its own, so
     certifying its range refuses it as ``EdgeOnSpectrum`` at the point.
     """
     clear = margins >= TAU_EDGE_DEFAULT
-    linked = clear[:-1] & clear[1:] & (ranks[:-1] == ranks[1:])
-    ends = np.concatenate(([-1], np.flatnonzero(~linked), [margins.size - 1]))
+    closes = np.ones(margins.shape, dtype=bool)
+    closes[..., :-1] = ~(clear[..., :-1] & clear[..., 1:] & (ranks[..., :-1] == ranks[..., 1:]))
+    ends = np.concatenate(([-1], np.flatnonzero(closes)))
     k = np.searchsorted(ends, xs)
     return ends[k - 1] + 1, ends[k]
+
+
+class _RunEdges:
+    """The adjacent edges of runs of consecutive grid points, keyed as the
+    sample's stores key them: (left grid index, left start, left stop, right
+    start, right stop).
+
+    ``grid_index``, ``starts`` and ``stops`` give every point of every run in
+    turn, with the eigen-index interval [start, stop) its image is taken
+    over; ``counts`` gives the number of points of each run.  ``keys`` holds
+    the distinct edges in order of first appearance and ``ids`` the index
+    into ``keys`` of every run edge in turn.
+    """
+
+    def __init__(self, grid_index, starts, stops, counts):
+        self.grid_index, self.starts, self.stops = grid_index, starts, stops
+        self.firsts = np.cumsum(counts) - counts
+        self.counts = counts.tolist()
+        is_left = np.ones(len(grid_index), dtype=bool)
+        is_left[self.firsts + counts - 1] = False
+        self.left = np.flatnonzero(is_left)
+        right = self.left + 1
+        edges = zip(grid_index[self.left].tolist(), starts[self.left].tolist(),
+                    stops[self.left].tolist(), starts[right].tolist(), stops[right].tolist())
+        distinct: dict[tuple[int, int, int, int, int], int] = {}
+        self.ids = [distinct.setdefault(edge, len(distinct)) for edge in edges]
+        self.keys = list(distinct)
+
+    def norms(self, smp: FamilySample, weighted: bool) -> list[float]:
+        """The stored norm of every run edge in turn, computing and storing
+        each distinct edge the store lacks, once.
+
+        The images of a block of lacking edges come from one
+        ``_spectral_functions`` call, and their differences are normed with
+        ``_difference_norms`` (see ``_blocks``).
+        """
+        memo = smp.restriction_moduli if weighted else smp.projection_moduli
+        values = list(map(memo.get, self.keys))
+        missing = [k for k, value in enumerate(values) if value is None]
+        if missing:
+            decs = smp.decompositions
+            index = np.arange(smp.dim)
+            for lefts, taken, dense in self._blocks(decs, np.array(missing)):
+                ends = lefts[np.append(lefts[1:] != lefts[:-1] + 1, True)]
+                points = np.sort(np.concatenate((lefts, ends + 1)))
+                grid = self.grid_index[points]
+                masks = ((index >= self.starts[points, None])
+                         & (index < self.stops[points, None]))
+                weights = smp.eigenvalue_matrix[grid] if weighted else None
+                images = _spectral_functions([decs[y] for y in grid.tolist()], masks,
+                                             weights, dense)
+                rows = np.searchsorted(points, lefts)
+                norms = _difference_norms(images[rows + 1] - images[rows], hermitian_norm)
+                for k, value in zip(taken.tolist(), norms.tolist()):
+                    values[k] = memo[self.keys[k]] = value
+        return [values[k] for k in self.ids]
+
+    def _blocks(self, decs, missing: np.ndarray):
+        """The ``missing`` distinct edges in blocks: per block, the point
+        positions of their left ends, the edges, and the form.
+
+        An edge belongs to the first run that has it.  The edges a run lacks
+        span from its first to its last, and that span takes the form
+        ``_dense_range`` gives it, as a range's images do; only the points of
+        the lacking edges are built.  A block joins runs of consecutive
+        lacking edges of one form, up to as many points as the longest span
+        holds.
+        """
+        ids = np.array(self.ids)
+        # an edge first appears where the running largest id grows
+        new = np.ones(len(ids), dtype=bool)
+        new[1:] = ids[1:] > np.maximum.accumulate(ids)[:-1]
+        left = self.left[new][missing]
+        run = np.searchsorted(self.firsts, left, side="right")
+        span = np.flatnonzero(np.concatenate(([True], run[1:] != run[:-1])))
+        last = np.concatenate((span[1:], [len(left)])) - 1
+        ends = zip(self.grid_index[left[span]].tolist(), self.grid_index[left[last]].tolist())
+        dense = [_dense_range(decs[a:b + 2]) for a, b in ends]
+        limit = int(np.max(left[last] - left[span])) + 2
+        piece = np.flatnonzero(np.concatenate(([True], left[1:] != left[:-1] + 1)))
+        pieces = zip(piece.tolist(), piece[1:].tolist() + [len(left)],
+                     (np.searchsorted(span, piece, side="right") - 1).tolist())
+        start, stop, form, size = 0, 0, dense[0], 0
+        for a, b, s in pieces:
+            if dense[s] != form or size + b - a + 1 > limit:
+                yield left[start:stop], missing[start:stop], form
+                start, form, size = a, dense[s], 0
+            stop, size = b, size + b - a + 1
+        yield left[start:stop], missing[start:stop], form
+
+    def maxima(self, norms: list[float]) -> tuple[list[float], list[int | None]]:
+        """Per run, the largest of its edges' ``norms`` and the left grid
+        index of the first edge attaining it; 0.0 and ``None`` for a run of
+        one point."""
+        top: list[float] = []
+        at: list[int | None] = []
+        k = 0
+        for lo, count in zip(self.grid_index[self.firsts].tolist(), self.counts):
+            edges = norms[k:k + count - 1]
+            k += len(edges)
+            modulus = max(edges, default=0.0)
+            top.append(modulus)
+            at.append(lo + edges.index(modulus) if edges else None)
+        return top, at
 
 
 def _interval_modulus(smp: FamilySample, lo: int, starts, stops,
@@ -218,31 +370,87 @@ def _interval_modulus(smp: FamilySample, lo: int, starts, stops,
 
     At point ``lo + k`` the operator is the projection onto the eigen-indices
     ``[starts[k], stops[k])``, or with ``weighted`` the operator compressed to
-    them.  Norms missing from the sample's store are computed and stored:
-    the images over the span from the first missing edge to the last are
-    built by one ``_spectral_functions`` call, and the missing differences
-    are normed with ``hermitian_norm``.
+    them.  This is the one-run case of the edge routine of
+    ``_certify_pairs`` (``_RunEdges``): norms missing from the sample's store
+    are computed and stored.
     """
-    memo = smp.restriction_moduli if weighted else smp.projection_moduli
-    first, last = starts.tolist(), stops.tolist()
-    keys = list(zip(range(lo, lo + len(first) - 1), first, last, first[1:], last[1:]))
-    values = list(map(memo.get, keys))
-    missing = [k for k, value in enumerate(values) if value is None]
-    if missing:
-        span = slice(missing[0], missing[-1] + 2)
-        decs = smp.decompositions[lo + span.start:lo + span.stop]
-        index = np.arange(smp.dim)
-        masks = (index >= starts[span, None]) & (index < stops[span, None])
-        weights = np.stack([dec.eigenvalues for dec in decs]) if weighted else None
-        images = _spectral_functions(decs, masks, weights, _dense_range(decs))
-        rows = np.array(missing) - span.start
-        norms = _difference_norms(images[rows + 1] - images[rows], hermitian_norm)
-        for k, value in zip(missing, norms.tolist()):
-            values[k] = memo[keys[k]] = value
-    if not values:
-        return 0.0, None
-    modulus = max(values)
-    return modulus, lo + values.index(modulus)
+    starts, stops = np.asarray(starts), np.asarray(stops)
+    edges = _RunEdges(lo + np.arange(len(starts)), starts, stops, np.array([len(starts)]))
+    (modulus,), (at,) = edges.maxima(edges.norms(smp, weighted))
+    return modulus, at
+
+
+def _certify_pairs(smp: FamilySample, keys, cap: float | None = None) -> list:
+    """``certify_adapted_pair`` on every (lo, hi, level) of ``keys`` at once:
+    per key, the certificate it issues or the refusal it raises.
+
+    The margins, ranks and window starts of every point of every range are
+    taken in blocks of points.  A key is refused at the first point of its
+    range whose margin is not clear (``EdgeOnSpectrum``) or whose rank
+    differs from its left neighbour's (``RankJump``); at one point the margin
+    is checked first.  The edges of all other keys form one edge table,
+    whose missing norms are computed once each and stored, and each key reads
+    its moduli off the stores.  With a cap, a key whose projection or else
+    restriction modulus lands above it is refused as ``ModulusExceeded`` at
+    the first edge attaining it.  Keys are certified in order: an edge is
+    built in the form of the first key that lacks it.
+    """
+    outcomes: list = [None] * len(keys)
+    if not outcomes:
+        return outcomes
+    los, his, levels = (np.array(column) for column in zip(*keys))
+    counts = his - los + 1
+    offsets = np.cumsum(counts) - counts
+    # every point of every range in turn: its grid index and the key's level
+    grid = np.arange(int(counts.sum())) - np.repeat(offsets - los, counts)
+    level = np.repeat(levels, counts)[:, None]
+    margins = np.empty(len(grid))
+    ranks, starts = np.empty(len(grid), dtype=int), np.empty(len(grid), dtype=int)
+    step = max(1, _TABLE_ENTRIES // smp.dim)
+    for j in range(0, len(grid), step):
+        block = slice(j, j + step)
+        ev = smp.eigenvalue_matrix[grid[block]]
+        margins[block] = level_margins(ev, level[block])
+        ranks[block] = level_ranks(ev, level[block])
+        starts[block] = np.sum(ev < -level[block], axis=1)
+
+    unclear = ~(margins >= TAU_EDGE_DEFAULT)
+    jumps = np.zeros(len(grid), dtype=bool)
+    jumps[1:] = ranks[1:] != ranks[:-1]
+    jumps[offsets] = False
+    bad = np.flatnonzero(unclear | jumps)
+    for k, p in zip((np.searchsorted(offsets, bad, side="right") - 1).tolist(), bad.tolist()):
+        if outcomes[k] is None:
+            y = int(grid[p])
+            if unclear[p]:
+                outcomes[k] = EdgeOnSpectrum(keys[k][2], float(margins[p]), grid_index=y)
+            else:
+                outcomes[k] = RankJump(y - 1, y, int(ranks[p - 1]), int(ranks[p]))
+    ok = [k for k, outcome in enumerate(outcomes) if outcome is None]
+    if not ok:
+        return outcomes
+
+    least = np.minimum.reduceat(margins, offsets)[ok].tolist()
+    keep = np.repeat([outcome is None for outcome in outcomes], counts)
+    edges = _RunEdges(grid[keep], starts[keep], starts[keep] + ranks[keep], counts[ok])
+    (proj, proj_at), (rest, rest_at) = (edges.maxima(edges.norms(smp, weighted))
+                                        for weighted in (False, True))
+    rank = ranks[offsets[ok]].tolist()
+    for j, k in enumerate(ok):
+        if cap is not None and proj[j] > cap:
+            outcomes[k] = ModulusExceeded("projection", proj[j], cap, proj_at[j])
+        elif cap is not None and rest[j] > cap:
+            outcomes[k] = ModulusExceeded("restriction", rest[j], cap, rest_at[j])
+        else:
+            outcomes[k] = AdaptedPairCertificate(
+                range=GridRange(keys[k][0], keys[k][1]),
+                level=float(keys[k][2]),
+                rank=rank[j],
+                margin=least[j],
+                projection_modulus=proj[j],
+                restriction_modulus=rest[j],
+            )
+    return outcomes
 
 
 def certify_adapted_pair(smp: FamilySample, grid_range: GridRange, level: float,
@@ -258,7 +466,8 @@ def certify_adapted_pair(smp: FamilySample, grid_range: GridRange, level: float,
     finite, a cap non-negative.
 
     The window at each point is the eigen-index interval
-    [#(lambda < -level), #(lambda <= level)).
+    [#(lambda < -level), #(lambda <= level)).  This is the one-key case of
+    ``_certify_pairs``.
     """
     if not 0 < level < math.inf:
         raise ValueError("window level must be positive and finite")
@@ -266,35 +475,10 @@ def certify_adapted_pair(smp: FamilySample, grid_range: GridRange, level: float,
         raise ValueError("grid range exceeds the sample")
     if cap is not None and not cap >= 0:
         raise ValueError("the modulus cap must be non-negative")
-    lo, hi = grid_range.lo_index, grid_range.hi_index
-    ev = smp.eigenvalue_matrix[lo:hi + 1]
-    margins = level_margins(ev, level)
-    ranks = level_ranks(ev, level)
-    prev_rank = None
-    for y, margin, rank in zip(grid_range.indices(), margins.tolist(), ranks.tolist()):
-        if not margin >= TAU_EDGE_DEFAULT:
-            raise EdgeOnSpectrum(level, margin, grid_index=y)
-        if prev_rank is not None and rank != prev_rank:
-            raise RankJump(y - 1, y, prev_rank, rank)
-        prev_rank = rank
-
-    starts = (ev < -level).sum(axis=1)
-    stops = starts + ranks
-    proj_modulus, proj_at = _interval_modulus(smp, lo, starts, stops)
-    rest_modulus, rest_at = _interval_modulus(smp, lo, starts, stops, weighted=True)
-    if cap is not None:
-        if proj_modulus > cap:
-            raise ModulusExceeded("projection", proj_modulus, cap, proj_at)
-        if rest_modulus > cap:
-            raise ModulusExceeded("restriction", rest_modulus, cap, rest_at)
-    return AdaptedPairCertificate(
-        range=grid_range,
-        level=float(level),
-        rank=int(ranks[0]),
-        margin=float(np.min(margins)),
-        projection_modulus=proj_modulus,
-        restriction_modulus=rest_modulus,
-    )
+    (outcome,) = _certify_pairs(smp, [(grid_range.lo_index, grid_range.hi_index, level)], cap)
+    if isinstance(outcome, CertificationError):
+        raise outcome
+    return outcome
 
 
 def find_adapted_pair(smp: FamilySample, x_index: int, b: float,
@@ -535,38 +719,39 @@ def _scan_levels(smp: FamilySample, b_levels: tuple[float, ...], ceiling: float,
     the definitional one.
 
     The direct route gives every grid point the pair ``find_adapted_pair``
-    would find, computed for the whole grid at once: per b, each row's level
-    is chosen in one pass, margins and ranks are taken once per distinct
-    level, and each point's range is read off the runs they form.  Each
-    distinct (range, level) is certified once per scan, shared across the b
-    levels, and every point that finds it gets the same certificate object or
-    the same refusal.
+    would find, computed for the whole grid at once.  Per b, each row's level
+    is chosen in one pass, one level table holds the margins and ranks of
+    all its distinct levels, and each point's range is read off the runs
+    they form.  The distinct (range, level) pairs of all b levels then go to
+    ``_certify_pairs`` in one call, and every point that finds a pair gets
+    the same certificate object or the same refusal.
     """
     ev = smp.eigenvalue_matrix
     abs_sorted = np.sort(np.abs(ev), axis=1)
-    outcomes: dict[tuple[int, int, float], AdaptedPairCertificate | CertificationError] = {}
-    certificates: dict[float, tuple] = {}
-    failures: list[CertificateFailure] = []
+    pairs: dict[tuple[int, int, float], int] = {}
+    found_by_b = []
     for b in b_levels:
         levels, found = _widest_levels(abs_sorted, b, ceiling)
-        lo = np.zeros(len(smp), dtype=int)
-        hi = np.zeros(len(smp), dtype=int)
-        for level in set(levels[found].tolist()):
-            xs = np.flatnonzero(found & (levels == level))
-            lo[xs], hi[xs] = _grown_ranges(level_margins(ev, level), level_ranks(ev, level), xs)
+        xs = np.flatnonzero(found)
+        distinct = np.array(sorted(set(levels[xs].tolist())))
+        row = np.searchsorted(distinct, levels[xs])
+        lo, hi = np.empty(len(xs), dtype=int), np.empty(len(xs), dtype=int)
+        for block, margins, ranks in _level_blocks(ev, distinct):
+            at = np.flatnonzero((row >= block.start) & (row < block.stop))
+            first = (row[at] - block.start) * len(ev)
+            run_lo, run_hi = _grown_ranges(margins, ranks, first + xs[at])
+            lo[at], hi[at] = run_lo - first, run_hi - first
+        keys = zip(lo.tolist(), hi.tolist(), levels[xs].tolist())
+        ids = [pairs.setdefault(key, len(pairs)) for key in keys]
+        found_by_b.append((found.tolist(), ids))
+    outcomes = _certify_pairs(smp, list(pairs))
+    certificates: dict[float, tuple] = {}
+    failures: list[CertificateFailure] = []
+    for b, (found, ids) in zip(b_levels, found_by_b):
         per_x = []
-        keys = zip(lo.tolist(), hi.tolist(), levels.tolist())
-        for x, (has_gap, key) in enumerate(zip(found.tolist(), keys)):
-            if not has_gap:
-                outcome = NoGap(b, ceiling, x)
-            elif key in outcomes:
-                outcome = outcomes[key]
-            else:
-                try:
-                    outcome = certify_adapted_pair(smp, GridRange(key[0], key[1]), key[2])
-                except (EdgeOnSpectrum, RankJump) as exc:
-                    outcome = exc
-                outcomes[key] = outcome
+        ids = iter(ids)
+        for x, has_gap in enumerate(found):
+            outcome = outcomes[next(ids)] if has_gap else NoGap(b, ceiling, x)
             if isinstance(outcome, CertificationError):
                 failures.append(CertificateFailure(x, b, type(outcome).__name__, str(outcome)))
                 outcome = None

@@ -141,7 +141,7 @@ class FamilySample:
 
     @cached_property
     def projection_moduli(self) -> dict[tuple[int, int, int, int, int], float]:
-        """Memo of adjacent-edge projection norms, filled by ``adapted._interval_modulus``.
+        """Memo of adjacent-edge projection norms, filled by ``adapted._RunEdges``.
 
         Maps (left grid index, left start, left stop, right start, right stop)
         to the norm of the difference of the projections onto eigen-indices

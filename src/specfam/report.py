@@ -40,9 +40,27 @@ def format_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
+#: field names of each dataclass type ``jsonable`` has met
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
 def jsonable(obj):
     """Reduce certificates, arrays and scalars to plain JSON-ready values."""
-    if obj is None or isinstance(obj, (bool, str)):
+    # exact built-in types and dataclasses first, as canonical_json's emit
+    # does; every other type takes the chain of isinstance checks below
+    kind = type(obj)
+    if kind is float or kind is int or kind is bool or kind is str or obj is None:
+        return obj
+    if kind is list or kind is tuple:
+        return [jsonable(v) for v in obj]
+    if kind is dict:
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    names = _FIELD_NAMES.get(kind)
+    if names is None and dataclasses.is_dataclass(kind):
+        names = _FIELD_NAMES[kind] = tuple(f.name for f in dataclasses.fields(kind))
+    if names is not None:
+        return {name: jsonable(getattr(obj, name)) for name in names}
+    if isinstance(obj, (bool, str)):
         return obj
     if isinstance(obj, numbers.Integral):
         return int(obj)
@@ -54,8 +72,6 @@ def jsonable(obj):
         if np.iscomplexobj(obj):
             return jsonable(np.stack([obj.real, obj.imag], axis=-1))
         return [jsonable(v) for v in obj.tolist()]
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):

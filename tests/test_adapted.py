@@ -35,13 +35,16 @@ from specfam.adapted import (
     MAX_SHIFTS,
     AdaptedPairCertificate,
     CertificateFailure,
+    _certify_pairs,
     _interval_modulus,
+    _level_blocks,
     _scan_levels,
     level_candidates,
     level_margins,
     level_ranks,
 )
 from specfam.errors import (
+    CertificationError,
     CoveringFailed,
     EdgeOnSpectrum,
     EndpointOnSpectrum,
@@ -49,7 +52,16 @@ from specfam.errors import (
     NoGap,
     RankJump,
 )
-from specfam.spectral import TAU_EDGE_DEFAULT, diagonal_operator, hermitian_norm, projector
+from specfam.spectral import (
+    TAU_EDGE_DEFAULT,
+    _dense_range,
+    _difference_norms,
+    _install_decomposition,
+    _spectral_functions,
+    diagonal_operator,
+    hermitian_norm,
+    projector,
+)
 
 from conftest import (
     IN_BAND_SCALES,
@@ -714,23 +726,26 @@ class TestWholeGridScan:
         assert ranges == [GridRange(0, 1)] * 2 + [GridRange(3, 4)] * 2
 
     def test_dirac_scan_certifies_each_distinct_pair_once(self, monkeypatch):
-        finds, certified = [], []
-        find, certify = specfam.adapted.find_adapted_pair, specfam.adapted.certify_adapted_pair
+        finds, batches, certified = [], [], []
+        find, certify = specfam.adapted.find_adapted_pair, specfam.adapted._certify_pairs
 
         def counting_find(*args, **kwargs):
             finds.append(args)
             return find(*args, **kwargs)
 
-        def counting_certify(smp, grid_range, level, cap=None):
-            certified.append((grid_range, level))
-            return certify(smp, grid_range, level, cap)
+        def counting_certify(smp, keys, cap=None):
+            batches.append(len(keys))
+            certified.extend((GridRange(lo, hi), level) for lo, hi, level in keys)
+            return certify(smp, keys, cap)
 
         monkeypatch.setattr(specfam.adapted, "find_adapted_pair", counting_find)
-        monkeypatch.setattr(specfam.adapted, "certify_adapted_pair", counting_certify)
+        monkeypatch.setattr(specfam.adapted, "_certify_pairs", counting_certify)
         smp = sample(FamilySpec("dirac_circle", 41), ParameterGrid.linspace(-0.49, 0.49, 21))
         report = discrete_spectrum_certify(smp, [0.4, 1.4, 2.4], include_definitional=False)
         certs = [c for per_x in report.certificates.values() for c in per_x]
         assert report.passed and not finds
+        # every pair of every b level reaches the certifier in one call
+        assert batches == [len(certified)]
         assert len(set(certified)) == len(certified) < len(certs)
         assert {(c.range, c.level) for c in certs} == set(certified)
         # one object per (range, level), shared by every point and b that found it
@@ -750,6 +765,171 @@ class TestWholeGridScan:
         if before == "True":
             pytest.skip("importing numpy alone loads numpy.ma here")
         assert after == "False"
+
+
+def reference_interval_modulus(smp, lo, starts, stops, weighted, norm):
+    """One range's edges, the reference for ``_RunEdges``: the images over
+    the span from the range's first missing edge to its last come from one
+    ``_spectral_functions`` call, and the missing differences are normed with
+    ``norm``."""
+    memo = smp.restriction_moduli if weighted else smp.projection_moduli
+    first, last = starts.tolist(), stops.tolist()
+    keys = list(zip(range(lo, lo + len(first) - 1), first, last, first[1:], last[1:]))
+    values = list(map(memo.get, keys))
+    missing = [k for k, value in enumerate(values) if value is None]
+    if missing:
+        span = slice(missing[0], missing[-1] + 2)
+        decs = smp.decompositions[lo + span.start:lo + span.stop]
+        index = np.arange(smp.dim)
+        masks = (index >= starts[span, None]) & (index < stops[span, None])
+        weights = np.stack([dec.eigenvalues for dec in decs]) if weighted else None
+        images = _spectral_functions(decs, masks, weights, _dense_range(decs))
+        rows = np.array(missing) - span.start
+        norms = _difference_norms(images[rows + 1] - images[rows], norm)
+        for k, value in zip(missing, norms.tolist()):
+            values[k] = memo[keys[k]] = value
+    if not values:
+        return 0.0, None
+    modulus = max(values)
+    return modulus, lo + values.index(modulus)
+
+
+def reference_certify(smp, lo, hi, level, cap, norm):
+    """One pair certified by a loop over its points, the reference for
+    ``_certify_pairs``; refusals are returned, not raised."""
+    ev = smp.eigenvalue_matrix[lo:hi + 1]
+    margins = level_margins(ev, level)
+    ranks = level_ranks(ev, level)
+    prev_rank = None
+    for y, margin, rank in zip(range(lo, hi + 1), margins.tolist(), ranks.tolist()):
+        if not margin >= TAU_EDGE_DEFAULT:
+            return EdgeOnSpectrum(level, margin, grid_index=y)
+        if prev_rank is not None and rank != prev_rank:
+            return RankJump(y - 1, y, prev_rank, rank)
+        prev_rank = rank
+    starts = (ev < -level).sum(axis=1)
+    stops = starts + ranks
+    proj, proj_at = reference_interval_modulus(smp, lo, starts, stops, False, norm)
+    rest, rest_at = reference_interval_modulus(smp, lo, starts, stops, True, norm)
+    if cap is not None and proj > cap:
+        return ModulusExceeded("projection", proj, cap, proj_at)
+    if cap is not None and rest > cap:
+        return ModulusExceeded("restriction", rest, cap, rest_at)
+    return AdaptedPairCertificate(GridRange(lo, hi), float(level), int(ranks[0]),
+                                  float(np.min(margins)), proj, rest)
+
+
+def assert_same_outcome(ours, theirs):
+    assert type(ours) is type(theirs)
+    if isinstance(theirs, CertificationError):
+        assert str(ours) == str(theirs)
+        # repr, so that a NaN margin equals itself
+        assert repr(vars(ours)) == repr(vars(theirs))
+    else:
+        assert ours == theirs
+
+
+class TestBatchCertification:
+    """``_certify_pairs`` gives every key the outcome a per-pair loop gives
+    it, in the same order, and leaves the same stores."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 5), points=st.integers(2, 8),
+           forms=st.sampled_from(["P", "D", "R", "PDR"]), nan_row=st.booleans(),
+           cap=st.none() | st.floats(0.0, 1.5), entries=st.integers(1, 4096))
+    def test_batch_equals_per_pair_reference(self, data, dim, points, forms, nan_row, cap,
+                                             entries):
+        # half-integer spectra, some rotated into a dense basis (R), so that
+        # levels land on eigenvalues and ranks change between points
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        basis, _ = np.linalg.qr(random_hermitian(rng, dim).entries)
+        ops = []
+        for _ in range(points):
+            values = 0.5 * rng.integers(-8, 9, size=dim)
+            form = data.draw(st.sampled_from(forms))
+            if form == "P":
+                ops.append(diagonal_operator(values))
+            elif form == "D":
+                ops.append(HermitianOperator(np.diag(values)))
+            else:
+                ops.append(HermitianOperator((basis * values) @ basis.conj().T))
+        if nan_row:
+            at = data.draw(st.integers(0, points - 1))
+            ops[at] = HermitianOperator(np.diag(0.5 * rng.integers(-8, 9, size=dim)))
+            _install_decomposition(ops[at], np.concatenate(([np.nan], np.arange(dim - 1.0))),
+                                   np.eye(dim, dtype=complex))
+        level = st.sampled_from([0.25, 0.5, 1.0, 1.75, 2.5, 3.0, 4.25]) | st.floats(0.01, 5.0)
+        keys = []
+        for _ in range(data.draw(st.integers(0, 8))):
+            lo = data.draw(st.integers(0, points - 1))
+            keys.append((lo, data.draw(st.integers(lo, points - 1)), data.draw(level)))
+        keys += data.draw(st.lists(st.sampled_from(keys), max_size=3)) if keys else []
+        keys = data.draw(st.permutations(keys))
+
+        grid = ParameterGrid.linspace(0.0, 1.0, points)
+        ours, theirs = FamilySample(grid, tuple(ops)), FamilySample(grid, tuple(ops))
+        with pytest.MonkeyPatch.context() as mp:
+            our_norms = count_norms(mp, specfam.adapted)
+            # small sizes take the points in several blocks
+            mp.setattr(specfam.adapted, "_TABLE_ENTRIES", entries)
+            outcomes = _certify_pairs(ours, keys, cap)
+        their_norms = []
+
+        def norm(m):
+            their_norms.append(m.shape)
+            return hermitian_norm(m)
+
+        expected = [reference_certify(theirs, lo, hi, lvl, cap, norm) for lo, hi, lvl in keys]
+        assert len(outcomes) == len(expected)
+        for got, want in zip(outcomes, expected):
+            assert_same_outcome(got, want)
+        # each edge is built in the form of the first range that lacks it
+        assert our_norms == their_norms
+        for store in ("projection_moduli", "restriction_moduli"):
+            bits = [{key: value.hex() for key, value in getattr(smp, store).items()}
+                    for smp in (ours, theirs)]
+            assert bits[0] == bits[1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 6), rows=st.integers(1, 9),
+           entries=st.integers(2, 60))
+    def test_level_table_equals_the_one_level_functions(self, data, dim, rows, entries):
+        # few distinct magnitudes, so levels tie with eigenvalues and rows
+        # tie with each other; a NaN row has margin NaN throughout
+        value = st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0]) | st.floats(-4.0, 4.0)
+        ev = np.sort(np.array([data.draw(st.lists(value, min_size=dim, max_size=dim))
+                               for _ in range(rows)]), axis=1)
+        if data.draw(st.booleans()):
+            ev[data.draw(st.integers(0, rows - 1)), -1] = np.nan
+        levels = np.array(sorted(set(data.draw(st.lists(
+            st.sampled_from([0.5, 1.0, 1.5, 3.0]) | st.floats(1e-3, 5.0), min_size=1)))))
+        # a small block size, so the table comes in several blocks
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(specfam.adapted, "_TABLE_ENTRIES", entries)
+            blocks = list(_level_blocks(ev, levels))
+        covered = [k for block, _, _ in blocks for k in range(block.start, block.stop)]
+        assert covered == list(range(len(levels)))
+        for block, margins, ranks in blocks:
+            for row, level in enumerate(levels[block]):
+                assert margins[row].tobytes() == level_margins(ev, level).tobytes()
+                assert np.array_equal(ranks[row], level_ranks(ev, level))
+
+    @pytest.mark.parametrize("cap, kinds", [
+        (None, ["AdaptedPairCertificate", "EdgeOnSpectrum", "RankJump", "AdaptedPairCertificate"]),
+        (0.1, ["ModulusExceeded", "EdgeOnSpectrum", "RankJump", "AdaptedPairCertificate"]),
+    ])
+    def test_the_wrapper_raises_what_the_batch_returns(self, cap, kinds):
+        smp = jumping_sample(3, 4, 6)
+        keys = [(0, 5, 1.0), (0, 5, 2.0), (0, 5, 0.25), (2, 2, 0.5)]
+        outcomes = _certify_pairs(smp, keys, cap)
+        assert [type(outcome).__name__ for outcome in outcomes] == kinds
+        for (lo, hi, level), outcome in zip(keys, outcomes):
+            if isinstance(outcome, CertificationError):
+                with pytest.raises(type(outcome)) as err:
+                    certify_adapted_pair(smp, GridRange(lo, hi), level, cap)
+                assert vars(err.value) == vars(outcome)
+            else:
+                assert certify_adapted_pair(smp, GridRange(lo, hi), level, cap) == outcome
 
 
 class TestDiagonalEdgeNorms:

@@ -23,6 +23,12 @@ from specfam import (
     sample,
     validate_config,
 )
+from specfam.adapted import (
+    AdaptedPairCertificate,
+    CertificateFailure,
+    DiscreteSpectrumReport,
+    GridRange,
+)
 from specfam.cli import main
 from specfam.report import _render_path, _schema, _schema_errors, _write_csv, format_float
 from specfam.errors import ConfigError
@@ -148,6 +154,61 @@ JSON_TREES = st.recursive(JSON_LEAVES, lambda children: st.one_of(
     st.dictionaries(st.integers(-5, 5), children)), max_leaves=20)
 
 
+def isinstance_chain_jsonable(obj):
+    """``jsonable`` as one chain of isinstance checks with no dispatch on
+    exact types, the oracle of its fast paths."""
+    if obj is None or isinstance(obj, (bool, str)):
+        return obj
+    if isinstance(obj, numbers.Integral):
+        return int(obj)
+    if isinstance(obj, numbers.Real):
+        return float(obj)
+    if isinstance(obj, complex):
+        return [float(obj.real), float(obj.imag)]
+    if isinstance(obj, np.ndarray):
+        if np.iscomplexobj(obj):
+            return isinstance_chain_jsonable(np.stack([obj.real, obj.imag], axis=-1))
+        return [isinstance_chain_jsonable(v) for v in obj.tolist()]
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: isinstance_chain_jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): isinstance_chain_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        return [isinstance_chain_jsonable(v) for v in obj]
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+#: certificates as the analyses return them, with the NumPy and complex
+#: values a result may hold besides the plain JSON trees
+CERTIFICATES = st.builds(
+    AdaptedPairCertificate,
+    range=st.builds(GridRange, st.integers(0, 5), st.integers(5, 9)),
+    level=ANY_FLOAT, rank=st.integers(0, 9), margin=ANY_FLOAT.map(np.float64),
+    projection_modulus=ANY_FLOAT, restriction_modulus=ANY_FLOAT)
+JSONABLE_LEAVES = st.one_of(
+    JSON_LEAVES, CERTIFICATES,
+    st.builds(CertificateFailure, st.integers(0, 9), ANY_FLOAT, st.text(), st.text()),
+    st.booleans().map(np.bool_), st.complex_numbers(allow_nan=True, allow_infinity=True),
+    st.complex_numbers(allow_nan=True, allow_infinity=True).map(np.complex128),
+    st.integers(0, 255).map(np.uint8),
+    st.lists(st.complex_numbers(allow_nan=True, allow_infinity=True), max_size=6).map(
+        lambda v: np.array(v, dtype=complex).reshape(-1, 2) if len(v) % 2 == 0
+        else np.array(v, dtype=complex)),
+    st.lists(ANY_FLOAT, max_size=4).map(np.array),
+    st.frozensets(st.integers(-3, 3)))
+JSONABLE_TREES = st.recursive(JSONABLE_LEAVES, lambda children: st.one_of(
+    st.lists(children), st.lists(children).map(tuple),
+    st.dictionaries(st.text(), children),
+    st.dictionaries(st.integers(-5, 5), children),
+    st.builds(DiscreteSpectrumReport, passed=st.booleans(),
+              b_levels=st.tuples(ANY_FLOAT), ceiling=ANY_FLOAT,
+              certificates=st.dictionaries(ANY_FLOAT, st.tuples(children)),
+              failures=st.tuples(), failing_points=st.tuples(st.integers(0, 9)),
+              definitional=st.none())), max_leaves=20)
+
+
 class TestCanonicalJson:
     def test_sorted_keys_and_float_format(self):
         text = canonical_json({"b": 0.1, "a": 2})
@@ -168,6 +229,20 @@ class TestCanonicalJson:
     @given(value=JSON_TREES)
     def test_same_text_as_the_isinstance_chain(self, value):
         assert canonical_json(value) == isinstance_chain_json(value)
+
+    @settings(max_examples=150, deadline=None)
+    @given(value=JSONABLE_TREES)
+    def test_jsonable_equals_the_isinstance_chain(self, value):
+        try:
+            expected = isinstance_chain_jsonable(value)
+        except TypeError as exc:
+            with pytest.raises(TypeError) as err:
+                jsonable(value)
+            assert str(err.value) == str(exc)
+            return
+        # repr tells 1 from 1.0 and shows NaN, which equality does not
+        assert repr(jsonable(value)) == repr(expected)
+        assert canonical_json(jsonable(value)) == canonical_json(expected)
 
 
 
