@@ -23,7 +23,10 @@ discrete-spectrum scan, norm every distinct edge once.  One edge routine,
 ``_RunEdges``, fills those stores: it takes many runs of points at once,
 builds only the edges the stores lack, as the topology chains build images,
 with ``spectral._spectral_functions``, and norms them with
-``spectral._difference_norms``.
+``spectral._difference_norms``.  Each edge takes its own form, diagonal when
+both of its points hold their eigenbasis as a permutation and dense
+otherwise, so a stored norm depends on the edge alone, not on the range that
+normed it first.
 
 ``_certify_pairs`` certifies a batch of (range, level) pairs in one pass:
 per-point margins and ranks give each pair's first refusal, and the edges of
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -59,7 +63,6 @@ from .errors import (
 from .families import FamilySample
 from .spectral import (
     TAU_EDGE_DEFAULT,
-    _dense_range,
     _difference_norms,
     _spectral_functions,
     hermitian_norm,
@@ -149,12 +152,12 @@ def truncation_ceiling(smp: FamilySample) -> float:
 def level_margins(eigenvalues: np.ndarray, level: float) -> np.ndarray:
     """Per row of eigenvalues (one per grid point), the distance of +-level
     to the spectrum."""
-    return np.min(np.abs(np.abs(eigenvalues) - level), axis=1)
+    return np.abs(np.abs(eigenvalues) - level).min(axis=1)
 
 
 def level_ranks(eigenvalues: np.ndarray, level: float) -> np.ndarray:
     """Per row of eigenvalues (one per grid point), the number in [-level, level]."""
-    return np.sum(np.abs(eigenvalues) <= level, axis=1)
+    return (np.abs(eigenvalues) <= level).sum(axis=1)
 
 
 def _gaps(abs_sorted: np.ndarray, lo: float,
@@ -205,8 +208,9 @@ def _widest_levels(abs_sorted: np.ndarray, lo: float,
             np.take_along_axis(keep, best, axis=-1)[..., 0])
 
 
-#: entries of each (levels, rows) array of a level table block, and of each
-#: (points, dim) array a batch of certifications compares at once
+#: entries of each (levels, rows) array of a level table block, of each
+#: (points, dim) array a batch of certifications compares at once, and of
+#: each (edges, dim) block of lacking edges whose images are built at once
 _TABLE_ENTRIES = 1 << 12
 
 
@@ -278,9 +282,8 @@ class _RunEdges:
         is_left = np.ones(len(grid_index), dtype=bool)
         is_left[self.firsts + counts - 1] = False
         self.left = np.flatnonzero(is_left)
-        right = self.left + 1
-        edges = zip(grid_index[self.left].tolist(), starts[self.left].tolist(),
-                    stops[self.left].tolist(), starts[right].tolist(), stops[right].tolist())
+        y, start, stop = grid_index.tolist(), starts.tolist(), stops.tolist()
+        edges = compress(zip(y, start, stop, start[1:], stop[1:]), is_left.tolist())
         distinct: dict[tuple[int, int, int, int, int], int] = {}
         self.ids = [distinct.setdefault(edge, len(distinct)) for edge in edges]
         self.keys = list(distinct)
@@ -289,63 +292,50 @@ class _RunEdges:
         """The stored norm of every run edge in turn, computing and storing
         each distinct edge the store lacks, once.
 
-        The images of a block of lacking edges come from one
-        ``_spectral_functions`` call, and their differences are normed with
-        ``_difference_norms`` (see ``_blocks``).
+        Each lacking edge is built in its own form: diagonal when both of its
+        points hold their eigenbasis as a permutation, dense otherwise, so its
+        value depends on the edge alone.  Per form, in blocks of edges whose
+        differences hold at most ``_TABLE_ENTRIES`` entries, every distinct
+        point image (grid index and interval) is built once by one
+        ``_spectral_functions`` call, and the differences are normed with
+        ``_difference_norms``.
         """
         memo = smp.restriction_moduli if weighted else smp.projection_moduli
         values = list(map(memo.get, self.keys))
-        missing = [k for k, value in enumerate(values) if value is None]
-        if missing:
-            decs = smp.decompositions
-            index = np.arange(smp.dim)
-            for lefts, taken, dense in self._blocks(decs, np.array(missing)):
-                ends = lefts[np.append(lefts[1:] != lefts[:-1] + 1, True)]
-                points = np.sort(np.concatenate((lefts, ends + 1)))
+        if None not in values:
+            return list(map(values.__getitem__, self.ids))
+        # the left end of each lacking edge where the edge first appears,
+        # which is where the running largest id grows
+        ids = np.array(self.ids)
+        new = np.ones(len(ids), dtype=bool)
+        new[1:] = ids[1:] > np.maximum.accumulate(ids)[:-1]
+        missing = np.array([k for k, value in enumerate(values) if value is None])
+        left = self.left[new][missing]
+        decs = smp.decompositions
+        is_dense = np.array([decs[y].order is None or decs[y + 1].order is None
+                             for y in self.grid_index[left].tolist()])
+        index, radix = np.arange(smp.dim), smp.dim + 1
+        for dense in (False, True):
+            lefts, taken = left[is_dense == dense], missing[is_dense == dense]
+            step = max(1, _TABLE_ENTRIES // (smp.dim ** 2 if dense else smp.dim))
+            for j in range(0, len(lefts), step):
+                block = lefts[j:j + step]
+                ends = np.concatenate((block, block + 1))
+                code = ((self.grid_index[ends] * radix + self.starts[ends]) * radix
+                        + self.stops[ends])
+                _, first, row = np.unique(code, return_index=True, return_inverse=True)
+                points = ends[first]
                 grid = self.grid_index[points]
                 masks = ((index >= self.starts[points, None])
                          & (index < self.stops[points, None]))
                 weights = smp.eigenvalue_matrix[grid] if weighted else None
                 images = _spectral_functions([decs[y] for y in grid.tolist()], masks,
                                              weights, dense)
-                rows = np.searchsorted(points, lefts)
-                norms = _difference_norms(images[rows + 1] - images[rows], hermitian_norm)
-                for k, value in zip(taken.tolist(), norms.tolist()):
+                n = len(block)
+                norms = _difference_norms(images[row[n:]] - images[row[:n]], hermitian_norm)
+                for k, value in zip(taken[j:j + step].tolist(), norms.tolist()):
                     values[k] = memo[self.keys[k]] = value
-        return [values[k] for k in self.ids]
-
-    def _blocks(self, decs, missing: np.ndarray):
-        """The ``missing`` distinct edges in blocks: per block, the point
-        positions of their left ends, the edges, and the form.
-
-        An edge belongs to the first run that has it.  The edges a run lacks
-        span from its first to its last, and that span takes the form
-        ``_dense_range`` gives it, as a range's images do; only the points of
-        the lacking edges are built.  A block joins runs of consecutive
-        lacking edges of one form, up to as many points as the longest span
-        holds.
-        """
-        ids = np.array(self.ids)
-        # an edge first appears where the running largest id grows
-        new = np.ones(len(ids), dtype=bool)
-        new[1:] = ids[1:] > np.maximum.accumulate(ids)[:-1]
-        left = self.left[new][missing]
-        run = np.searchsorted(self.firsts, left, side="right")
-        span = np.flatnonzero(np.concatenate(([True], run[1:] != run[:-1])))
-        last = np.concatenate((span[1:], [len(left)])) - 1
-        ends = zip(self.grid_index[left[span]].tolist(), self.grid_index[left[last]].tolist())
-        dense = [_dense_range(decs[a:b + 2]) for a, b in ends]
-        limit = int(np.max(left[last] - left[span])) + 2
-        piece = np.flatnonzero(np.concatenate(([True], left[1:] != left[:-1] + 1)))
-        pieces = zip(piece.tolist(), piece[1:].tolist() + [len(left)],
-                     (np.searchsorted(span, piece, side="right") - 1).tolist())
-        start, stop, form, size = 0, 0, dense[0], 0
-        for a, b, s in pieces:
-            if dense[s] != form or size + b - a + 1 > limit:
-                yield left[start:stop], missing[start:stop], form
-                start, form, size = a, dense[s], 0
-            stop, size = b, size + b - a + 1
-        yield left[start:stop], missing[start:stop], form
+        return list(map(values.__getitem__, self.ids))
 
     def maxima(self, norms: list[float]) -> tuple[list[float], list[int | None]]:
         """Per run, the largest of its edges' ``norms`` and the left grid
@@ -392,8 +382,7 @@ def _certify_pairs(smp: FamilySample, keys, cap: float | None = None) -> list:
     whose missing norms are computed once each and stored, and each key reads
     its moduli off the stores.  With a cap, a key whose projection or else
     restriction modulus lands above it is refused as ``ModulusExceeded`` at
-    the first edge attaining it.  Keys are certified in order: an edge is
-    built in the form of the first key that lacks it.
+    the first edge attaining it.
     """
     outcomes: list = [None] * len(keys)
     if not outcomes:
@@ -409,10 +398,10 @@ def _certify_pairs(smp: FamilySample, keys, cap: float | None = None) -> list:
     step = max(1, _TABLE_ENTRIES // smp.dim)
     for j in range(0, len(grid), step):
         block = slice(j, j + step)
-        ev = smp.eigenvalue_matrix[grid[block]]
-        margins[block] = level_margins(ev, level[block])
-        ranks[block] = level_ranks(ev, level[block])
-        starts[block] = np.sum(ev < -level[block], axis=1)
+        ev, lv = smp.eigenvalue_matrix[grid[block]], level[block]
+        margins[block] = level_margins(ev, lv)
+        ranks[block] = level_ranks(ev, lv)
+        starts[block] = (ev < -lv).sum(axis=1)
 
     unclear = ~(margins >= TAU_EDGE_DEFAULT)
     jumps = np.zeros(len(grid), dtype=bool)
@@ -431,8 +420,11 @@ def _certify_pairs(smp: FamilySample, keys, cap: float | None = None) -> list:
         return outcomes
 
     least = np.minimum.reduceat(margins, offsets)[ok].tolist()
-    keep = np.repeat([outcome is None for outcome in outcomes], counts)
-    edges = _RunEdges(grid[keep], starts[keep], starts[keep] + ranks[keep], counts[ok])
+    stops = starts + ranks
+    if len(ok) < len(keys):
+        keep = np.repeat([outcome is None for outcome in outcomes], counts)
+        grid, starts, stops, counts = grid[keep], starts[keep], stops[keep], counts[ok]
+    edges = _RunEdges(grid, starts, stops, counts)
     (proj, proj_at), (rest, rest_at) = (edges.maxima(edges.norms(smp, weighted))
                                         for weighted in (False, True))
     rank = ranks[offsets[ok]].tolist()

@@ -80,7 +80,10 @@ def main():
 @click.option("--output-dir", type=click.Path(file_okay=False), default=None,
               help="Where to write report.json and the CSV tables.")
 @click.option("--threads", type=int, default=1, show_default=True,
-              help="Worker threads for grid-point decompositions.")
+              help="Worker threads that decompose the grid's operators before the "
+                   "analyses run. Only linear_crossing and dense matrix files reach "
+                   "them undecomposed; every other family is decomposed while it is "
+                   "sampled, so the threads have nothing to do.")
 @click.option("--quiet", is_flag=True, help="Suppress per-analysis progress lines.")
 def analyze(config_path, output_dir, threads, quiet):
     """Run every analysis in CONFIG_PATH and write the report bundle."""

@@ -146,8 +146,9 @@ class FamilySample:
         Maps (left grid index, left start, left stop, right start, right stop)
         to the norm of the difference of the projections onto eigen-indices
         [start, stop) at the two ends of the edge.  The value does not depend
-        on which range normed the edge first: a difference of permutation-form
-        images is diagonal, and its norm is its largest entry in either form.
+        on which range normed the edge first: each edge is built in its own
+        form, diagonal when both of its points hold their eigenbasis as a
+        permutation and dense otherwise.
         """
         return {}
 

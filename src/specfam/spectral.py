@@ -26,23 +26,23 @@ work.
 
 Every function of an operator, sum_j w_j v_j v_j* over some of its
 eigenpairs, is built for a run of points at once by ``_spectral_functions``,
-in the form ``_dense_range`` chooses for the whole run.  When every point
-holds its eigenbasis as a permutation, row k is the length-d diagonal of
-point k's image (w_j at standard index ``order[j]``), and the run is one
-(r, d) scatter; when any point is dense, every row is ``projector``'s dense
-d x d matrix.  Both forms hold the same values, since a projector built from
-the permuted identity columns has exact entries.  ``_difference_norms``
-norms each row or slice of a difference of such images.  The public
-``projector``, ``resolvent_at_i`` and ``bounded_transform(...).entries``
-always return dense d x d matrices; ``bounded_transform`` of an operator in
-permutation form is itself in diagonal form.
+in one form for the whole run.  When every point holds its eigenbasis as a
+permutation, row k is the length-d diagonal of point k's image (w_j at
+standard index ``order[j]``), and the run is one (r, d) scatter; when any
+point is dense, every row is ``projector``'s dense d x d matrix
+(``_dense_range``).  A topology chain builds a whole range in one form; an
+adapted-pair edge is a run of its own two points.  Both forms hold the same
+values, since a projector built from the permuted identity columns has exact
+entries.  ``_difference_norms`` norms each row or slice of a difference of
+such images.  The public ``projector``, ``resolvent_at_i`` and
+``bounded_transform(...).entries`` always return dense d x d matrices;
+``bounded_transform`` of an operator in permutation form is itself in
+diagonal form.
 
-``hermitian_norm`` looks at its input before it calls the eigensolver: a
-matrix with no nonzero off-diagonal entry is normed as max |Re a_ii|, the
-value its diagonal form takes, so a difference of permutation-form images has
-one norm whichever form its run was built in.  The value equals the
-eigensolver's bits while the entries lie within about [1e-146, 1e146] and is
-exact beyond that band.  ``operator_norm`` keeps the SVD on every input; a
+``hermitian_norm`` always calls the eigensolver.  On a diagonal difference
+it returns max |Re a_ii|, the diagonal form's value, bit for bit while the
+entries lie within about [1e-146, 1e146]; beyond that band LAPACK rescales
+the matrix and rounds.  ``operator_norm`` keeps the SVD on every input; a
 complex diagonal in diagonal form is normed with the SVD's own arithmetic
 instead (``_complex_diagonal_norms``), which gives the same bits inside a
 band and at every dimension but 2.
@@ -387,9 +387,11 @@ def _spectral_functions(decs, masks: np.ndarray, weights: np.ndarray | None = No
 
     ``masks`` is a boolean (r, d) array over eigen-indices and ``weights`` a
     float or complex (r, d) array or None; ``dense`` is ``_dense_range`` of
-    the run the images belong to.  Unless ``dense``, every decomposition is
-    in permutation form, and the result is one (r, d) scatter of the masked
-    weights into the standard indices, of the weights' dtype.  With ``dense``
+    the run the images belong to, or of every run when images of several
+    runs of one form are built at once.  Unless ``dense``, every
+    decomposition is in permutation form, and the result is one (r, d)
+    scatter of the masked weights into the standard indices, of the weights'
+    dtype.  With ``dense``
     it is the (r, d, d) stack of ``projector``'s matrices.
     """
     if dense:
@@ -397,7 +399,8 @@ def _spectral_functions(decs, masks: np.ndarray, weights: np.ndarray | None = No
                          for k, (dec, mask) in enumerate(zip(decs, masks))])
     values = masks.astype(float) if weights is None else np.where(masks, weights, 0)
     out = np.zeros(values.shape, dtype=values.dtype)
-    np.put_along_axis(out, np.stack([dec.order for dec in decs]), values, axis=1)
+    # np.array of the equal-length orders costs a fifth of np.stack's call
+    out[np.arange(len(decs))[:, None], np.array([dec.order for dec in decs])] = values
     return out
 
 
@@ -407,9 +410,10 @@ def _difference_norms(diffs: np.ndarray, norm) -> np.ndarray:
 
     A dense slice goes to ``norm``, ``hermitian_norm`` or ``operator_norm``,
     one LAPACK call each.  A real diagonal row is normed as its largest
-    absolute entry, the value ``hermitian_norm`` takes on its dense form; a
-    complex one by ``_complex_diagonal_norms``, with the bits ``operator_norm``
-    gives on its dense form.  Only the graph chain's resolvents are complex,
+    absolute entry, the value ``hermitian_norm`` takes on its dense form
+    while the entries lie in the eigensolver's band; a complex one by
+    ``_complex_diagonal_norms``, with the bits ``operator_norm`` gives on its
+    dense form.  Only the graph chain's resolvents are complex,
     and it norms them with ``operator_norm``.
     """
     if diffs.ndim == 3:
@@ -518,13 +522,12 @@ def resolvent_at_i(op: HermitianOperator) -> np.ndarray:
 def operator_norm(m: np.ndarray) -> float:
     """Largest singular value; equals max |eigenvalue| for Hermitian input.
 
-    It takes no diagonal shortcut, unlike ``hermitian_norm``: on a complex
-    diagonal the SVD's value is not max |z| (``hypot``) but max dlapy3(Re z,
-    Im z, 0), which differs from it by one ulp on about 4% of inputs (74 of
-    2,000 random diagonals of dims 1-41 at scales 1e-3 to 1e3).  Images in
-    diagonal form reach those bits without an SVD through
-    ``_complex_diagonal_norms``, which gives the mechanism, its band and why
-    dimension 2 still takes the SVD.
+    It takes no diagonal shortcut: on a complex diagonal the SVD's value is
+    not max |z| (``hypot``) but max dlapy3(Re z, Im z, 0), which differs
+    from it by one ulp on about 4% of inputs (74 of 2,000 random diagonals
+    of dims 1-41 at scales 1e-3 to 1e3).  Images in diagonal form reach those
+    bits without an SVD through ``_complex_diagonal_norms``, which gives the
+    mechanism, its band and why dimension 2 still takes the SVD.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -535,19 +538,11 @@ def operator_norm(m: np.ndarray) -> float:
 def hermitian_norm(m: np.ndarray) -> float:
     """Spectral norm of a Hermitian matrix via eigenvalues (cheaper than SVD).
 
-    A matrix whose off-diagonal entries are all zero is normed as
-    max |Re a_ii|, with no eigensolver.  It must be the real part: ``eigvalsh``
-    reads only the real part of the diagonal, and |a_ii| differs from it where
-    a_ii has an imaginary part.  The value is exact at every magnitude, and it
-    equals ``max |eigvalsh|`` bit for bit while the entries lie within about
-    [1e-146, 1e146]; beyond that band LAPACK rescales the matrix and rounds
-    its eigenvalues.  Any nonzero off-diagonal entry, however small, takes
-    ``eigvalsh``.  An empty matrix has norm 0.
+    ``eigvalsh`` reads only the lower triangle, and of the diagonal only the
+    real part.  An empty matrix has norm 0.
     """
     if m.size == 0:
         return 0.0
-    if _off_diagonal_zero(m):
-        return float(np.max(np.abs(np.diagonal(m).real)))
     return float(np.max(np.abs(np.linalg.eigvalsh(m))))
 
 

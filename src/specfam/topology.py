@@ -19,8 +19,10 @@ is one (r, d) array of diagonals, built by one scatter, and its norms are
 elementwise reductions with no eigensolver and no SVD; otherwise the image
 is the (r, d, d) stack of each point's dense matrix, normed one slice per
 LAPACK call.  Either way the values, and so every certificate field and
-distance, are the same bits.  A dense resolvent at +i or bounded transform is
-the public ``resolvent_at_i(op)`` or ``bounded_transform(op).entries``.
+distance, are the same bits while the entries lie within about
+[1e-146, 1e146], where ``eigvalsh`` returns a diagonal's entries exactly.
+A dense resolvent at +i or bounded transform is the public
+``resolvent_at_i(op)`` or ``bounded_transform(op).entries``.
 
 Both chains first contract the range around the base point: ``_contract``
 walks outward from it on each side and stops at the first point where an

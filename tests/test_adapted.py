@@ -768,26 +768,22 @@ class TestWholeGridScan:
 
 
 def reference_interval_modulus(smp, lo, starts, stops, weighted, norm):
-    """One range's edges, the reference for ``_RunEdges``: the images over
-    the span from the range's first missing edge to its last come from one
-    ``_spectral_functions`` call, and the missing differences are normed with
-    ``norm``."""
+    """One range's edges, the reference for ``_RunEdges``: each missing edge
+    builds its two images with one ``_spectral_functions`` call, in the form
+    its own two points give it, and norms their difference with ``norm``."""
     memo = smp.restriction_moduli if weighted else smp.projection_moduli
     first, last = starts.tolist(), stops.tolist()
     keys = list(zip(range(lo, lo + len(first) - 1), first, last, first[1:], last[1:]))
-    values = list(map(memo.get, keys))
-    missing = [k for k, value in enumerate(values) if value is None]
-    if missing:
-        span = slice(missing[0], missing[-1] + 2)
-        decs = smp.decompositions[lo + span.start:lo + span.stop]
-        index = np.arange(smp.dim)
-        masks = (index >= starts[span, None]) & (index < stops[span, None])
-        weights = np.stack([dec.eigenvalues for dec in decs]) if weighted else None
-        images = _spectral_functions(decs, masks, weights, _dense_range(decs))
-        rows = np.array(missing) - span.start
-        norms = _difference_norms(images[rows + 1] - images[rows], norm)
-        for k, value in zip(missing, norms.tolist()):
-            values[k] = memo[keys[k]] = value
+    index = np.arange(smp.dim)
+    for k, key in enumerate(keys):
+        if key not in memo:
+            decs = smp.decompositions[lo + k:lo + k + 2]
+            ends = slice(k, k + 2)
+            masks = (index >= starts[ends, None]) & (index < stops[ends, None])
+            weights = np.stack([dec.eigenvalues for dec in decs]) if weighted else None
+            images = _spectral_functions(decs, masks, weights, _dense_range(decs))
+            memo[key] = float(_difference_norms(images[1:] - images[:1], norm)[0])
+    values = [memo[key] for key in keys]
     if not values:
         return 0.0, None
     modulus = max(values)
@@ -883,7 +879,7 @@ class TestBatchCertification:
         assert len(outcomes) == len(expected)
         for got, want in zip(outcomes, expected):
             assert_same_outcome(got, want)
-        # each edge is built in the form of the first range that lacks it
+        # each missing edge is normed once, in its own form
         assert our_norms == their_norms
         for store in ("projection_moduli", "restriction_moduli"):
             bits = [{key: value.hex() for key, value in getattr(smp, store).items()}
@@ -933,9 +929,9 @@ class TestBatchCertification:
 
 
 class TestDiagonalEdgeNorms:
-    """A range whose points are all in permutation form is normed as vector
-    differences; a range with any dense point builds dense projectors
-    throughout and norms every edge with ``hermitian_norm``."""
+    """An edge whose two points are both in permutation form is normed as a
+    vector difference; an edge with a dense end builds dense projectors and
+    is normed with ``hermitian_norm``."""
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), dim=st.integers(1, 7), points=st.integers(2, 6),
@@ -964,8 +960,7 @@ class TestDiagonalEdgeNorms:
         decs = smp.decompositions
         diagonal = [decs[y].order is not None and decs[y + 1].order is not None
                     for y in range(points - 1)]
-        dense = any(dec.order is None for dec in decs)
-        assert len(calls) == (points - 1 if dense else 0)
+        assert len(calls) == diagonal.count(False)
         for y, value in enumerate(values):
             ends = [projector(decs[z], interval_mask(dim, starts[z], stops[z]),
                               weights=decs[z].eigenvalues if weighted else None)
@@ -989,8 +984,9 @@ class TestDiagonalEdgeNorms:
         calls = count_norms(monkeypatch, specfam.adapted)
         cert = certify_adapted_pair(smp, GridRange(0, len(forms) - 1), 3.5)
         assert cert.rank == 3 and cert.projection_modulus == 1.0
-        # one dense point makes every edge of the range dense
-        assert len(calls) == (2 * (len(forms) - 1) if "D" in forms else 0)
+        # an edge with a dense end is dense; the others are vector differences
+        dense_edges = sum("D" in pair for pair in zip(forms, forms[1:]))
+        assert len(calls) == 2 * dense_edges
         assert_stores_match_dense_oracle(smp)
 
     @settings(max_examples=80, deadline=None)
@@ -1000,7 +996,7 @@ class TestDiagonalEdgeNorms:
     def test_stores_do_not_depend_on_which_range_came_first(self, data, dim, points, scale,
                                                             weighted):
         # a permutation-form sub-range and one dense point outside it: the
-        # sub-range's edges are dense in the whole range, vectors on their own
+        # sub-range's edges are vectors whichever range norms them first
         length = data.draw(st.integers(2, points - 1))
         sub_lo = data.draw(st.integers(0, points - length))
         sub = range(sub_lo, sub_lo + length)
@@ -1019,12 +1015,15 @@ class TestDiagonalEdgeNorms:
         whole_first, sub_first = FamilySample(grid, tuple(ops)), FamilySample(grid, tuple(ops))
         part = slice(sub.start, sub.stop)
 
+        decs = whole_first.decompositions
+        dense_edges = sum(decs[y].order is None or decs[y + 1].order is None
+                          for y in range(points - 1))
         with pytest.MonkeyPatch.context() as mp:
             calls = count_norms(mp, specfam.adapted)
             _interval_modulus(whole_first, 0, starts, stops, weighted=weighted)
-            assert len(calls) == points - 1
+            assert len(calls) == dense_edges
             _interval_modulus(sub_first, sub.start, starts[part], stops[part], weighted=weighted)
-            assert len(calls) == points - 1
+            assert len(calls) == dense_edges
         _interval_modulus(whole_first, sub.start, starts[part], stops[part], weighted=weighted)
         _interval_modulus(sub_first, 0, starts, stops, weighted=weighted)
 
