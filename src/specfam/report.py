@@ -313,16 +313,16 @@ def validate_config(config: dict) -> None:
             else:
                 _require(all(_real(b) and b > 0 for b in levels),
                          f"{base}.b_levels", "must be positive finite numbers")
-            for name in ("eta", "norm_slack"):
-                check(name, _real, "must be a finite number")
-            check("interior_budget", lambda v: v is None or _integer(v),
-                  "must be an integer or null")
+            check("eta", lambda v: _real(v) and 0 < v < 1, "out of (0, 1)")
+            check("norm_slack", _non_negative, "must be a non-negative finite number")
+            check("interior_budget", lambda v: v is None or _integer(v) and v >= 0,
+                  "must be a non-negative integer or null")
         elif kind == "truncation":
             dims = need("dims")
             _require(isinstance(dims, list) and len(dims) >= 2
-                     and all(_integer(d) for d in dims)
+                     and all(_integer(d) and d >= 1 for d in dims)
                      and sorted(dims) == dims,
-                     f"{base}.dims", "must be an increasing integer array")
+                     f"{base}.dims", "must be an increasing array of positive integers")
             window = need("window")
             _require(isinstance(window, list) and len(window) == 2
                      and all(_real(w) for w in window) and window[0] <= window[1],
@@ -335,6 +335,9 @@ def validate_config(config: dict) -> None:
             if key in params and n_points is not None:
                 _require(0 <= params[key] < n_points,
                          f"{base}.{key}", f"must be an index into the {n_points}-point grid")
+        if "lo_index" in params and "hi_index" in params:
+            _require(params["lo_index"] <= params["hi_index"], f"{base}.hi_index",
+                     "must not be below lo_index")
 
 
 def _build_grid(config: dict) -> ParameterGrid | None:

@@ -34,8 +34,9 @@ point is dense, every row is ``projector``'s dense d x d matrix
 adapted-pair edge is a run of its own two points.  Both forms hold the same
 values, since a projector built from the permuted identity columns has exact
 entries.  ``_difference_norms`` norms each row or slice of a difference of
-such images.  The public ``projector``, ``resolvent_at_i`` and
-``bounded_transform(...).entries`` always return dense d x d matrices;
+such images.  ``projector`` builds every dense V f(Lambda) V*;
+``resolvent_at_i`` and the dense ``bounded_transform`` are one-point calls of
+it.  All three give dense d x d matrices (``bounded_transform(...).entries``);
 ``bounded_transform`` of an operator in permutation form is itself in
 diagonal form.
 
@@ -501,8 +502,7 @@ def bounded_transform(op: HermitianOperator) -> HermitianOperator:
         diagonal[dec.order] = vals
         out = _DiagonalOperator(diagonal)
     else:
-        v = dec.eigenvectors
-        out = HermitianOperator((v * vals) @ v.conj().T)
+        out = HermitianOperator(projector(dec, np.ones(op.dim, dtype=bool), vals))
     # the transform is increasing, so the transformed list is still ascending
     _install_decomposition(out, vals, dec.basis, dec.order)
     return out
@@ -514,9 +514,7 @@ def resolvent_at_i(op: HermitianOperator) -> np.ndarray:
     Its spectral norm is max over eigenvalues of (1 + t^2)^(-1/2).
     """
     dec = decompose(op)
-    vals = 1.0 / (dec.eigenvalues + 1j)
-    v = dec.eigenvectors
-    return (v * vals) @ v.conj().T
+    return projector(dec, np.ones(op.dim, dtype=bool), 1.0 / (dec.eigenvalues + 1j))
 
 
 def operator_norm(m: np.ndarray) -> float:

@@ -21,8 +21,9 @@ is the (r, d, d) stack of each point's dense matrix, normed one slice per
 LAPACK call.  Either way the values, and so every certificate field and
 distance, are the same bits while the entries lie within about
 [1e-146, 1e146], where ``eigvalsh`` returns a diagonal's entries exactly.
-A dense resolvent at +i or bounded transform is the public
-``resolvent_at_i(op)`` or ``bounded_transform(op).entries``.
+A dense resolvent at +i or bounded transform is built from decompositions
+alone by ``projector``, with the bits of the public ``resolvent_at_i(op)`` or
+``bounded_transform(op).entries``.
 
 Both chains first contract the range around the base point: ``_contract``
 walks outward from it on each side and stops at the first point where an
@@ -65,13 +66,12 @@ from .spectral import (
     HermitianOperator,
     _dense_range,
     _difference_norms,
+    _hermitian_stack,
     _spectral_functions,
-    bounded_transform,
     bounded_transform_scalar,
     decompose,
     hermitian_norm,
     operator_norm,
-    resolvent_at_i,
 )
 
 
@@ -79,27 +79,26 @@ def _norm(metric: str):
     return operator_norm if metric == "graph" else hermitian_norm
 
 
-def _images(ops, decs, metric: str, dense: bool) -> np.ndarray:
+def _images(decs, metric: str, dense: bool) -> np.ndarray:
     """Row k: the resolvent at +i (``graph``) or the bounded transform
-    (``riesz``) of ``ops[k]``, whose decomposition is ``decs[k]``.
+    (``riesz``) of the operator whose decomposition is ``decs[k]``.
 
     Dense, a row is what ``resolvent_at_i`` or ``bounded_transform(op).entries``
-    returns; the latter is symmetrized by ``HermitianOperator``, which a raw
-    V f(Lambda) V* is not.  Otherwise it is the diagonal of the same matrix.
+    returns; a Riesz row is symmetrized by ``_hermitian_stack``, the rule of
+    ``HermitianOperator``, which a raw V f(Lambda) V* is not.  Otherwise it is
+    the diagonal of the same matrix.
     """
-    if dense:
-        return np.stack([resolvent_at_i(op) if metric == "graph" else bounded_transform(op).entries
-                         for op in ops])
     ev = np.stack([dec.eigenvalues for dec in decs])
     weights = 1.0 / (ev + 1j) if metric == "graph" else bounded_transform_scalar(ev)
-    return _spectral_functions(decs, np.ones(ev.shape, dtype=bool), weights)
+    images = _spectral_functions(decs, np.ones(ev.shape, dtype=bool), weights, dense)
+    return _hermitian_stack(images) if dense and metric == "riesz" else images
 
 
 def _metric_distance(a: HermitianOperator, b: HermitianOperator, metric: str) -> float:
     if a.dim != b.dim:
         raise ValueError("operators must share a dimension")
     decs = (decompose(a), decompose(b))
-    images = _images((a, b), decs, metric, _dense_range(decs))
+    images = _images(decs, metric, _dense_range(decs))
     return float(_difference_norms(images[:1] - images[1:], _norm(metric))[0])
 
 
@@ -126,8 +125,7 @@ def continuity_modulus(smp: FamilySample, metric: str = "graph") -> ContinuityMo
     """Adjacent-edge distances, the grid surrogate of a continuity statement."""
     if metric not in ("graph", "riesz"):
         raise ValueError(f"unknown metric {metric!r}")
-    images = _images(smp.operators, smp.decompositions, metric,
-                     _dense_range(smp.decompositions))
+    images = _images(smp.decompositions, metric, _dense_range(smp.decompositions))
     norms = _difference_norms(images[1:] - images[:-1], _norm(metric))
     values = [(smp.grid[y], smp.grid[y + 1], value) for y, value in enumerate(norms.tolist())]
     return ContinuityModuli(metric, tuple(values),
@@ -217,8 +215,7 @@ def graph_continuity_certify(smp: FamilySample, x_index: int,
     ev = ev[rows]
     tail_bound = float(np.max(1.0 / np.sqrt(1.0 + ev ** 2), where=np.abs(ev) > level,
                               initial=0.0))
-    resolvents = _images(smp.operators[rng.lo_index:rng.hi_index + 1], decs[rows], "graph",
-                         dense)
+    resolvents = _images(decs[rows], "graph", dense)
     final_bound = _spread(resolvents, base, operator_norm)
 
     if tail_bound >= delta:

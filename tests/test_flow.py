@@ -19,6 +19,7 @@ from specfam import (
 from specfam.adapted import level_candidates, level_margins, level_ranks, truncation_ceiling
 from specfam.errors import (
     AmbiguousMatching,
+    CertificationError,
     EndpointOnSpectrum,
     NonFiniteEntry,
     PartitionFailed,
@@ -156,6 +157,23 @@ class TestCrossMethod:
         for algo in (flow_by_tracking, flow_by_partition):
             total = algo(smp).flow
             assert algo(first).flow + algo(second).flow == total
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), dim=st.integers(3, 10),
+           points=st.integers(60, 200), data=st.data())
+    def test_concatenation_adds_on_drawn_families(self, seed, dim, points, data):
+        smp = random_sample(seed, dim=dim, points=points)
+        split = data.draw(st.integers(1, points - 2), label="split")
+        pieces = (smp.restricted(0, split), smp.restricted(split, points - 1))
+        for algo in (flow_by_tracking, flow_by_partition):
+            try:
+                total = algo(smp).flow
+                parts = [algo(piece).flow for piece in pieces]
+            except CertificationError:
+                # a refused whole or piece has no flow to add: the split
+                # point's spectrum touches 0, or a matching is ambiguous
+                continue
+            assert sum(parts) == total
 
     def test_positive_perturbation_below_margin_keeps_flow(self, rng):
         smp = random_sample(13)

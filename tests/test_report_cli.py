@@ -393,6 +393,19 @@ class TestValidateConfig:
          "window"),
         ("generated", {"kind": "truncation",
                        "params": {"dims": [5, 7], "window": [-1, 1], "tau": NAN}}, "tau"),
+        # numbers the library refuses at run time: validate passed them, and
+        # analyze then exited 1 with the raw error
+        ("generated", {"kind": "certify-adapted",
+                       "params": {"level": 0.25, "lo_index": 15, "hi_index": 5}}, "hi_index"),
+        ("file", {"kind": "certify-adapted",
+                  "params": {"level": 0.25, "lo_index": 55, "hi_index": 45}}, "hi_index"),
+        ("generated", {"kind": "truncation", "params": {"dims": [0, 7], "window": [-1, 1]}},
+         "dims"),
+        ("generated", {"kind": "polarized", "params": {"b_levels": [0.5], "eta": 1.0}}, "eta"),
+        ("generated", {"kind": "polarized", "params": {"b_levels": [0.5], "norm_slack": -1e-9}},
+         "norm_slack"),
+        ("generated", {"kind": "polarized", "params": {"b_levels": [0.5], "interior_budget": -1}},
+         "interior_budget"),
     ])
     def test_param_types_refused_with_their_path(self, tmp_path, family, analysis, field):
         config = base_config(analyses=[analysis])

@@ -127,6 +127,64 @@ class TestContinuityModulus:
             continuity_modulus(constant_sample([1.0, -1.0]), "hausdorff")
 
 
+def one_operator_image(dec, metric):
+    """The dense resolvent at +i or bounded transform of one operator, formed
+    without ``projector``: V f(Lambda) V*, made Hermitian by
+    ``HermitianOperator`` for the bounded transform, which keeps an operator
+    in permutation form as its diagonal."""
+    v = dec.eigenvectors
+    if metric == "graph":
+        return (v * (1.0 / (dec.eigenvalues + 1j))) @ v.conj().T
+    values = bounded_transform_scalar(dec.eigenvalues)
+    if dec.order is not None:
+        diagonal = np.empty_like(values)
+        diagonal[dec.order] = values
+        return np.diag(diagonal.astype(complex))
+    return HermitianOperator((v * values) @ v.conj().T).entries
+
+
+# ties and signed zeros come from the sampled values
+_DIAGONAL_ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-50.0, 50.0))
+
+
+@st.composite
+def dense_samples(draw):
+    """The operators of a ``random_crossings`` or ``harmonic_perturbed``
+    sample, dims 1-10 on 2-8 points; in mixed form some of them are replaced
+    by diagonal ones in permutation form."""
+    dim, points = draw(st.integers(1, 10)), draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(["random_crossings", "harmonic_perturbed"]))
+    if kind == "harmonic_perturbed":
+        params = {"coupling": [draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))]}
+    else:
+        params = {"seed": draw(st.integers(0, 2**64 - 1))}
+    smp = sample(FamilySpec(kind, dim, params),
+                 ParameterGrid.linspace(0.0, draw(st.floats(0.05, 1.0)), points))
+    ops = list(smp.operators)
+    if draw(st.booleans()):
+        for y in draw(st.sets(st.integers(0, points - 1), min_size=1, max_size=points - 1)):
+            ops[y] = diagonal_operator(draw(st.lists(_DIAGONAL_ENTRY, min_size=dim,
+                                                     max_size=dim)))
+    return ops
+
+
+class TestDenseImages:
+    """Every dense resolvent and bounded-transform image is built by
+    ``projector`` and keeps the bits of forming each one on its own."""
+
+    @given(ops=dense_samples())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_the_one_operator_formula(self, ops):
+        decs = tuple(spectral.decompose(op) for op in ops)
+        for metric in ("graph", "riesz"):
+            images = topology._images(decs, metric, True)
+            for op, dec, row in zip(ops, decs, images):
+                expected = one_operator_image(dec, metric).tobytes()
+                assert row.tobytes() == expected
+                public = resolvent_at_i(op) if metric == "graph" else bounded_transform(op).entries
+                assert public.tobytes() == expected
+
+
 class TestGraphContinuityCertify:
     def test_constant_family_tail_formula(self):
         smp = constant_sample([-30.0, -1.0, 1.0, 30.0])
