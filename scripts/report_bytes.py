@@ -2,7 +2,7 @@
 then print one "file sha256" line per written file, sorted by path.
 
 The configs are the benchmark workloads at seeds 1 and 2, the demo configs,
-and the hand-written configs below (163 files in all).  The inputs come from
+and the hand-written configs below (168 files in all).  The inputs come from
 ``bench/workloads.py`` of the current directory, the program from the
 ``src`` directory that ``PYTHONPATH`` names, so one script compares two
 trees.  Run from the root of a checkout::
@@ -189,6 +189,29 @@ def main(out: Path) -> None:
             {"kind": "distances", "params": {}},
             {"kind": "graph-continuity", "params": {"delta": 0.2, "x_index": 10}},
         ],
+    }))
+    # a dense Hermitian file of several 64 KiB chunks, tab-indented, with -0
+    # and exponent tokens, so the reader's chunk cuts fall inside pairs and
+    # its complex stack is formed in more than one block. Mirrored entries
+    # spell the same double (the imaginary part negated) in other forms
+    dim, grid = 16, [k / 15 - 1 for k in range(31)]
+    matrices = []
+    for x in grid:
+        m = [[None] * dim for _ in range(dim)]
+        for i in range(dim):
+            m[i][i] = ["%.17e" % (i - 7.5 + 1.3 * x), "-0" if i % 2 else "0"]
+            for j in range(i + 1, dim):
+                re, im = (0.4 + x) / (1 + i + j), 0.3 * (i - j) / (2 + i * j)
+                m[i][j] = ["%.17E" % re, "%.17e" % im]
+                m[j][i] = [repr(re), "%.17E" % -im]
+        matrices.append(m)
+    family = Path("bench/_work/report_bytes/dense_chunks.json")
+    family.write_text('{"dim": %d, "grid": %s, "matrices": %s}'
+                      % (dim, json.dumps(grid), tokens(matrices)))
+    configs.append(("files/dense_chunks", {
+        "family": {"kind": "matrix_path_file", "dim": dim, "params": {"path": str(family)}},
+        "seed": 0,
+        "analyses": [{"kind": "flow", "params": {}}, {"kind": "distances", "params": {}}],
     }))
     # random_crossings at shapes no benchmark config builds, so the
     # generator's matmul and eigh over the grid are hashed there too: dim 1

@@ -272,7 +272,9 @@ def load_matrix_path(path: str) -> tuple[ParameterGrid, list[np.ndarray]]:
     the nested lists of ``json``; anything it does not certify goes to
     ``_json_matrix_path``, whose errors are the reader's errors.  Both read
     every number token with ``json``'s own number scanner, integers as
-    floats, so they agree bit for bit.
+    floats, so they agree bit for bit.  The fast route writes the numbers
+    straight into one complex stack and returns its rows, so its peak memory
+    is about the file's bytes plus the matrices'.
     """
     try:
         with open(path, "rb") as fh:
@@ -325,12 +327,13 @@ def _matrix_header(path: str, doc) -> tuple[int, ParameterGrid, list]:
 def _fast_matrix_path(path: str, data: bytes) -> tuple[ParameterGrid, list[np.ndarray]] | None:
     """The file read without ``json`` building its matrices, or None to fall back.
 
-    The ``"matrices"`` value is cut out, and the rest parsed with ``[]`` in
-    its place.  The value is read by ``_matrix_numbers``, which accepts only
-    ``len(grid)`` dim x dim matrices of pairs with one finite JSON number per
-    slot.  A file with non-ASCII bytes or a backslash, or with
-    ``"matrices"`` anywhere but once, falls back, as does every error:
-    ``_json_matrix_path`` names it.
+    The ``"matrices"`` value is located, and the rest parsed with ``[]`` in
+    its place.  The value is read in place by ``_matrix_numbers``, which
+    accepts only ``len(grid)`` dim x dim matrices of pairs with one finite
+    JSON number per slot and writes them straight into one complex stack;
+    the matrices returned are its rows.  A file with non-ASCII bytes or a
+    backslash, or with ``"matrices"`` anywhere but once, falls back, as does
+    every error: ``_json_matrix_path`` names it.
     """
     key = b'"matrices"'
     if not data.isascii() or b"\\" in data or data.count(key) != 1:
@@ -353,11 +356,8 @@ def _fast_matrix_path(path: str, data: bytes) -> tuple[ParameterGrid, list[np.nd
     # every pair takes at least six bytes, so a bogus header allocates nothing huge
     if 6 * dim * dim * count > end - start:
         return None
-    values = _matrix_numbers(data[start:end], count, dim)
-    if values is None:
-        return None
-    pairs = values.reshape(count, dim, dim, 2)
-    return grid, [p[..., 0] + 1j * p[..., 1] for p in pairs]
+    stack = _matrix_numbers(data, start, end, count, dim)
+    return None if stack is None else (grid, list(stack))
 
 
 def _json_matrix_path(path: str, data: bytes) -> tuple[ParameterGrid, list[np.ndarray]]:
@@ -405,16 +405,19 @@ _NUMBER_BYTES = b"0123456789+-.eE"
 _WHITESPACE = b" \t\n\r"
 _NUMBERS_AS_ZERO = bytes.maketrans(_NUMBER_BYTES, b"0" * len(_NUMBER_BYTES))
 _BRACKETS_AS_SPACE = bytes.maketrans(b"[]", b"  ")
-#: bytes of the matrices text read per step, cut at a comma so no token is split
+#: bytes of the matrices text read per step, cut at a comma so no token is split,
+#: and of the complex stack formed per step
 _CHUNK = 1 << 16
 #: the number scanner of ``_json_matrix_path``, which reads integers as floats too
 _NUMBER_READER = json.JSONDecoder(parse_int=float)
 
 
-def _matrix_numbers(text: bytes, count: int, dim: int) -> np.ndarray | None:
-    """The numbers of ``count`` dim x dim matrices of [re, im] pairs, or None.
+def _matrix_numbers(data: bytes, start: int, end: int, count: int,
+                    dim: int) -> np.ndarray | None:
+    """The (count, dim, dim) complex stack that ``data[start:end]`` spells, or None.
 
-    ``text`` is read only if ``json`` reads it as such matrices, all finite:
+    The text is read only if ``json`` reads it as ``count`` dim x dim
+    matrices of [re, im] pairs, all finite:
     - with the number bytes and whitespace deleted, it is the matrices' brackets
       and commas, ``[,]`` for each pair; any other byte survives and fails;
     - with whitespace deleted and every number byte read as ``0``, no ``0[``
@@ -424,18 +427,32 @@ def _matrix_numbers(text: bytes, count: int, dim: int) -> np.ndarray | None:
       by ``json`` in chunks cut at a comma: an empty slot, two tokens in one
       slot or a malformed token is an error, and a chunk of one empty slot
       reads as no number, which leaves the count short.
+
+    The numbers are written straight into the stack's float view, re and im
+    side by side, and each block is then made ``re + 1j * im`` in place, the
+    expression ``_json_matrix_path`` applies.  The text is never copied whole,
+    so the peak is about ``data`` plus the stack.
     """
     row = b"[" + b",".join([b"[,]"] * dim) + b"]"
     matrix = b"[" + b",".join([row] * dim) + b"]"
     skeleton = b"[" + b",".join([matrix] * count) + b"]"
-    if text.translate(None, _NUMBER_BYTES + _WHITESPACE) != skeleton:
+    # stripped a chunk at a time: no copy of the whole text is made
+    done = 0
+    for lo in range(start, end, _CHUNK):
+        piece = data[lo:min(lo + _CHUNK, end)].translate(None, _NUMBER_BYTES + _WHITESPACE)
+        if not skeleton.startswith(piece, done):
+            return None
+        done += len(piece)
+    if done != len(skeleton):
         return None
-    values = np.empty(2 * dim * dim * count)
-    filled = lo = 0
-    while lo < len(text):
-        cut = text.find(b",", lo + _CHUNK)
-        cut = len(text) if cut < 0 else cut
-        chunk = text[lo:cut]
+    del skeleton  # freed before the stack is allocated
+    flat = np.empty(count * dim * dim, dtype=complex)
+    values = flat.view(float)
+    filled, lo = 0, start
+    while lo < end:
+        cut = data.find(b",", lo + _CHUNK, end)
+        cut = end if cut < 0 else cut
+        chunk = data[lo:cut]
         placed = chunk.translate(_NUMBERS_AS_ZERO, _WHITESPACE)
         if b"0[" in placed or b"]0" in placed:
             return None
@@ -445,8 +462,19 @@ def _matrix_numbers(text: bytes, count: int, dim: int) -> np.ndarray | None:
         except ValueError:
             return None
         filled += len(numbers)
+        del numbers  # freed before the next chunk's are read
         lo = cut + 1
-    return values if filled == values.size and np.isfinite(values).all() else None
+    if filled != values.size:
+        return None
+    pairs = values.reshape(-1, 2)
+    step = max(_CHUNK // flat.itemsize, 1)
+    for lo in range(0, flat.size, step):
+        block = pairs[lo:lo + step]
+        if not np.isfinite(block).all():
+            return None
+        # the right-hand side is built in full before it overwrites its own floats
+        flat[lo:lo + step] = block[:, 0] + 1j * block[:, 1]
+    return flat.reshape(count, dim, dim)
 
 
 def _at_each_point(gen, values) -> tuple[HermitianOperator, ...]:

@@ -11,7 +11,6 @@ import dataclasses
 import json
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -332,9 +331,11 @@ def validate_config(config: dict) -> None:
         for key in ("x_index", "lo_index", "hi_index"):
             check(key, _integer, "must be an integer")
             # a matrix file's grid length is known only once the file is read
-            if key in params and n_points is not None:
-                _require(0 <= params[key] < n_points,
-                         f"{base}.{key}", f"must be an index into the {n_points}-point grid")
+            if n_points is None:
+                check(key, lambda v: v >= 0, "must not be negative")
+            else:
+                check(key, lambda v: 0 <= v < n_points,
+                      f"must be an index into the {n_points}-point grid")
         if "lo_index" in params and "hi_index" in params:
             _require(params["lo_index"] <= params["hi_index"], f"{base}.hi_index",
                      "must not be below lo_index")
@@ -498,6 +499,8 @@ def run_analysis(config: dict, output_dir=None, threads: int = 1,
         # the family itself is refused: every analysis reports that refusal
         smp, refusal = None, exc
     if smp is not None and threads > 1:
+        # imported here: concurrent.futures brings logging, traceback and queue
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(decompose, smp.operators))
 

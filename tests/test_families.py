@@ -4,6 +4,7 @@ import math
 import random
 import re
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -447,11 +448,14 @@ def _outcome(read):
 class TestMatrixPathReader:
     """The array reader against ``json``, which reads every file it refuses."""
 
-    @given(matrix_files())
-    @settings(max_examples=150, deadline=None)
-    def test_valid_files_take_the_fast_path_and_read_the_same_bits(self, text):
+    @given(matrix_files(), st.one_of(st.just(families._CHUNK), st.integers(1, 64)))
+    @settings(max_examples=300, deadline=None)
+    def test_valid_files_take_the_fast_path_and_read_the_same_bits(self, text, chunk):
+        # small chunks cut inside pairs, in the text read and in the stack made complex;
+        # patch.object, as a function-scoped monkeypatch is not undone between examples
         data = text.encode()
-        fast = families._fast_matrix_path("family.json", data)
+        with mock.patch.object(families, "_CHUNK", chunk):
+            fast = families._fast_matrix_path("family.json", data)
         assert fast is not None, text
         assert (_outcome(lambda: fast)
                 == _outcome(lambda: families._json_matrix_path("family.json", data)))
@@ -490,6 +494,29 @@ class TestMatrixPathReader:
     def test_what_the_fast_path_refuses(self, text):
         # each would be misread (or read at all) by a parse that skipped a check
         assert families._fast_matrix_path("family.json", text.encode()) is None
+
+    def test_peak_memory_is_the_file_and_the_matrices(self, tmp_path):
+        # a dense file of many chunks; numpy reports its buffers to tracemalloc
+        rnd = random.Random(5)
+        count, dim = 60, 24
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps({"dim": dim, "grid": list(range(count)), "matrices": [
+            [[[rnd.uniform(-1, 1), rnd.uniform(-1, 1)] for _ in range(dim)] for _ in range(dim)]
+            for _ in range(count)]}))
+        file_bytes, stack_bytes = path.stat().st_size, count * dim * dim * 16
+        assert file_bytes > 10 * families._CHUNK
+        # one chunk's text is held at most four times over (bytes, two translations,
+        # str), and its numbers, at most one per three bytes ("[0,0],"), each as a
+        # Python float (24 bytes), a list slot (8, plus growth) and a numpy copy (8)
+        allowance = 4 * families._CHUNK + families._CHUNK // 3 * 44
+        tracemalloc.start()
+        try:
+            grid, matrices = families.load_matrix_path(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(matrices) == count
+        assert peak <= file_bytes + stack_bytes + allowance
 
     def test_chunks_are_cut_at_a_comma(self, monkeypatch):
         # chunks of 8 bytes would split tokens here unless cut at a comma;

@@ -399,6 +399,15 @@ class TestValidateConfig:
                        "params": {"level": 0.25, "lo_index": 15, "hi_index": 5}}, "hi_index"),
         ("file", {"kind": "certify-adapted",
                   "params": {"level": 0.25, "lo_index": 55, "hi_index": 45}}, "hi_index"),
+        # a negative index needs no grid length to refuse, on a matrix file either
+        ("file", {"kind": "certify-adapted",
+                  "params": {"level": 0.25, "lo_index": -1, "hi_index": 1}}, "lo_index"),
+        ("file", {"kind": "certify-adapted", "params": {"level": 0.25, "hi_index": -1}},
+         "hi_index"),
+        ("file", {"kind": "graph-continuity", "params": {"delta": 0.2, "x_index": -1}},
+         "x_index"),
+        ("file", {"kind": "riesz-continuity", "params": {"delta": 0.2, "x_index": -1}},
+         "x_index"),
         ("generated", {"kind": "truncation", "params": {"dims": [0, 7], "window": [-1, 1]}},
          "dims"),
         ("generated", {"kind": "polarized", "params": {"b_levels": [0.5], "eta": 1.0}}, "eta"),
@@ -790,9 +799,9 @@ class TestCli:
         for entry in report["analyses"]:
             assert entry["error"]["type"] == "FamilyModelError"
 
-    @pytest.mark.parametrize("x_index", [500, -1])
+    @pytest.mark.parametrize("x_index", [500])
     def test_x_index_outside_a_matrix_file_grid_is_reported(self, tmp_path, x_index):
-        # the grid comes from the file, so validation cannot bound x_index
+        # the grid comes from the file, so validation cannot bound x_index from above
         rng = np.random.default_rng(0)
         matrices = [np.diag([-1.0 - x, 0.1 + x, 1.0 + x]) for x in rng.uniform(0, 0.1, 9)]
         path = write_matrix_path(tmp_path / "family.json", np.linspace(0, 1, 9).tolist(),
