@@ -775,6 +775,8 @@ def discrete_spectrum_certify(smp: FamilySample, b_levels,
     b_levels = tuple(float(b) for b in b_levels)
     if not b_levels or any(not 0 < b < math.inf for b in b_levels):
         raise ValueError("b_levels must be positive and finite")
+    if len(set(b_levels)) != len(b_levels):
+        raise ValueError("b_levels must not repeat a level")
     shifts = None
     if include_definitional:
         shifts = np.linspace(-max(b_levels), max(b_levels), SWEEP_COUNT)

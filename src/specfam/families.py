@@ -15,6 +15,7 @@ eigenvalues (``spectral._exact_if_diagonal``); every other one is dense.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import numbers
@@ -268,20 +269,27 @@ class _RandomPath:
 def load_matrix_path(path: str) -> tuple[ParameterGrid, list[np.ndarray]]:
     """Read the explicit-matrix JSON format: dim, grid, matrices of [re, im] pairs.
 
-    A well-formed file is read by ``_fast_matrix_path``, which never builds
-    the nested lists of ``json``; anything it does not certify goes to
-    ``_json_matrix_path``, whose errors are the reader's errors.  Both read
-    every number token with ``json``'s own number scanner, integers as
-    floats, so they agree bit for bit.  The fast route writes the numbers
-    straight into one complex stack and returns its rows, so its peak memory
-    is about the file's bytes plus the matrices'.
+    A well-formed file is streamed by ``_fast_matrix_path``, which never
+    builds the nested lists of ``json``; only a file it does not certify is
+    read whole, by ``_json_matrix_path``, whose errors are the reader's
+    errors.  Both read every number token with ``json``'s own number
+    scanner, integers as floats, so they agree bit for bit.  The fast route
+    reads the file in two passes of ``_CHUNK`` bytes at a time: the first
+    checks every byte and locates the matrices, the second checks their
+    structure and decodes their numbers from the same bytes, straight into
+    one complex stack whose rows it returns.  The file's text is never held
+    whole, so its peak memory is the matrices' plus about one chunk's.
     """
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            # both passes seek, so a pipe is read whole first
+            source = fh if fh.seekable() else io.BytesIO(fh.read())
+            fast = _fast_matrix_path(path, source)
+            if fast is None:
+                source.seek(0)
+                data = source.read()
     except OSError as exc:
         raise FamilyModelError(f"cannot read matrix path file {path}: {exc}") from exc
-    fast = _fast_matrix_path(path, data)
     return fast if fast is not None else _json_matrix_path(path, data)
 
 
@@ -324,31 +332,29 @@ def _matrix_header(path: str, doc) -> tuple[int, ParameterGrid, list]:
     return dim, grid, raw
 
 
-def _fast_matrix_path(path: str, data: bytes) -> tuple[ParameterGrid, list[np.ndarray]] | None:
-    """The file read without ``json`` building its matrices, or None to fall back.
+def _fast_matrix_path(path: str, fh) -> tuple[ParameterGrid, list[np.ndarray]] | None:
+    """The open binary file ``fh`` read without ``json`` building its matrices, or None.
 
-    The ``"matrices"`` value is located, and the rest parsed with ``[]`` in
-    its place.  The value is read in place by ``_matrix_numbers``, which
-    accepts only ``len(grid)`` dim x dim matrices of pairs with one finite
-    JSON number per slot and writes them straight into one complex stack;
-    the matrices returned are its rows.  A file with non-ASCII bytes or a
-    backslash, or with ``"matrices"`` anywhere but once, falls back, as does
-    every error: ``_json_matrix_path`` names it.
+    Pass 1, ``_matrices_value``, locates the ``"matrices"`` value; the bytes
+    outside it are then read again and parsed with ``[]`` in its place.
+    Pass 2, ``_matrix_numbers``, reads the value, accepts only ``len(grid)``
+    dim x dim matrices of pairs with one finite JSON number per slot, and
+    writes them straight into one complex stack; the matrices returned are
+    its rows.  A file with non-ASCII bytes or a backslash, or with
+    ``"matrices"`` anywhere but once, falls back (None), as does every
+    error: ``_json_matrix_path`` names it.
     """
-    key = b'"matrices"'
-    if not data.isascii() or b"\\" in data or data.count(key) != 1:
+    span = _matrices_value(fh)
+    if span is None:
         return None
-    after = data.find(key) + len(key)
-    start = data.find(b"[", after)
-    if start < 0 or data[after:start].strip(b" \t\n\r") != b":":
+    after, start, end = span
+    fh.seek(0)
+    head = fh.read(start)
+    if head[after:].strip(b" \t\n\r") != b":":
         return None
-    # a valid value holds no '}' or '"', and one of them follows it in a valid file
-    stops = [i for i in (data.find(b"}", start), data.find(b'"', start)) if i >= 0]
-    end = data.rfind(b"]", start, min(stops, default=len(data))) + 1
-    if end <= start:
-        return None
+    fh.seek(end)
     try:
-        doc = json.loads(data[:start] + b"[]" + data[end:], parse_int=float)
+        doc = json.loads(head + b"[]" + fh.read(), parse_int=float)
         dim, grid, _ = _matrix_header(path, doc)
     except (ValueError, RecursionError):
         return None
@@ -356,8 +362,45 @@ def _fast_matrix_path(path: str, data: bytes) -> tuple[ParameterGrid, list[np.nd
     # every pair takes at least six bytes, so a bogus header allocates nothing huge
     if 6 * dim * dim * count > end - start:
         return None
-    stack = _matrix_numbers(data, start, end, count, dim)
+    stack = _matrix_numbers(fh, start, end, count, dim)
     return None if stack is None else (grid, list(stack))
+
+
+def _matrices_value(fh) -> tuple[int, int, int] | None:
+    """Pass 1: the offsets where the ``"matrices"`` key ends and its value starts and ends.
+
+    The file is read ``_CHUNK`` bytes at a time; it is refused (None) if any
+    byte is non-ASCII or a backslash, or if the key occurs anywhere but
+    once.  The last ``len(key) - 1`` bytes are carried across reads, so a
+    key that a read cuts, even one longer than a read, still counts.  The
+    value starts at the first ``[`` after the key and ends after the last
+    ``]`` before the first ``}`` or ``"`` after that: a valid value holds
+    neither, and one of them follows it in a valid file.
+    """
+    key = b'"matrices"'
+    found, after, start, end, stopped = 0, -1, -1, -1, False
+    carry, pos = b"", 0
+    while piece := fh.read(_CHUNK):
+        if not piece.isascii() or b"\\" in piece:
+            return None
+        window = carry + piece
+        found += window.count(key)
+        if found > 1:
+            return None
+        if found and after < 0:
+            after = pos - len(carry) + window.find(key) + len(key)
+        if after >= 0 and start < 0:
+            k = piece.find(b"[", max(after - pos, 0))
+            start = pos + k if k >= 0 else -1
+        if start >= 0 and not stopped:
+            lo = max(start - pos, 0)
+            stops = [k for k in (piece.find(b"}", lo), piece.find(b'"', lo)) if k >= 0]
+            k = piece.rfind(b"]", lo, min(stops, default=len(piece)))
+            end = pos + k + 1 if k >= 0 else end
+            stopped = bool(stops)
+        carry = window[-(len(key) - 1):]
+        pos += len(piece)
+    return (after, start, end) if found == 1 and end > start else None
 
 
 def _json_matrix_path(path: str, data: bytes) -> tuple[ParameterGrid, list[np.ndarray]]:
@@ -405,66 +448,64 @@ _NUMBER_BYTES = b"0123456789+-.eE"
 _WHITESPACE = b" \t\n\r"
 _NUMBERS_AS_ZERO = bytes.maketrans(_NUMBER_BYTES, b"0" * len(_NUMBER_BYTES))
 _BRACKETS_AS_SPACE = bytes.maketrans(b"[]", b"  ")
-#: bytes of the matrices text read per step, cut at a comma so no token is split,
-#: and of the complex stack formed per step
+#: bytes read per step, in both passes, and of the complex stack formed per step
 _CHUNK = 1 << 16
 #: the number scanner of ``_json_matrix_path``, which reads integers as floats too
 _NUMBER_READER = json.JSONDecoder(parse_int=float)
 
 
-def _matrix_numbers(data: bytes, start: int, end: int, count: int,
-                    dim: int) -> np.ndarray | None:
-    """The (count, dim, dim) complex stack that ``data[start:end]`` spells, or None.
+def _matrix_numbers(fh, start: int, end: int, count: int, dim: int) -> np.ndarray | None:
+    """Pass 2: the (count, dim, dim) complex stack that the file's bytes ``start:end`` spell.
 
-    The text is read only if ``json`` reads it as ``count`` dim x dim
-    matrices of [re, im] pairs, all finite:
-    - with the number bytes and whitespace deleted, it is the matrices' brackets
-      and commas, ``[,]`` for each pair; any other byte survives and fails;
-    - with whitespace deleted and every number byte read as ``0``, no ``0[``
-      or ``]0`` occurs, so every number sits in a pair (checked per chunk:
-      neither can span the comma a chunk is cut at);
-    - with the brackets read as spaces, it is one comma-separated list, read
-      by ``json`` in chunks cut at a comma: an empty slot, two tokens in one
-      slot or a malformed token is an error, and a chunk of one empty slot
-      reads as no number, which leaves the count short.
+    The value inside its outer brackets is read ``_CHUNK`` bytes at a time
+    and cut after the last comma read, the rest carried to the next read, so
+    no token is split.  Each piece is checked by ``_piece_checked`` and read
+    by ``json`` as a comma-separated list, with the brackets read as spaces:
+    an empty slot, two tokens in one slot or a malformed token is an error,
+    and a piece of one empty slot reads as no number, which leaves the count
+    short.  Structure and numbers are thus checked on the same bytes, and the
+    stack is returned only if ``json`` would read the whole as ``count``
+    dim x dim matrices of [re, im] pairs, all finite.
 
     The numbers are written straight into the stack's float view, re and im
     side by side, and each block is then made ``re + 1j * im`` in place, the
-    expression ``_json_matrix_path`` applies.  The text is never copied whole,
-    so the peak is about ``data`` plus the stack.
+    expression ``_json_matrix_path`` applies.  The stack is allocated before
+    the first read and nothing else grows with the file, so the peak is the
+    stack plus about one chunk's text and numbers.
     """
     row = b"[" + b",".join([b"[,]"] * dim) + b"]"
-    matrix = b"[" + b",".join([row] * dim) + b"]"
-    skeleton = b"[" + b",".join([matrix] * count) + b"]"
-    # stripped a chunk at a time: no copy of the whole text is made
-    done = 0
-    for lo in range(start, end, _CHUNK):
-        piece = data[lo:min(lo + _CHUNK, end)].translate(None, _NUMBER_BYTES + _WHITESPACE)
-        if not skeleton.startswith(piece, done):
-            return None
-        done += len(piece)
-    if done != len(skeleton):
-        return None
-    del skeleton  # freed before the stack is allocated
+    # the skeleton, ``unit`` count times, is the inside of the value and a comma,
+    # the one ``_piece_checked`` puts back after the last piece
+    unit = b"[" + b",".join([row] * dim) + b"],"
     flat = np.empty(count * dim * dim, dtype=complex)
     values = flat.view(float)
-    filled, lo = 0, start
-    while lo < end:
-        cut = data.find(b",", lo + _CHUNK, end)
-        cut = end if cut < 0 else cut
-        chunk = data[lo:cut]
-        placed = chunk.translate(_NUMBERS_AS_ZERO, _WHITESPACE)
-        if b"0[" in placed or b"]0" in placed:
+    done = filled = 0
+    carry = b""
+    fh.seek(start + 1)
+    left = end - start - 2
+    while left:
+        more = fh.read(min(_CHUNK, left))
+        if not more:  # the file shrank since pass 1
+            return None
+        left -= len(more)
+        text = carry + more
+        cut = text.rfind(b",") if left else len(text)
+        if cut < 0:
+            carry = text
+            continue
+        piece, carry = text[:cut], text[cut + 1:]
+        del text, more  # only the piece is held while it is checked and read
+        done = _piece_checked(piece, unit, done)
+        if not 0 <= done <= count * len(unit):
             return None
         try:
-            numbers = _NUMBER_READER.decode(f"[{chunk.translate(_BRACKETS_AS_SPACE).decode()}]")
+            numbers = _NUMBER_READER.decode(f"[{piece.translate(_BRACKETS_AS_SPACE).decode()}]")
             values[filled:filled + len(numbers)] = numbers
         except ValueError:
             return None
         filled += len(numbers)
-        del numbers  # freed before the next chunk's are read
-        lo = cut + 1
-    if filled != values.size:
+        del numbers  # freed before the next piece's are read
+    if done != count * len(unit) or filled != values.size:
         return None
     pairs = values.reshape(-1, 2)
     step = max(_CHUNK // flat.itemsize, 1)
@@ -475,6 +516,25 @@ def _matrix_numbers(data: bytes, start: int, end: int, count: int,
         # the right-hand side is built in full before it overwrites its own floats
         flat[lo:lo + step] = block[:, 0] + 1j * block[:, 1]
     return flat.reshape(count, dim, dim)
+
+
+def _piece_checked(piece: bytes, unit: bytes, done: int) -> int:
+    """The skeleton's length after ``piece`` and the comma after it, or -1.
+
+    ``done`` bytes of the skeleton, ``unit`` repeated, precede ``piece``:
+    - with the number bytes and whitespace deleted, and the comma it was cut
+      at put back, the piece continues the skeleton: the matrices' brackets
+      and commas, ``[,]`` for each pair; any other byte survives and fails;
+    - with whitespace deleted and every number byte read as ``0``, no ``0[``
+      or ``]0`` occurs, so every number sits in a pair (neither can span the
+      comma a piece is cut at).
+    """
+    bare = piece.translate(None, _NUMBER_BYTES + _WHITESPACE) + b","
+    phase = done % len(unit)
+    if not (unit * ((phase + len(bare)) // len(unit) + 1)).startswith(bare, phase):
+        return -1
+    placed = piece.translate(_NUMBERS_AS_ZERO, _WHITESPACE)
+    return -1 if b"0[" in placed or b"]0" in placed else done + len(bare)
 
 
 def _at_each_point(gen, values) -> tuple[HermitianOperator, ...]:

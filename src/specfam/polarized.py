@@ -108,6 +108,8 @@ def weak_discrete_spectrum_certify(smp: FamilySample, b_levels,
     b_levels = tuple(float(b) for b in b_levels)
     if not b_levels or any(not 0.0 < b < 1.0 for b in b_levels):
         raise ValueError("b_levels must lie strictly inside (0, 1)")
+    if len(set(b_levels)) != len(b_levels):
+        raise ValueError("b_levels must not repeat a level")
     for y, op in enumerate(smp.operators):
         report = compact_polarization_check(op, check)
         if not report.passed:

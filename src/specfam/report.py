@@ -8,6 +8,7 @@ runs with the same config and seed therefore produce byte-identical files.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -122,7 +123,9 @@ def canonical_json(value) -> str:
     return "".join(parts)
 
 
+@functools.cache
 def _schema() -> dict:
+    """The shipped config schema, read once per process; callers must not change it."""
     text = resources.files("specfam").joinpath("schemas/config.schema.json").read_text()
     return json.loads(text)
 
@@ -287,6 +290,8 @@ def validate_config(config: dict) -> None:
                      "must be a non-empty array")
             _require(all(_real(b) and b > 0 for b in levels),
                      f"{base}.b_levels", "must be positive finite numbers")
+            _require(len(set(levels)) == len(levels), f"{base}.b_levels",
+                     "must not repeat a level")
             check("definitional", lambda v: isinstance(v, bool), "must be a boolean")
         elif kind == "graph-continuity":
             delta = need("delta")
@@ -312,6 +317,8 @@ def validate_config(config: dict) -> None:
             else:
                 _require(all(_real(b) and b > 0 for b in levels),
                          f"{base}.b_levels", "must be positive finite numbers")
+            _require(len(set(levels)) == len(levels), f"{base}.b_levels",
+                     "must not repeat a level")
             check("eta", lambda v: _real(v) and 0 < v < 1, "out of (0, 1)")
             check("norm_slack", _non_negative, "must be a non-negative finite number")
             check("interior_budget", lambda v: v is None or _integer(v) and v >= 0,

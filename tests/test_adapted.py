@@ -343,6 +343,15 @@ class TestDiscreteSpectrumCertify:
                                            [0.5, 1.5])
         assert report.passed and report.routes_agree
 
+    def test_repeated_level_refused(self):
+        # certificates are keyed by b, so a repeated level listed its failures twice
+        smp = sample(FamilySpec("dirac_circle", 11), ParameterGrid.linspace(0.0, 1.0, 11))
+        report = discrete_spectrum_certify(smp, [4.49999999])
+        assert [(f.x_index, f.level) for f in report.failures] == [(5, 4.49999999)]
+        for levels in ([4.49999999, 4.49999999], [1, 2.0, 1.0]):
+            with pytest.raises(ValueError, match="must not repeat a level"):
+                discrete_spectrum_certify(smp, levels)
+
     def test_tangent_blowup_passes_across_pole(self):
         pts = np.concatenate([np.linspace(0.3, 0.48, 8), np.linspace(0.52, 0.7, 8)])
         smp = sample(FamilySpec("tangent_blowup", 5), ParameterGrid(pts))

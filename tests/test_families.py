@@ -1,9 +1,12 @@
 import dataclasses
+import io
 import json
 import math
+import os
 import random
 import re
 import struct
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -235,7 +238,7 @@ class TestMatrixPathRefusals:
         path.write_text(f'{{"dim": 1, "grid": [0, 1], '
                         f'"matrices": [[[[1, 0]]], [[[2, {token}]]]]}}')
         data = path.read_bytes()
-        assert families._fast_matrix_path(str(path), data) is None
+        assert families._fast_matrix_path(str(path), io.BytesIO(data)) is None
         outcomes = [_outcome(lambda: families.load_matrix_path(str(path))),
                     _outcome(lambda: families._json_matrix_path(str(path), data))]
         assert outcomes[0] == outcomes[1] == (
@@ -304,7 +307,7 @@ class TestMatrixPathRefusals:
         path = tmp_path / "family.json"
         path.write_text('{"dim": 1, "grid": [0, 1], "matrices": [[[[-0, 0]]], [[[-0, -0]]]]}')
         data = path.read_bytes()
-        for grid, matrices in (families._fast_matrix_path(str(path), data),
+        for grid, matrices in (families._fast_matrix_path(str(path), io.BytesIO(data)),
                                families._json_matrix_path(str(path), data)):
             # re + 1j * im keeps a -0.0 real part only when im is -0.0 too
             assert math.copysign(1.0, matrices[1][0, 0].real) == -1.0
@@ -455,7 +458,7 @@ class TestMatrixPathReader:
         # patch.object, as a function-scoped monkeypatch is not undone between examples
         data = text.encode()
         with mock.patch.object(families, "_CHUNK", chunk):
-            fast = families._fast_matrix_path("family.json", data)
+            fast = families._fast_matrix_path("family.json", io.BytesIO(data))
         assert fast is not None, text
         assert (_outcome(lambda: fast)
                 == _outcome(lambda: families._json_matrix_path("family.json", data)))
@@ -492,10 +495,14 @@ class TestMatrixPathReader:
         '{"dim": 1, "grid": [0, 1], "matrices": [[[[1, ]2]], [[[2, 0]]]]}',
     ])
     def test_what_the_fast_path_refuses(self, text):
-        # each would be misread (or read at all) by a parse that skipped a check
-        assert families._fast_matrix_path("family.json", text.encode()) is None
+        # each would be misread (or read at all) by a parse that skipped a check,
+        # whole or in reads shorter than the key
+        for chunk in (families._CHUNK, 3):
+            with mock.patch.object(families, "_CHUNK", chunk):
+                assert families._fast_matrix_path("family.json",
+                                                  io.BytesIO(text.encode())) is None, chunk
 
-    def test_peak_memory_is_the_file_and_the_matrices(self, tmp_path):
+    def test_peak_memory_is_the_matrices_and_one_chunk(self, tmp_path):
         # a dense file of many chunks; numpy reports its buffers to tracemalloc
         rnd = random.Random(5)
         count, dim = 60, 24
@@ -503,11 +510,13 @@ class TestMatrixPathReader:
         path.write_text(json.dumps({"dim": dim, "grid": list(range(count)), "matrices": [
             [[[rnd.uniform(-1, 1), rnd.uniform(-1, 1)] for _ in range(dim)] for _ in range(dim)]
             for _ in range(count)]}))
-        file_bytes, stack_bytes = path.stat().st_size, count * dim * dim * 16
-        assert file_bytes > 10 * families._CHUNK
-        # one chunk's text is held at most four times over (bytes, two translations,
-        # str), and its numbers, at most one per three bytes ("[0,0],"), each as a
-        # Python float (24 bytes), a list slot (8, plus growth) and a numpy copy (8)
+        stack_bytes = count * dim * dim * 16
+        # the text is 2.7 times the stack here, so holding it would break the bound
+        assert path.stat().st_size > max(10 * families._CHUNK, 2 * stack_bytes)
+        # one chunk's text is held at most four times over (bytes, a translation,
+        # str, the bracketed str), and its numbers, at most one per three bytes
+        # ("[0,0],"), each as a Python float (24 bytes), a list slot (8, plus
+        # growth) and a numpy copy (8)
         allowance = 4 * families._CHUNK + families._CHUNK // 3 * 44
         tracemalloc.start()
         try:
@@ -516,7 +525,41 @@ class TestMatrixPathReader:
         finally:
             tracemalloc.stop()
         assert len(matrices) == count
-        assert peak <= file_bytes + stack_bytes + allowance
+        assert peak <= stack_bytes + allowance
+
+    def test_dense_file_of_many_reads_with_its_header_after_the_matrices(self, tmp_path):
+        # reads shorter than the key: every token, the key and the brackets are cut
+        rnd = random.Random(7)
+        count, dim = 5, 4
+        matrices = [[[[rnd.uniform(-1, 1), rnd.uniform(-1, 1)] for _ in range(dim)]
+                     for _ in range(dim)] for _ in range(count)]
+        text = json.dumps({"matrices": matrices, "dim": dim, "grid": list(range(count))})
+        path = tmp_path / "dense.json"
+        path.write_text(text)
+        chunk = len('"matrices"') - 3
+        assert len(text) > 100 * chunk
+        with mock.patch.object(families, "_CHUNK", chunk):
+            with open(path, "rb") as fh:
+                fast = families._fast_matrix_path(str(path), fh)
+            loaded = families.load_matrix_path(str(path))
+        assert fast is not None
+        expected = _outcome(lambda: families._json_matrix_path(str(path), text.encode()))
+        assert _outcome(lambda: fast) == _outcome(lambda: loaded) == expected
+        assert [m.tolist() for m in loaded[1]] == [
+            [[complex(*pair) for pair in row] for row in m] for m in matrices]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+    def test_a_pipe_is_read_too(self, tmp_path):
+        text = '{"dim": 1, "grid": [0, 1], "matrices": [[[[1.5, 0]]], [[[2, -0.5]]]]}'
+        path = tmp_path / "family.fifo"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
+        writer.start()
+        try:
+            grid, matrices = families.load_matrix_path(str(path))
+        finally:
+            writer.join(timeout=10)
+        assert [m.tolist() for m in matrices] == [[[1.5 + 0j]], [[2 - 0.5j]]]
 
     def test_chunks_are_cut_at_a_comma(self, monkeypatch):
         # chunks of 8 bytes would split tokens here unless cut at a comma;
@@ -524,15 +567,16 @@ class TestMatrixPathReader:
         monkeypatch.setattr(families, "_CHUNK", 8)
         compact = '{"dim": 1, "grid": [0, 1], "matrices": [[[[1.25e-05, -0]]], [[[10.5, 0e0]]]]}'
         for good in (compact, compact.replace(", ", " ,\n\t")):
-            fast = families._fast_matrix_path("f", good.encode())
+            fast = families._fast_matrix_path("f", io.BytesIO(good.encode()))
             assert fast is not None, good
             assert (_outcome(lambda: fast)
                     == _outcome(lambda: families._json_matrix_path("f", good.encode())))
             for bad in ("1.25e-0.5", "1.2.5e-05", "1 5", "-01"):
                 text = good.replace("1.25e-05", bad)
-                assert families._fast_matrix_path("f", text.encode()) is None, bad
+                assert families._fast_matrix_path("f", io.BytesIO(text.encode())) is None, bad
             # an empty last slot leaves the last chunk without a number
-            assert families._fast_matrix_path("f", good.replace("0e0", "").encode()) is None
+            assert families._fast_matrix_path(
+                "f", io.BytesIO(good.replace("0e0", "").encode())) is None
 
 
 class TestTruncationCheck:

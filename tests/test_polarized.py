@@ -90,6 +90,12 @@ class TestWeakDiscreteSpectrum:
             weak_discrete_spectrum_certify(smp, [1.5],
                                            check=PolarizationCheck(0.05, 2))
 
+    def test_repeated_level_refused(self):
+        smp = constant_sample([1.0, -1.0, 0.2, -0.2])
+        with pytest.raises(ValueError, match="must not repeat a level"):
+            weak_discrete_spectrum_certify(smp, [0.5, 0.9, 0.5],
+                                           check=PolarizationCheck(0.05, 2))
+
     def test_unpolarized_fiber_rejected(self):
         smp = constant_sample([0.3, -0.3])
         with pytest.raises(PolarizationCheckFailed):

@@ -29,6 +29,7 @@ from specfam.adapted import (
     DiscreteSpectrumReport,
     GridRange,
 )
+from specfam import report
 from specfam.cli import main
 from specfam.report import _render_path, _schema, _schema_errors, _write_csv, format_float
 from specfam.errors import ConfigError
@@ -415,6 +416,14 @@ class TestValidateConfig:
          "norm_slack"),
         ("generated", {"kind": "polarized", "params": {"b_levels": [0.5], "interior_budget": -1}},
          "interior_budget"),
+        # a repeated level listed each of its failures twice
+        ("generated", {"kind": "discrete-spectrum", "params": {"b_levels": [0.5, 1.5, 0.5]}},
+         "b_levels"),
+        ("generated", {"kind": "discrete-spectrum", "params": {"b_levels": [1, 1.0]}},
+         "b_levels"),
+        ("generated", {"kind": "polarized", "params": {"b_levels": [0.5, 0.5]}}, "b_levels"),
+        ("generated", {"kind": "polarized",
+                       "params": {"b_levels": [1.5, 1.5], "mode": "correspondence"}}, "b_levels"),
     ])
     def test_param_types_refused_with_their_path(self, tmp_path, family, analysis, field):
         config = base_config(analyses=[analysis])
@@ -477,6 +486,16 @@ class TestSchemaEvaluator:
         proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+    def test_schema_is_read_once_per_process(self, monkeypatch):
+        validate_config(base_config())
+        reads = []
+        files = report.resources.files
+        monkeypatch.setattr(report.resources, "files",
+                            lambda package: reads.append(package) or files(package))
+        validate_config(base_config())
+        assert reads == []
+        assert _schema() is _schema()
 
     @settings(max_examples=400, deadline=None)
     @given(config=configs())
