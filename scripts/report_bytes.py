@@ -2,7 +2,7 @@
 then print one "file sha256" line per written file, sorted by path.
 
 The configs are the benchmark workloads at seeds 1 and 2, the demo configs,
-and the hand-written configs below (168 files in all).  The inputs come from
+and the hand-written configs below (170 files in all).  The inputs come from
 ``bench/workloads.py`` of the current directory, the program from the
 ``src`` directory that ``PYTHONPATH`` names, so one script compares two
 trees.  Run from the root of a checkout::
@@ -192,7 +192,7 @@ def main(out: Path) -> None:
     }))
     # a dense Hermitian file of several 64 KiB chunks, tab-indented, with -0
     # and exponent tokens, so the reader's chunk cuts fall inside pairs and
-    # its complex stack is formed in more than one block. Mirrored entries
+    # its matrices are validated in more than one block. Mirrored entries
     # spell the same double (the imaginary part negated) in other forms
     dim, grid = 16, [k / 15 - 1 for k in range(31)]
     matrices = []
@@ -213,6 +213,33 @@ def main(out: Path) -> None:
         "seed": 0,
         "analyses": [{"kind": "flow", "params": {}}, {"kind": "distances", "params": {}}],
     }))
+    # two dense files refused at grid index 15, past the first 64 KiB read:
+    # the reader has made the operators of the blocks before it, then reads
+    # the file again with json, so each report names the refusal as json does.
+    # One has a matrix that is not Hermitian, the other an entry that reads as
+    # an infinity
+    dim, grid = 12, [k / 20 for k in range(21)]
+    for name, spoil in (("refused_not_hermitian", lambda m: m[0][3].__setitem__(0, "0.75")),
+                        ("refused_not_finite", lambda m: m[2][7].__setitem__(0, "1e400"))):
+        matrices = []
+        for y, x in enumerate(grid):
+            m = [[None] * dim for _ in range(dim)]
+            for i in range(dim):
+                m[i][i] = [repr(i - 5.5 + x), "0"]
+                for j in range(i + 1, dim):
+                    re, im = (0.3 + x) / (1 + i + j), 0.2 * (i - j) / (2 + i * j)
+                    m[i][j], m[j][i] = [repr(re), repr(im)], [repr(re), repr(-im)]
+            if y == 15:
+                spoil(m)
+            matrices.append(m)
+        family = Path(f"bench/_work/report_bytes/{name}.json")
+        family.write_text('{"dim": %d, "grid": %s, "matrices": %s}'
+                          % (dim, json.dumps(grid), tokens(matrices)))
+        configs.append((f"failures/{name}", {
+            "family": {"kind": "matrix_path_file", "dim": dim, "params": {"path": str(family)}},
+            "seed": 0,
+            "analyses": [{"kind": "flow", "params": {}}, {"kind": "distances", "params": {}}],
+        }))
     # random_crossings at shapes no benchmark config builds, so the
     # generator's matmul and eigh over the grid are hashed there too: dim 1
     # (refused by the partition route), dim 2 and dim 16, at the largest seed

@@ -70,6 +70,16 @@ DEMO_CONFIGS = {
 }
 
 
+def _read_config(config_path):
+    """The parsed config file; a file that is not UTF-8 JSON exits 2."""
+    try:
+        return json.loads(Path(config_path).read_text(encoding="utf-8"))
+    # bytes that are not UTF-8, bad syntax, or arrays nested past the recursion limit
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        click.echo(f"config is not valid JSON: {exc}", err=True)
+        sys.exit(2)
+
+
 @click.group()
 def main():
     """Spectral certificates and flow computations for operator families."""
@@ -87,11 +97,7 @@ def main():
 @click.option("--quiet", is_flag=True, help="Suppress per-analysis progress lines.")
 def analyze(config_path, output_dir, threads, quiet):
     """Run every analysis in CONFIG_PATH and write the report bundle."""
-    try:
-        config = json.loads(Path(config_path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        click.echo(f"config is not valid JSON: {exc}", err=True)
-        sys.exit(2)
+    config = _read_config(config_path)
     try:
         bundle = run_analysis(config, output_dir=output_dir, threads=threads,
                               quiet=quiet)
@@ -110,10 +116,10 @@ def analyze(config_path, output_dir, threads, quiet):
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 def validate(config_path):
     """Check CONFIG_PATH against the schema without running anything."""
+    config = _read_config(config_path)
     try:
-        config = json.loads(Path(config_path).read_text(encoding="utf-8"))
         validate_config(config)
-    except (json.JSONDecodeError, ConfigError) as exc:
+    except ConfigError as exc:
         click.echo(str(exc), err=True)
         sys.exit(2)
     click.echo("config OK")

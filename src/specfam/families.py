@@ -31,6 +31,8 @@ from .spectral import (
     SpectralDecomposition,
     _decomposed_stack,
     _exact_if_diagonal,
+    _hermitian_stack,
+    _stack_operators,
     bounded_transform,
     decompose,
     diagonal_operator,
@@ -266,7 +268,7 @@ class _RandomPath:
         return (self.basis * branch[:, None, :]) @ self.basis.conj().T
 
 
-def load_matrix_path(path: str) -> tuple[ParameterGrid, list[np.ndarray]]:
+def load_matrix_path(path: str, build=list) -> tuple[ParameterGrid, list]:
     """Read the explicit-matrix JSON format: dim, grid, matrices of [re, im] pairs.
 
     A well-formed file is streamed by ``_fast_matrix_path``, which never
@@ -276,15 +278,23 @@ def load_matrix_path(path: str) -> tuple[ParameterGrid, list[np.ndarray]]:
     scanner, integers as floats, so they agree bit for bit.  The fast route
     reads the file in two passes of ``_CHUNK`` bytes at a time: the first
     checks every byte and locates the matrices, the second checks their
-    structure and decodes their numbers from the same bytes, straight into
-    one complex stack whose rows it returns.  The file's text is never held
-    whole, so its peak memory is the matrices' plus about one chunk's.
+    structure and decodes their numbers from the same bytes.  Each block of
+    whole matrices goes, as soon as it is decoded, to ``build``, a function
+    of an (n, dim, dim) complex stack that returns its items (``list``, the
+    default, returns the matrices); the items of every block are returned.
+    Neither the file's text nor a stack of all its matrices is ever held,
+    so the peak memory is what ``build`` keeps plus about one read.
+
+    ``build`` refuses a block by raising ``NonFiniteEntry`` or
+    ``NotHermitianError``.  The file is then read by ``_json_matrix_path``,
+    which returns the raw matrices, not ``build``'s items, so that the
+    caller can name the file's other errors before a refused matrix.
     """
     try:
         with open(path, "rb") as fh:
             # both passes seek, so a pipe is read whole first
             source = fh if fh.seekable() else io.BytesIO(fh.read())
-            fast = _fast_matrix_path(path, source)
+            fast = _fast_matrix_path(path, source, build)
             if fast is None:
                 source.seek(0)
                 data = source.read()
@@ -332,17 +342,17 @@ def _matrix_header(path: str, doc) -> tuple[int, ParameterGrid, list]:
     return dim, grid, raw
 
 
-def _fast_matrix_path(path: str, fh) -> tuple[ParameterGrid, list[np.ndarray]] | None:
+def _fast_matrix_path(path: str, fh, build=list) -> tuple[ParameterGrid, list] | None:
     """The open binary file ``fh`` read without ``json`` building its matrices, or None.
 
     Pass 1, ``_matrices_value``, locates the ``"matrices"`` value; the bytes
     outside it are then read again and parsed with ``[]`` in its place.
     Pass 2, ``_matrix_numbers``, reads the value, accepts only ``len(grid)``
     dim x dim matrices of pairs with one finite JSON number per slot, and
-    writes them straight into one complex stack; the matrices returned are
-    its rows.  A file with non-ASCII bytes or a backslash, or with
-    ``"matrices"`` anywhere but once, falls back (None), as does every
-    error: ``_json_matrix_path`` names it.
+    hands them to ``build`` a block at a time; what it returns are the
+    items ``build`` made.  A file with non-ASCII bytes or a backslash, or
+    with ``"matrices"`` anywhere but once, falls back (None), as does every
+    error and every block ``build`` refuses: ``_json_matrix_path`` reads it.
     """
     span = _matrices_value(fh)
     if span is None:
@@ -359,11 +369,11 @@ def _fast_matrix_path(path: str, fh) -> tuple[ParameterGrid, list[np.ndarray]] |
     except (ValueError, RecursionError):
         return None
     count = len(grid)
-    # every pair takes at least six bytes, so a bogus header allocates nothing huge
+    # every pair takes at least six bytes, so a bogus header builds no huge skeleton
     if 6 * dim * dim * count > end - start:
         return None
-    stack = _matrix_numbers(fh, start, end, count, dim)
-    return None if stack is None else (grid, list(stack))
+    items = _matrix_numbers(fh, start, end, count, dim, build)
+    return None if items is None else (grid, items)
 
 
 def _matrices_value(fh) -> tuple[int, int, int] | None:
@@ -448,14 +458,14 @@ _NUMBER_BYTES = b"0123456789+-.eE"
 _WHITESPACE = b" \t\n\r"
 _NUMBERS_AS_ZERO = bytes.maketrans(_NUMBER_BYTES, b"0" * len(_NUMBER_BYTES))
 _BRACKETS_AS_SPACE = bytes.maketrans(b"[]", b"  ")
-#: bytes read per step, in both passes, and of the complex stack formed per step
+#: bytes read per step, in both passes
 _CHUNK = 1 << 16
 #: the number scanner of ``_json_matrix_path``, which reads integers as floats too
 _NUMBER_READER = json.JSONDecoder(parse_int=float)
 
 
-def _matrix_numbers(fh, start: int, end: int, count: int, dim: int) -> np.ndarray | None:
-    """Pass 2: the (count, dim, dim) complex stack that the file's bytes ``start:end`` spell.
+def _matrix_numbers(fh, start: int, end: int, count: int, dim: int, build) -> list | None:
+    """Pass 2: ``build``'s items of the ``count`` matrices the file's bytes ``start:end`` spell.
 
     The value inside its outer brackets is read ``_CHUNK`` bytes at a time
     and cut after the last comma read, the rest carried to the next read, so
@@ -463,23 +473,26 @@ def _matrix_numbers(fh, start: int, end: int, count: int, dim: int) -> np.ndarra
     by ``json`` as a comma-separated list, with the brackets read as spaces:
     an empty slot, two tokens in one slot or a malformed token is an error,
     and a piece of one empty slot reads as no number, which leaves the count
-    short.  Structure and numbers are thus checked on the same bytes, and the
-    stack is returned only if ``json`` would read the whole as ``count``
-    dim x dim matrices of [re, im] pairs, all finite.
+    short.  Structure and numbers are thus checked on the same bytes, and
+    the items are returned only if ``json`` would read the whole as
+    ``count`` dim x dim matrices of [re, im] pairs, all finite, and
+    ``build`` refused none of them.
 
-    The numbers are written straight into the stack's float view, re and im
-    side by side, and each block is then made ``re + 1j * im`` in place, the
-    expression ``_json_matrix_path`` applies.  The stack is allocated before
-    the first read and nothing else grows with the file, so the peak is the
-    stack plus about one chunk's text and numbers.
+    A piece's numbers go into a float buffer after the partial matrix the
+    last piece left, re and im side by side; its whole matrices are made
+    ``re + 1j * im``, the expression ``_json_matrix_path`` applies, and
+    handed to ``build`` as one block, and the partial matrix left over moves
+    to the buffer's front.  So the peak is ``build``'s items plus one
+    piece's text and numbers and at most one partial matrix.
     """
     row = b"[" + b",".join([b"[,]"] * dim) + b"]"
     # the skeleton, ``unit`` count times, is the inside of the value and a comma,
     # the one ``_piece_checked`` puts back after the last piece
     unit = b"[" + b",".join([row] * dim) + b"],"
-    flat = np.empty(count * dim * dim, dtype=complex)
-    values = flat.view(float)
-    done = filled = 0
+    per = 2 * dim * dim
+    items = []
+    buffer = np.empty(0)
+    held = done = filled = 0
     carry = b""
     fh.seek(start + 1)
     left = end - start - 2
@@ -500,22 +513,32 @@ def _matrix_numbers(fh, start: int, end: int, count: int, dim: int) -> np.ndarra
             return None
         try:
             numbers = _NUMBER_READER.decode(f"[{piece.translate(_BRACKETS_AS_SPACE).decode()}]")
-            values[filled:filled + len(numbers)] = numbers
         except ValueError:
             return None
+        del piece
         filled += len(numbers)
-        del numbers  # freed before the next piece's are read
-    if done != count * len(unit) or filled != values.size:
-        return None
-    pairs = values.reshape(-1, 2)
-    step = max(_CHUNK // flat.itemsize, 1)
-    for lo in range(0, flat.size, step):
-        block = pairs[lo:lo + step]
-        if not np.isfinite(block).all():
+        size = held + len(numbers)
+        if size > buffer.size:
+            grown = np.empty(size)
+            grown[:held] = buffer[:held]
+            buffer = grown
+        buffer[held:size] = numbers
+        del numbers  # freed before the block is made complex
+        # checked as floats: 1j * inf would make a NaN, with a warning
+        if not np.isfinite(buffer[held:size]).all():
             return None
-        # the right-hand side is built in full before it overwrites its own floats
-        flat[lo:lo + step] = block[:, 0] + 1j * block[:, 1]
-    return flat.reshape(count, dim, dim)
+        whole = size - size % per
+        if whole:
+            pairs = buffer[:whole].reshape(-1, dim, dim, 2)
+            block = pairs[..., 0] + 1j * pairs[..., 1]
+            try:
+                items += build(block)
+            except (NonFiniteEntry, NotHermitianError):
+                return None
+            del block
+        held = size - whole
+        buffer[:held] = buffer[whole:size]
+    return items if done == count * len(unit) and filled == count * per else None
 
 
 def _piece_checked(piece: bytes, unit: bytes, done: int) -> int:
@@ -535,6 +558,26 @@ def _piece_checked(piece: bytes, unit: bytes, done: int) -> int:
         return -1
     placed = piece.translate(_NUMBERS_AS_ZERO, _WHITESPACE)
     return -1 if b"0[" in placed or b"]0" in placed else done + len(bare)
+
+
+def _file_operators(block: np.ndarray) -> list[HermitianOperator]:
+    """The operators of an (n, dim, dim) stack of file matrices.
+
+    The stack is validated by one ``_hermitian_stack`` call, the rule of
+    ``HermitianOperator``, so a refused matrix names its index in the stack;
+    each operator is then put in diagonal form where ``_exact_if_diagonal``
+    keeps ``eigh``'s bits.  Validated densely first, a diagonal file is
+    refused as a dense one is.  Each matrix is copied out of the stack, as a
+    dense operator holding a row would keep the whole stack alive, the rows
+    of its neighbours in diagonal form too.
+    """
+    sym = _hermitian_stack(block)
+    ops = []
+    for k in range(len(sym)):
+        own = sym[k:k + 1].copy()
+        own.setflags(write=False)
+        ops.append(_exact_if_diagonal(_stack_operators(own)[0]))
+    return ops
 
 
 def _at_each_point(gen, values) -> tuple[HermitianOperator, ...]:
@@ -611,27 +654,29 @@ def sample(spec: FamilySpec, grid: ParameterGrid | None = None) -> FamilySample:
     """Evaluate the family on the grid; deterministic given spec, grid and seed.
 
     ``harmonic_perturbed`` and ``random_crossings`` are built and decomposed
-    for the whole grid at once (see ``_make_generator``); a matrix file's
-    matrices are validated one at a time.  A refused matrix names its grid
-    index.
+    for the whole grid at once (see ``_make_generator``).  A matrix file's
+    matrices are validated by ``_file_operators`` a block at a time, as
+    ``load_matrix_path`` decodes them, so only the family's operators are
+    kept, plus about one read.  A refused matrix names its grid index.
     """
     if spec.kind == "matrix_path_file":
         path = spec.params.get("path")
         if not path:
             raise FamilyModelError("matrix_path_file needs params['path']")
-        file_grid, matrices = load_matrix_path(path)
-        if matrices and matrices[0].shape[0] != spec.dim:
-            raise FamilyModelError(
-                f"file stores dimension {matrices[0].shape[0]}, spec says {spec.dim}"
-            )
+        file_grid, loaded = load_matrix_path(path, build=_file_operators)
+        # a file the fast route refused comes back as raw matrices, validated
+        # only after the dimension and grid checks, whose errors come first
+        raw = isinstance(loaded[0], np.ndarray)
+        stored = loaded[0].shape[0] if raw else loaded[0].dim
+        if stored != spec.dim:
+            raise FamilyModelError(f"file stores dimension {stored}, spec says {spec.dim}")
         if grid is not None and (
             len(grid) != len(file_grid)
             or not np.allclose(grid.points, file_grid.points, atol=1e-12, rtol=0.0)
         ):
             raise FamilyModelError("provided grid does not match the grid stored in the file")
-        # validated densely first, so a diagonal file is refused as a dense one is
-        return FamilySample(file_grid, _at_each_point(
-            lambda m: _exact_if_diagonal(HermitianOperator(m)), matrices))
+        ops = _file_operators(np.array(loaded)) if raw else loaded
+        return FamilySample(file_grid, tuple(ops))
     if grid is None:
         raise FamilyModelError("a parameter grid is required for generated families")
     return FamilySample(grid, _make_generator(spec)(grid.points))

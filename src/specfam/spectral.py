@@ -190,11 +190,19 @@ def _decomposed_stack(matrices: np.ndarray) -> tuple[HermitianOperator, ...]:
     w, v = np.linalg.eigh(sym)
     w.setflags(write=False)
     v.setflags(write=False)
+    ops = _stack_operators(sym)
+    for op, values, basis in zip(ops, w, v):
+        object.__setattr__(op, "_decomposition", SpectralDecomposition(values, basis))
+    return ops
+
+
+def _stack_operators(sym: np.ndarray) -> tuple[HermitianOperator, ...]:
+    """One operator per matrix of a stack ``_hermitian_stack`` returned, its
+    entries a row of that stack; nothing is checked again."""
     ops = []
-    for entries, values, basis in zip(sym, w, v):
+    for entries in sym:
         op = object.__new__(HermitianOperator)
         object.__setattr__(op, "entries", entries)
-        object.__setattr__(op, "_decomposition", SpectralDecomposition(values, basis))
         ops.append(op)
     return tuple(ops)
 

@@ -28,7 +28,7 @@ from specfam import (
     sample,
     truncation_check,
 )
-from specfam import families
+from specfam import families, spectral
 from specfam.spectral import projector
 from specfam.errors import EdgeOnSpectrum, FamilyModelError, NonFiniteEntry, NotHermitianError
 
@@ -173,6 +173,67 @@ class TestMatrixPathFile:
         error = _analysis_error(path, 3)
         assert (error["type"], error["grid_index"]) == ("NotHermitianError", 2)
 
+    @pytest.mark.parametrize("bad", ["not hermitian", "not finite"])
+    def test_refusal_in_a_later_read_names_its_grid_index(self, tmp_path, bad):
+        # dense matrices, the refused one many 64-byte reads into the file, so the
+        # reader has made the operators of earlier blocks when it meets it
+        rnd = random.Random(13)
+        count, dim, refused = 12, 5, 9
+        matrices = [_hermitian_pairs(rnd, dim, dense=True) for _ in range(count)]
+        if bad == "not hermitian":
+            matrices[refused][0][1][0] += 1.0
+        else:
+            matrices[refused][1][2] = [12345.5, 0.0]
+        text = json.dumps({"dim": dim, "grid": list(range(count)), "matrices": matrices})
+        # a valid number token that reads as an infinity
+        text = text.replace("12345.5", "1e400")
+        path = tmp_path / "family.json"
+        path.write_text(text)
+        assert text.index(json.dumps(matrices[refused])[:40]) > 20 * 64
+        if bad == "not hermitian":
+            pairs = np.array(matrices[refused])
+            with pytest.raises(NotHermitianError) as alone:
+                HermitianOperator(pairs[..., 0] + 1j * pairs[..., 1])
+            expected = ("NotHermitianError", str(alone.value.at_grid_index(refused)))
+        else:
+            expected = ("NonFiniteEntry", str(NonFiniteEntry((1, 2), complex(math.inf, 0.0),
+                                                             grid_index=refused)))
+        spec = FamilySpec("matrix_path_file", dim, {"path": str(path)})
+        for chunk in (64, families._CHUNK):
+            with mock.patch.object(families, "_CHUNK", chunk):
+                with pytest.raises((NotHermitianError, NonFiniteEntry)) as err:
+                    sample(spec)
+            assert (type(err.value).__name__, str(err.value)) == expected, chunk
+            assert err.value.grid_index == refused
+        error = _analysis_error(path, dim)
+        assert (error["type"], error["grid_index"]) == (expected[0], refused)
+
+    def test_dimension_then_grid_mismatch_are_named_before_a_refused_matrix(self, tmp_path):
+        rnd = random.Random(3)
+        matrices = [_hermitian_pairs(rnd, 3, dense=True) for _ in range(4)]
+        matrices[1][2][0][0] += 1.0
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"dim": 3, "grid": [0, 1, 2, 3], "matrices": matrices}))
+        other_grid = ParameterGrid(np.array([0.0, 1.0, 2.0, 4.0]))
+        with pytest.raises(FamilyModelError, match=r"^file stores dimension 3, spec says 4$"):
+            sample(FamilySpec("matrix_path_file", 4, {"path": str(path)}), other_grid)
+        with pytest.raises(FamilyModelError, match="^provided grid does not match"):
+            sample(FamilySpec("matrix_path_file", 3, {"path": str(path)}), other_grid)
+        with pytest.raises(NotHermitianError, match="^matrix at grid index 1 "):
+            sample(FamilySpec("matrix_path_file", 3, {"path": str(path)}))
+
+    def test_a_malformed_matrix_is_named_before_a_refused_one(self, tmp_path):
+        rnd = random.Random(4)
+        matrices = [_hermitian_pairs(rnd, 3, dense=True) for _ in range(4)]
+        matrices[1][2][0][0] += 1.0
+        matrices[2][1].pop()
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"dim": 3, "grid": [0, 1, 2, 3], "matrices": matrices}))
+        with pytest.raises(FamilyModelError) as err:
+            sample(FamilySpec("matrix_path_file", 3, {"path": str(path)}))
+        assert str(err.value).startswith(
+            f"malformed matrix path file {path}: matrix at grid index 2: ")
+
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "family.json"
         path.write_text(json.dumps({"dim": 2, "grid": [0.0, 1.0]}))
@@ -184,6 +245,29 @@ class TestMatrixPathFile:
         with pytest.raises(FamilyModelError) as err:
             sample(FamilySpec("matrix_path_file", 3, {"path": str(missing)}))
         assert str(missing) in str(err.value)
+
+
+def _hermitian_pairs(rnd, dim, dense):
+    """A Hermitian matrix as nested [re, im] pairs of three-decimal numbers,
+    diagonal unless ``dense``."""
+    m = [[[0.0, 0.0] for _ in range(dim)] for _ in range(dim)]
+    for i in range(dim):
+        m[i][i] = [round(rnd.uniform(-1, 1), 3), 0.0]
+        for j in range(i + 1, dim if dense else 0):
+            re, im = round(rnd.uniform(-1, 1), 3), round(rnd.uniform(-1, 1), 3)
+            m[i][j], m[j][i] = [re, im], [re, -im]
+    return m
+
+
+def _read_allowance() -> int:
+    """What reading a matrix file may hold beyond what it keeps.
+
+    One chunk's text at most four times over (bytes, a translation, str, the
+    bracketed str), and its numbers, at most one per three bytes ("[0,0],"),
+    each as a Python float (24 bytes), a list slot (8, plus growth) and a
+    numpy copy (8).
+    """
+    return 4 * families._CHUNK + families._CHUNK // 3 * 44
 
 
 def _analysis_error(path, dim=1):
@@ -513,11 +597,6 @@ class TestMatrixPathReader:
         stack_bytes = count * dim * dim * 16
         # the text is 2.7 times the stack here, so holding it would break the bound
         assert path.stat().st_size > max(10 * families._CHUNK, 2 * stack_bytes)
-        # one chunk's text is held at most four times over (bytes, a translation,
-        # str, the bracketed str), and its numbers, at most one per three bytes
-        # ("[0,0],"), each as a Python float (24 bytes), a list slot (8, plus
-        # growth) and a numpy copy (8)
-        allowance = 4 * families._CHUNK + families._CHUNK // 3 * 44
         tracemalloc.start()
         try:
             grid, matrices = families.load_matrix_path(str(path))
@@ -525,7 +604,57 @@ class TestMatrixPathReader:
         finally:
             tracemalloc.stop()
         assert len(matrices) == count
-        assert peak <= stack_bytes + allowance
+        assert peak <= stack_bytes + _read_allowance()
+
+    @given(st.integers(1, 64), st.integers(1, 4), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_sample_builds_each_operator_as_the_matrix_alone_gives_it(
+            self, tmp_path_factory, chunk, dim, rnd):
+        # blocks cut anywhere, of mixed forms, with mirrored entries that differ
+        # within the Hermitian tolerance, so that averaging changes their bits
+        count = 6
+        matrices = [_hermitian_pairs(rnd, dim, dense=rnd.random() < 0.5) for _ in range(count)]
+        for m in matrices:
+            if dim > 1 and m[0][1] != [0.0, 0.0]:
+                m[1][0][0] *= 1 + 1e-13
+        path = tmp_path_factory.getbasetemp() / "blocks.json"
+        path.write_text(json.dumps({"dim": dim, "grid": list(range(count)),
+                                    "matrices": matrices}))
+        with mock.patch.object(families, "_CHUNK", chunk):
+            smp = sample(FamilySpec("matrix_path_file", dim, {"path": str(path)}))
+        for op, m in zip(smp.operators, matrices):
+            pairs = np.array(m)
+            alone = spectral._exact_if_diagonal(HermitianOperator(pairs[..., 0]
+                                                                  + 1j * pairs[..., 1]))
+            assert type(op) is type(alone)
+            assert op.entries.tobytes() == alone.entries.tobytes()
+
+    @pytest.mark.parametrize("form", ["diagonal", "dense", "mixed"])
+    def test_sample_peaks_at_its_operators_and_one_read(self, tmp_path, form):
+        # each file's stack of matrices is larger than the allowance, so a
+        # sample that held the stack beside its operators would break the bound
+        rnd = random.Random(17)
+        count, dim = 120, 40
+        dense = [form == "dense" or form == "mixed" and k % 8 == 0 for k in range(count)]
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"dim": dim, "grid": list(range(count)), "matrices": [
+            _hermitian_pairs(rnd, dim, d) for d in dense]}))
+        matrix_bytes = dim * dim * 16
+        assert count * matrix_bytes > 2 * _read_allowance()
+        tracemalloc.start()
+        try:
+            smp = sample(FamilySpec("matrix_path_file", dim, {"path": str(path)}))
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        diagonal = [isinstance(op, spectral._DiagonalOperator) for op in smp.operators]
+        assert diagonal == [not d for d in dense]
+        # a diagonal family keeps its diagonals only, a dense one its matrices once
+        kept = count * matrix_bytes if form == "dense" else retained
+        assert peak <= kept + _read_allowance()
+        # each dense operator keeps its own matrix, not the block it was read in;
+        # an operator's other arrays and objects take under 2 KiB here
+        assert retained <= sum(dense) * matrix_bytes + count * 2048
 
     def test_dense_file_of_many_reads_with_its_header_after_the_matrices(self, tmp_path):
         # reads shorter than the key: every token, the key and the brackets are cut
@@ -590,7 +719,7 @@ class TestTruncationCheck:
         calls = []
         load = families.load_matrix_path
         monkeypatch.setattr(families, "load_matrix_path",
-                            lambda p: calls.append(p) or load(p))
+                            lambda p, build: calls.append(p) or load(p))
         spec = FamilySpec("matrix_path_file", 3, {"path": str(path)})
         report = truncation_check(spec, None, [1, 2, 3], RealWindow(-1.0, 1.0))
         assert len(calls) == 1
@@ -606,7 +735,7 @@ class TestTruncationCheck:
         calls = []
         load = families.load_matrix_path
         monkeypatch.setattr(families, "load_matrix_path",
-                            lambda p: calls.append(p) or load(p))
+                            lambda p, build: calls.append(p) or load(p))
         bundle = run_analysis({
             "family": {"kind": "matrix_path_file", "dim": 3, "params": {"path": str(path)}},
             "seed": 0,

@@ -904,6 +904,23 @@ class TestCli:
         assert result.exit_code == 0
         assert "OK" in result.output
 
+    @pytest.mark.parametrize("data, reason", [
+        pytest.param(b"\xff" + json.dumps(base_config()).encode(), "can't decode byte 0xff",
+                     id="not utf-8"),
+        pytest.param(b"[" * 100_000, "maximum recursion depth exceeded", id="nested too deeply"),
+        pytest.param(b"{not json", "Expecting property name", id="syntax"),
+    ])
+    def test_unreadable_config_exits_2(self, tmp_path, data, reason):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(data)
+        for command in (["validate", str(cfg)],
+                        ["analyze", str(cfg), "--output-dir", str(tmp_path / "out")]):
+            result = CliRunner().invoke(main, command)
+            assert result.exit_code == 2, result.output
+            assert result.output.startswith("config is not valid JSON: ")
+            assert reason in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_validate_rejects_malformed_json(self, tmp_path):
         runner = CliRunner()
         broken = tmp_path / "broken.json"
