@@ -2,7 +2,7 @@
 then print one "file sha256" line per written file, sorted by path.
 
 The configs are the benchmark workloads at seeds 1 and 2, the demo configs,
-and the hand-written configs below (170 files in all).  The inputs come from
+and the hand-written configs below (172 files in all).  The inputs come from
 ``bench/workloads.py`` of the current directory, the program from the
 ``src`` directory that ``PYTHONPATH`` names, so one script compares two
 trees.  Run from the root of a checkout::
@@ -255,6 +255,24 @@ def main(out: Path) -> None:
                                                   "window": [-0.45, 0.45]}},
             ],
         }))
+    # analyses that read edges a scan before them normed: a dense
+    # random_crossings family scanned first, then one range and level the
+    # scan certified (points 7 to 27, level 0.4455...) certified again under
+    # a cap, and a graph chain whose pair the scan found at b = 1 / delta, so
+    # their bytes do not depend on what an earlier analysis computed
+    configs.append(("random/warm_cold", {
+        "family": {"kind": "random_crossings", "dim": 8, "params": {}},
+        "grid": {"start": 0.0, "end": 1.0, "points": 81},
+        "seed": 0,
+        "analyses": [
+            {"kind": "discrete-spectrum",
+             "params": {"b_levels": [0.1, 0.25, 0.4], "definitional": False}},
+            {"kind": "certify-adapted",
+             "params": {"level": 0.4455020274152541, "lo_index": 7, "hi_index": 27,
+                        "cap": 1.5}},
+            {"kind": "graph-continuity", "params": {"delta": 2.5, "x_index": 10}},
+        ],
+    }))
     for name, config in configs:
         run_analysis(config, output_dir=out / name)
     for path in sorted(p for p in out.rglob("*") if p.is_file()):

@@ -16,17 +16,16 @@ operator, so certificates above the ceiling would certify the truncation,
 not the family.
 
 Eigenvalues are sorted, so a window, like the upper part [epsilon, oo) of
-strict adaptedness, is an interval of eigen-indices.  Edge differences of
-interval projections are normed and memoized on the sample by (edge, left
-interval, right interval), so overlapping ranges, as in the
-discrete-spectrum scan, norm every distinct edge once.  One edge routine,
-``_RunEdges``, fills those stores: it takes many runs of points at once,
-builds only the edges the stores lack, as the topology chains build images,
-with ``spectral._spectral_functions``, and norms them with
+strict adaptedness, is an interval of eigen-indices.  One edge routine,
+``_RunEdges``, norms edge differences of interval projections for many runs
+of points at once, each distinct (edge, left interval, right interval) once,
+so overlapping ranges, as in the discrete-spectrum scan, share their edges.
+It builds them as the topology chains build images, with
+``spectral._spectral_functions``, and norms them with
 ``spectral._difference_norms``.  Each edge takes its own form, diagonal when
 both of its points hold their eigenbasis as a permutation and dense
-otherwise, so a stored norm depends on the edge alone, not on the range that
-normed it first.
+otherwise, so its norm depends on the edge alone.  No norm is kept between
+calls: each certification norms its own edges.
 
 ``_certify_pairs`` certifies a batch of (range, level) pairs in one pass:
 per-point margins and ranks give each pair's first refusal, and the edges of
@@ -38,7 +37,7 @@ The unbounded and the weak (polarized) discrete-spectrum certificates share
 one engine, ``_scan_levels``, and differ only in the level ceiling and the
 shift grid of the definitional sweep.  The engine works on the whole grid at
 once: per lower bound b it chooses every point's level with the row-wise rule
-``find_adapted_pair`` applies to its one row and grows the ranges from one
+``_adapted_range`` applies to its one row and grows the ranges from one
 table of margins and ranks for all distinct levels (``_level_blocks``).  The
 distinct (range, level) pairs of all b levels then go to ``_certify_pairs``
 in one call.
@@ -210,7 +209,7 @@ def _widest_levels(abs_sorted: np.ndarray, lo: float,
 
 #: entries of each (levels, rows) array of a level table block, of each
 #: (points, dim) array a batch of certifications compares at once, and of
-#: each (edges, dim) block of lacking edges whose images are built at once
+#: each (edges, dim) block of edges whose images are built at once
 _TABLE_ENTRIES = 1 << 12
 
 
@@ -264,9 +263,8 @@ def _grown_ranges(margins: np.ndarray, ranks: np.ndarray,
 
 
 class _RunEdges:
-    """The adjacent edges of runs of consecutive grid points, keyed as the
-    sample's stores key them: (left grid index, left start, left stop, right
-    start, right stop).
+    """The adjacent edges of runs of consecutive grid points, keyed by (left
+    grid index, left start, left stop, right start, right stop).
 
     ``grid_index``, ``starts`` and ``stops`` give every point of every run in
     turn, with the eigen-index interval [start, stop) its image is taken
@@ -289,37 +287,33 @@ class _RunEdges:
         self.keys = list(distinct)
 
     def norms(self, smp: FamilySample, weighted: bool) -> list[float]:
-        """The stored norm of every run edge in turn, computing and storing
-        each distinct edge the store lacks, once.
+        """The norm of every run edge in turn, each distinct edge built and
+        normed once.
 
-        Each lacking edge is built in its own form: diagonal when both of its
-        points hold their eigenbasis as a permutation, dense otherwise, so its
-        value depends on the edge alone.  Per form, in blocks of edges whose
+        Each edge is built in its own form: diagonal when both of its points
+        hold their eigenbasis as a permutation, dense otherwise, so its value
+        depends on the edge alone.  Per form, in blocks of edges whose
         differences hold at most ``_TABLE_ENTRIES`` entries, every distinct
         point image (grid index and interval) is built once by one
         ``_spectral_functions`` call, and the differences are normed with
         ``_difference_norms``.
         """
-        memo = smp.restriction_moduli if weighted else smp.projection_moduli
-        values = list(map(memo.get, self.keys))
-        if None not in values:
-            return list(map(values.__getitem__, self.ids))
-        # the left end of each lacking edge where the edge first appears,
-        # which is where the running largest id grows
-        ids = np.array(self.ids)
+        # the left end of each distinct edge where it first appears, which is
+        # where the running largest id grows
+        ids = np.array(self.ids, dtype=int)
         new = np.ones(len(ids), dtype=bool)
         new[1:] = ids[1:] > np.maximum.accumulate(ids)[:-1]
-        missing = np.array([k for k, value in enumerate(values) if value is None])
-        left = self.left[new][missing]
+        left = self.left[new]
         decs = smp.decompositions
         is_dense = np.array([decs[y].order is None or decs[y + 1].order is None
                              for y in self.grid_index[left].tolist()])
+        values = np.empty(len(left))
         index, radix = np.arange(smp.dim), smp.dim + 1
         for dense in (False, True):
-            lefts, taken = left[is_dense == dense], missing[is_dense == dense]
+            taken = np.flatnonzero(is_dense == dense)
             step = max(1, _TABLE_ENTRIES // (smp.dim ** 2 if dense else smp.dim))
-            for j in range(0, len(lefts), step):
-                block = lefts[j:j + step]
+            for j in range(0, len(taken), step):
+                block = left[taken[j:j + step]]
                 ends = np.concatenate((block, block + 1))
                 code = ((self.grid_index[ends] * radix + self.starts[ends]) * radix
                         + self.stops[ends])
@@ -332,10 +326,9 @@ class _RunEdges:
                 images = _spectral_functions([decs[y] for y in grid.tolist()], masks,
                                              weights, dense)
                 n = len(block)
-                norms = _difference_norms(images[row[n:]] - images[row[:n]], hermitian_norm)
-                for k, value in zip(taken[j:j + step].tolist(), norms.tolist()):
-                    values[k] = memo[self.keys[k]] = value
-        return list(map(values.__getitem__, self.ids))
+                values[taken[j:j + step]] = _difference_norms(images[row[n:]] - images[row[:n]],
+                                                              hermitian_norm)
+        return values[ids].tolist()
 
     def maxima(self, norms: list[float]) -> tuple[list[float], list[int | None]]:
         """Per run, the largest of its edges' ``norms`` and the left grid
@@ -361,8 +354,7 @@ def _interval_modulus(smp: FamilySample, lo: int, starts, stops,
     At point ``lo + k`` the operator is the projection onto the eigen-indices
     ``[starts[k], stops[k])``, or with ``weighted`` the operator compressed to
     them.  This is the one-run case of the edge routine of
-    ``_certify_pairs`` (``_RunEdges``): norms missing from the sample's store
-    are computed and stored.
+    ``_certify_pairs`` (``_RunEdges``), which norms each distinct edge once.
     """
     starts, stops = np.asarray(starts), np.asarray(stops)
     edges = _RunEdges(lo + np.arange(len(starts)), starts, stops, np.array([len(starts)]))
@@ -379,8 +371,8 @@ def _certify_pairs(smp: FamilySample, keys, cap: float | None = None) -> list:
     range whose margin is not clear (``EdgeOnSpectrum``) or whose rank
     differs from its left neighbour's (``RankJump``); at one point the margin
     is checked first.  The edges of all other keys form one edge table,
-    whose missing norms are computed once each and stored, and each key reads
-    its moduli off the stores.  With a cap, a key whose projection or else
+    whose distinct edges are normed once each, and each key reads its moduli
+    off that table.  With a cap, a key whose projection or else
     restriction modulus lands above it is refused as ``ModulusExceeded`` at
     the first edge attaining it.
     """
@@ -473,20 +465,23 @@ def certify_adapted_pair(smp: FamilySample, grid_range: GridRange, level: float,
     return outcome
 
 
-def find_adapted_pair(smp: FamilySample, x_index: int, b: float,
-                      ceiling: float | None = None) -> AdaptedPairCertificate:
-    """Find an adapted pair (range, c) with c > b and x_index inside the range.
+def _adapted_range(smp: FamilySample, x_index: int, b: float,
+                   ceiling: float | None = None) -> tuple[GridRange, float, int]:
+    """The range, level and rank of an adapted pair with level above b and
+    x_index inside the range, found without norming an edge.
 
     The level is taken at the widest gap of the symmetrized spectrum at the
     base point that intersects (b, ceiling], ties resolved toward the smaller
     level.  The range is the maximal run around the base point on which
-    margins stay clear and the window rank stays constant.
+    margins stay clear and the window rank stays constant, so certification
+    never refuses it.
 
     No other candidate is ever needed: every candidate sits more than
     ``TAU_EDGE_DEFAULT`` inside both edges of its gap, and every |lambda| at
     the base point lies on or beyond one of those edges.  Rounded subtraction
-    is monotone and sign-symmetric, so the base point's own margin always
-    clears, and the grown range contains it.
+    is monotone and sign-symmetric, so the base point's own margin clears
+    (unless its spectrum holds a NaN: ``EdgeOnSpectrum``), and the grown
+    range contains it.
 
     Raises ``NoGap`` when no admissible level exists below the truncation
     ceiling, which signals that the truncation is too small for this ``b``.
@@ -502,8 +497,19 @@ def find_adapted_pair(smp: FamilySample, x_index: int, b: float,
     if not found:
         raise NoGap(b, ceiling, x_index)
     level = float(level)
-    lo, hi = _grown_ranges(level_margins(ev, level), level_ranks(ev, level), x_index)
-    return certify_adapted_pair(smp, GridRange(int(lo), int(hi)), level)
+    margins, ranks = level_margins(ev, level), level_ranks(ev, level)
+    if not margins[x_index] >= TAU_EDGE_DEFAULT:
+        raise EdgeOnSpectrum(level, float(margins[x_index]), grid_index=x_index)
+    lo, hi = _grown_ranges(margins, ranks, x_index)
+    return GridRange(int(lo), int(hi)), level, int(ranks[x_index])
+
+
+def find_adapted_pair(smp: FamilySample, x_index: int, b: float,
+                      ceiling: float | None = None) -> AdaptedPairCertificate:
+    """Find an adapted pair (range, c) with c > b and x_index inside the range:
+    the one ``_adapted_range`` finds (``NoGap`` if there is none), certified."""
+    grid_range, level, _ = _adapted_range(smp, x_index, b, ceiling)
+    return certify_adapted_pair(smp, grid_range, level)
 
 
 def fixed_level_certifier(smp: FamilySample, x_index: int, b: float):

@@ -110,7 +110,7 @@ class FamilySpec:
 
 @dataclass(frozen=True, eq=False)
 class FamilySample:
-    """A family restricted to a grid: one Hermitian operator per grid point."""
+    """One Hermitian operator per grid point; only decompositions are cached."""
 
     grid: ParameterGrid
     operators: tuple[HermitianOperator, ...]
@@ -142,39 +142,14 @@ class FamilySample:
         mat.setflags(write=False)
         return mat
 
-    @cached_property
-    def projection_moduli(self) -> dict[tuple[int, int, int, int, int], float]:
-        """Memo of adjacent-edge projection norms, filled by ``adapted._RunEdges``.
-
-        Maps (left grid index, left start, left stop, right start, right stop)
-        to the norm of the difference of the projections onto eigen-indices
-        [start, stop) at the two ends of the edge.  The value does not depend
-        on which range normed the edge first: each edge is built in its own
-        form, diagonal when both of its points hold their eigenbasis as a
-        permutation and dense otherwise.
-        """
-        return {}
-
-    @cached_property
-    def restriction_moduli(self) -> dict[tuple[int, int, int, int, int], float]:
-        """The same memo for the operator compressed to each interval; never shared."""
-        return {}
-
     def shifted(self, lam: float) -> "FamilySample":
-        """The family minus ``lam``; decompositions shift with it exactly.
-
-        No moduli are shared: an operator not yet decomposed gets its own eigh.
-        """
+        """The family minus ``lam``; decompositions shift with it exactly, and
+        an operator not yet decomposed gets its own eigh."""
         return FamilySample(self.grid, tuple(op.shifted(lam) for op in self.operators))
 
     def bounded_transformed(self) -> "FamilySample":
-        """Fiberwise bounded transform; window ranks correspond exactly.
-
-        The transform keeps every eigenvector, so the projection moduli are shared.
-        """
-        out = FamilySample(self.grid, tuple(bounded_transform(op) for op in self.operators))
-        vars(out)["projection_moduli"] = self.projection_moduli
-        return out
+        """Fiberwise bounded transform; window ranks correspond exactly."""
+        return FamilySample(self.grid, tuple(bounded_transform(op) for op in self.operators))
 
     def reversed(self) -> "FamilySample":
         pts = -self.grid.points[::-1]

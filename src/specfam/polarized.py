@@ -12,6 +12,7 @@ correspond level-for-level and rank-for-rank.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -141,6 +142,14 @@ class CorrespondenceReport:
     transformed_levels: tuple[float, ...]
 
 
+def _untransformable_levels(b_levels) -> list[float]:
+    """The positive finite ``b_levels`` whose bounded transforms round to 1
+    (from b ~ 9.5e7 on) or coincide (6e7 and 6.1e7): the weak scan refuses them."""
+    levels = sorted({float(b) for b in b_levels if 0 < b < math.inf})
+    images = [float(bounded_transform_scalar(b)) for b in levels]
+    return [b for b, g in zip(levels, images) if g >= 1.0 or images.count(g) > 1]
+
+
 def transform_correspondence_check(smp: FamilySample, b_levels) -> CorrespondenceReport:
     """Check that wide-window certificates transport through the bounded transform.
 
@@ -151,8 +160,13 @@ def transform_correspondence_check(smp: FamilySample, b_levels) -> Correspondenc
     level ceiling by the transformed truncation ceiling, so admissible
     windows correspond bijectively.  Also verifies, certificate by
     certificate, that window ranks agree exactly across the transform.  The
-    definitional sweeps are not run.
+    definitional sweeps are not run.  Levels ``_untransformable_levels``
+    names are refused first.
     """
+    untransformable = _untransformable_levels(b_levels)
+    if untransformable:
+        raise ValueError(f"b_levels {untransformable} do not map to distinct "
+                         "transformed levels inside (0, 1)")
     sign = essential_sign_check(smp)
     if not sign.passed:
         raise FamilyModelError(

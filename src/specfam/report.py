@@ -27,6 +27,7 @@ from .polarized import (
     PolarizationCheck,
     transform_correspondence_check,
     weak_discrete_spectrum_certify,
+    _untransformable_levels,
 )
 from .spectral import RealWindow, decompose
 from .topology import continuity_modulus, graph_continuity_certify, riesz_continuity_certify
@@ -319,6 +320,11 @@ def validate_config(config: dict) -> None:
                          f"{base}.b_levels", "must be positive finite numbers")
             _require(len(set(levels)) == len(levels), f"{base}.b_levels",
                      "must not repeat a level")
+            if mode == "correspondence":
+                untransformable = _untransformable_levels(levels)
+                _require(not untransformable, f"{base}.b_levels",
+                         f"{untransformable} do not map to distinct transformed levels"
+                         " inside (0, 1)")
             check("eta", lambda v: _real(v) and 0 < v < 1, "out of (0, 1)")
             check("norm_slack", _non_negative, "must be a non-negative finite number")
             check("interior_budget", lambda v: v is None or _integer(v) and v >= 0,

@@ -33,6 +33,9 @@ contracted ``range`` the certificate reports.  Every field is measured there,
 except the Riesz chain's scalar outer-block defects, gated first on the
 uncontracted range.  Certificates hold only their scalar bound chain, range
 and level; no matrix leaves a chain.
+
+A chain takes its adapted pair's range, level and rank from
+``adapted._adapted_range`` and norms none of the pair's edges.
 """
 
 from __future__ import annotations
@@ -44,12 +47,12 @@ import numpy as np
 
 from .adapted import (
     GridRange,
-    find_adapted_pair,
     level_candidates,
     level_margins,
     level_ranks,
     shrink_toward,
     truncation_ceiling,
+    _adapted_range,
     _grown_ranges,
     _interval_modulus,
 )
@@ -199,9 +202,7 @@ def graph_continuity_certify(smp: FamilySample, x_index: int,
     """
     if not 0 < delta < math.inf:
         raise ValueError("delta must be positive and finite")
-    pair = find_adapted_pair(smp, x_index, 1.0 / delta)
-    level = pair.level
-    pair_rng = pair.range
+    pair_rng, level, rank = _adapted_range(smp, x_index, 1.0 / delta)
 
     decs = smp.decompositions[pair_rng.lo_index:pair_rng.hi_index + 1]
     ev = smp.eigenvalue_matrix[pair_rng.lo_index:pair_rng.hi_index + 1]
@@ -230,7 +231,7 @@ def graph_continuity_certify(smp: FamilySample, x_index: int,
         delta=float(delta),
         level=level,
         range=rng,
-        window_rank=pair.rank,
+        window_rank=rank,
         tail_bound=tail_bound,
         compressed_modulus=compressed_modulus,
         final_bound=final_bound,
@@ -341,24 +342,21 @@ def _riesz_chain_certify(smp: FamilySample, x_index: int, delta: float, cap: flo
         ceiling = min(ceiling, level_ceiling)
 
     ev_x = smp.eigenvalue_matrix[x_index]
-    strict_result = None
     pair = None
     saw_strict_pass = False
     for eps in level_candidates(ev_x[ev_x > 0.0], 0.0, ceiling)[0].tolist():
         try:
-            candidate = strict_adaptedness_certify(smp, x_index, eps, cap)
+            strict_result = strict_adaptedness_certify(smp, x_index, eps, cap)
         except EdgeOnSpectrum:
             continue
-        if not candidate.passed:
+        if not strict_result.passed:
             continue
         saw_strict_pass = True
         b_req = max(eps * (1.0 + 1e-12), threshold)
         try:
-            found = find_adapted_pair(smp, x_index, b_req, ceiling=ceiling)
+            pair = _adapted_range(smp, x_index, b_req, ceiling=ceiling)
         except NoGap:
             continue
-        strict_result = candidate
-        pair = found
         break
     if pair is None:
         if not saw_strict_pass:
@@ -367,9 +365,9 @@ def _riesz_chain_certify(smp: FamilySample, x_index: int, delta: float, cap: flo
             )
         raise NoGap(threshold, ceiling, x_index)
 
-    level = pair.level
+    pair_rng, level, rank = pair
     strict_eps = strict_result.epsilon
-    outer = strict_result.range.intersect(pair.range)
+    outer = strict_result.range.intersect(pair_rng)
 
     # phase 1, on strict ∩ pair: the scalar defects, then only what the
     # contraction reads
@@ -434,7 +432,7 @@ def _riesz_chain_certify(smp: FamilySample, x_index: int, delta: float, cap: flo
         strict_modulus=strict_result.modulus,
         level=level,
         range=rng,
-        window_rank=pair.rank,
+        window_rank=rank,
         split_residual=split_residual,
         upper_split_residual=upper_split_residual,
         upper_defect=upper_defect,

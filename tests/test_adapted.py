@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import specfam.adapted
-import specfam.topology
 from specfam import (
     FamilySample,
     FamilySpec,
@@ -35,6 +34,7 @@ from specfam.adapted import (
     MAX_SHIFTS,
     AdaptedPairCertificate,
     CertificateFailure,
+    _RunEdges,
     _certify_pairs,
     _interval_modulus,
     _level_blocks,
@@ -428,21 +428,35 @@ def window_intervals(smp, lo, hi, level):
     return out
 
 
-def memo_keys(smp, cert):
+def edge_keys(smp, cert):
     """The interval-keyed edges that a certificate's range and level touch."""
     lo, hi = cert.range.lo_index, cert.range.hi_index
     bounds = window_intervals(smp, lo, hi, cert.level)
     return {(lo + k, *bounds[k], *bounds[k + 1]) for k in range(len(bounds) - 1)}
 
 
-def stored(smp):
-    return len(smp.projection_moduli) + len(smp.restriction_moduli)
+def record_edge_norms(monkeypatch):
+    """Route ``_RunEdges.norms`` through a recorder; returns its log of
+    (sample, weighted, {edge key: norm}) per call."""
+    log = []
+    norms = _RunEdges.norms
+
+    def recording(edges, smp, weighted):
+        values = norms(edges, smp, weighted)
+        by_key = dict(zip((edges.keys[i] for i in edges.ids), values))
+        assert list(map(by_key.__getitem__, (edges.keys[i] for i in edges.ids))) == values
+        log.append((smp, weighted, by_key))
+        return values
+
+    monkeypatch.setattr(_RunEdges, "norms", recording)
+    return log
 
 
-def assert_stores_match_dense_oracle(smp):
-    """Every stored norm equals, bit for bit, the dense norm rebuilt from its key."""
-    for weighted, memo in ((False, smp.projection_moduli), (True, smp.restriction_moduli)):
-        for (y, a_start, a_stop, b_start, b_stop), value in memo.items():
+def assert_norms_match_dense_oracle(log):
+    """Every norm ``_RunEdges.norms`` returned equals, bit for bit, the dense
+    norm rebuilt from its key."""
+    for smp, weighted, by_key in log:
+        for (y, a_start, a_stop, b_start, b_stop), value in by_key.items():
             dec_a, dec_b = smp.decompositions[y], smp.decompositions[y + 1]
             oracle = hermitian_norm(
                 projector(dec_b, interval_mask(smp.dim, b_start, b_stop),
@@ -481,134 +495,79 @@ def count_norms(monkeypatch, *modules):
     return calls
 
 
-def has_moving_start(memo):
-    return any(a_start != b_start for _, a_start, _, b_start, _ in memo)
+def has_moving_start(keys):
+    return any(a_start != b_start for _, a_start, _, b_start, _ in keys)
 
 
-class TestEdgeModuliMemo:
-    @pytest.mark.parametrize("spec, grid", GENERATOR_CASES,
-                             ids=[spec.kind for spec, _ in GENERATOR_CASES])
-    def test_warm_memo_matches_fresh_sample(self, spec, grid):
-        warm = sample(spec, grid)
-        discrete_spectrum_certify(warm, scan_levels(warm), include_definitional=False)
-        filled = stored(warm)
-        assert filled > 0
-        report = discrete_spectrum_certify(warm, scan_levels(warm),
-                                           include_definitional=False)
-        assert stored(warm) == filled  # every edge came from the memo
-        certs = [c for per_x in report.certificates.values() for c in per_x if c]
-        assert certs
-        for cert in certs:
-            assert certify_adapted_pair(sample(spec, grid), cert.range, cert.level) == cert
-
-        moving = max(certs, key=lambda c: max(c.projection_modulus, c.restriction_modulus))
-        modulus = max(moving.projection_modulus, moving.restriction_modulus)
-        assert modulus > 0.0
-        refusals = []
-        for smp in (warm, sample(spec, grid)):
-            with pytest.raises(ModulusExceeded) as err:
-                certify_adapted_pair(smp, moving.range, moving.level, cap=modulus / 2)
-            refusals.append((err.value.which, err.value.modulus, err.value.cap))
-        assert refusals[0] == refusals[1]
-
+class TestEdgeNorms:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6),
            points=st.integers(4, 8), drift=st.floats(0.0, 0.5),
            fraction=st.floats(0.05, 0.95))
-    def test_memo_entries_equal_dense_oracle(self, seed, dim, points, drift, fraction):
+    def test_edge_norms_equal_dense_oracle(self, seed, dim, points, drift, fraction):
         smp = drifting_sample(seed, dim, points, drift)
-        # an inner range first, so the full range meets memo hits between misses
         level = fraction * truncation_ceiling(smp)
-        for grid_range in (GridRange(1, points - 2), GridRange(0, points - 1)):
-            try:
-                certify_adapted_pair(smp, grid_range, level)
-            except (EdgeOnSpectrum, RankJump):
-                pass
-        for x in range(points):
-            try:
-                find_adapted_pair(smp, x, 1e-3)
-            except (NoGap, EdgeOnSpectrum, RankJump):
-                pass
-            try:
-                strict_adaptedness_certify(smp, x, level, cap=1.0)
-            except EdgeOnSpectrum:
-                pass
-        assert_stores_match_dense_oracle(smp)
+        with pytest.MonkeyPatch.context() as mp:
+            log = record_edge_norms(mp)
+            for grid_range in (GridRange(1, points - 2), GridRange(0, points - 1)):
+                try:
+                    certify_adapted_pair(smp, grid_range, level)
+                except (EdgeOnSpectrum, RankJump):
+                    pass
+            for x in range(points):
+                try:
+                    find_adapted_pair(smp, x, 1e-3)
+                except (NoGap, EdgeOnSpectrum, RankJump):
+                    pass
+                try:
+                    strict_adaptedness_certify(smp, x, level, cap=1.0)
+                except EdgeOnSpectrum:
+                    pass
+        assert_norms_match_dense_oracle(log)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(3, 6),
            points=st.integers(3, 8))
     def test_moving_intervals_equal_dense_oracle(self, seed, dim, points):
         smp = jumping_sample(seed, dim, points)
-        cert = certify_adapted_pair(smp, GridRange(0, points - 1), 1.0)
+        with pytest.MonkeyPatch.context() as mp:
+            log = record_edge_norms(mp)
+            cert = certify_adapted_pair(smp, GridRange(0, points - 1), 1.0)
+            strict = strict_adaptedness_certify(smp, 0, 1.0, cap=np.inf)
         assert cert.rank == 1
-        assert set(smp.projection_moduli) == memo_keys(smp, cert)
-        assert has_moving_start(smp.projection_moduli)
-        assert has_moving_start(smp.restriction_moduli)
-        assert_stores_match_dense_oracle(smp)
-
-        window = set(smp.projection_moduli)
-        strict = strict_adaptedness_certify(smp, 0, 1.0, cap=np.inf)
         assert strict.range == GridRange(0, points - 1)
-        upper = set(smp.projection_moduli) - window
+        assert [weighted for _, weighted, _ in log] == [False, True, False]
+        window, restricted, upper = (by_key for _, _, by_key in log)
+        assert set(window) == set(restricted) == edge_keys(smp, cert)
+        assert has_moving_start(window)
         assert {key[2] for key in upper} == {key[4] for key in upper} == {dim}
         assert has_moving_start(upper)
-        assert_stores_match_dense_oracle(smp)
+        assert (cert.projection_modulus, cert.restriction_modulus, strict.modulus) == tuple(
+            max(by_key.values()) for _, _, by_key in log)
+        assert_norms_match_dense_oracle(log)
 
-    def test_repeated_strict_check_norms_nothing(self, monkeypatch):
-        calls = count_norms(monkeypatch, specfam.adapted, specfam.topology)
-        smp = jumping_sample(7, 5, 9)
-        first = strict_adaptedness_certify(smp, 4, 1.0, cap=np.inf)
-        assert len(calls) == len(first.range) - 1 == 8
-        calls.clear()
-        assert strict_adaptedness_certify(smp, 4, 1.0, cap=np.inf) == first
-        assert calls == []
-
-        # the dense loop over upper projectors that the memo replaces
-        uppers = [projector(dec, dec.eigenvalues >= 1.0)
-                  for dec in (smp.decompositions[y] for y in first.range.indices())]
-        dense = max(hermitian_norm(b - a) for a, b in zip(uppers, uppers[1:]))
-        assert first.modulus == dense > 0.5
-
-    def test_bounded_transform_shares_projection_moduli_only(self, monkeypatch):
+    def test_bounded_transform_norms_projections_to_the_source_bits(self, monkeypatch):
+        # the transform is odd and increasing and keeps every eigenvector, so
+        # its windows select the same intervals and build the same projectors
         smp = sample(FamilySpec("harmonic_perturbed", 8, {"coupling": (0.0, 1.0)}),
                      ParameterGrid.linspace(0.0, 1.0, 9))
         level = 1.0
+        log = record_edge_norms(monkeypatch)
         certify_adapted_pair(smp, GridRange(0, 8), level)
-        projections = dict(smp.projection_moduli)
-        restrictions = dict(smp.restriction_moduli)
-        assert projections and projections.keys() == restrictions.keys()
-
-        shifted = smp.shifted(0.3)
-        assert shifted.projection_moduli == {} and shifted.restriction_moduli == {}
-        find_adapted_pair(shifted, 4, 0.5)
-        assert shifted.projection_moduli and shifted.restriction_moduli
-        assert shifted.projection_moduli is not smp.projection_moduli
-
-        bounded = smp.bounded_transformed()
-        assert bounded.projection_moduli is smp.projection_moduli
-        assert bounded.restriction_moduli == {}
-        # the transform is odd and increasing and keeps every eigenvector, so
-        # its windows select the same intervals: only restrictions are normed
-        calls = count_norms(monkeypatch, specfam.adapted)
-        glevel = level / np.sqrt(1 + level**2)
-        certify_adapted_pair(bounded, GridRange(0, 8), glevel)
-        assert len(calls) == len(restrictions)
-        assert bounded.restriction_moduli.keys() == restrictions.keys()
-        for key, rest in bounded.restriction_moduli.items():
+        certify_adapted_pair(smp.bounded_transformed(), GridRange(0, 8),
+                             level / np.sqrt(1 + level**2))
+        (_, _, projections), (_, _, restrictions), (_, _, image_projections), \
+            (_, _, image_restrictions) = log
+        assert projections
+        assert ({key: value.hex() for key, value in image_projections.items()}
+                == {key: value.hex() for key, value in projections.items()})
+        assert image_restrictions.keys() == restrictions.keys()
+        for key, rest in image_restrictions.items():
             assert rest != restrictions[key]
-        assert smp.projection_moduli == projections
-        assert smp.restriction_moduli == restrictions
-
-        # a sample of the same transformed operators with stores of its own
-        # norms the shared projection entries again, to the same bits
-        fresh = FamilySample(bounded.grid, bounded.operators)
-        certify_adapted_pair(fresh, GridRange(0, 8), glevel)
-        assert fresh.projection_moduli == projections
-        assert fresh.restriction_moduli == bounded.restriction_moduli
 
     def test_discrete_scan_norms_each_distinct_edge_once(self, monkeypatch):
         calls = count_norms(monkeypatch, specfam.adapted)
+        log = record_edge_norms(monkeypatch)
         # dirac_circle's fibres are in permutation form, so its edges take the
         # diagonal path and no eigensolver; the dense family takes one
         # ``hermitian_norm`` per distinct edge and modulus
@@ -617,16 +576,17 @@ class TestEdgeModuliMemo:
                  [0.4, 1.4, 2.4], 0),
                 (drifting_sample(5, 6, 9, 0.3), None, 2)):
             calls.clear()
+            log.clear()
             report = discrete_spectrum_certify(smp, b_levels or scan_levels(smp),
                                                include_definitional=False)
             certs = [c for per_x in report.certificates.values() for c in per_x if c]
-            distinct = set().union(*(memo_keys(smp, c) for c in certs))
-            assert set(smp.projection_moduli) == distinct
-            assert set(smp.restriction_moduli) == distinct
+            distinct = set().union(*(edge_keys(smp, c) for c in certs))
+            assert [(weighted, set(by_key)) for _, weighted, by_key in log] == [
+                (False, distinct), (True, distinct)]
             assert len(calls) == norms_per_edge * len(distinct)
-            # the scan revisits edges, so the memo saved norms
+            # the scan revisits edges, so norming each distinct edge once saved norms
             assert len(distinct) < sum(len(c.range) - 1 for c in certs)
-            assert_stores_match_dense_oracle(smp)
+            assert_norms_match_dense_oracle(log)
 
 
 def per_point_scan(smp, b_levels, ceiling):
@@ -664,16 +624,13 @@ def greedy_range(smp, x, level):
 
 
 def assert_scan_matches_oracle(smp, b_levels, ceiling):
-    """The whole-grid scan and the per-point oracle, each on its own copy of
-    the sample, give equal certificates, failures and stored edge norms."""
-    ours, theirs = (FamilySample(smp.grid, smp.operators) for _ in range(2))
-    report = _scan_levels(ours, tuple(b_levels), ceiling, None)
-    certificates, failures, failing_points = per_point_scan(theirs, b_levels, ceiling)
+    """The whole-grid scan and the per-point oracle give equal certificates,
+    moduli included, failures and failing points."""
+    report = _scan_levels(smp, tuple(b_levels), ceiling, None)
+    certificates, failures, failing_points = per_point_scan(smp, b_levels, ceiling)
     assert report.certificates == certificates
     assert report.failures == failures
     assert report.failing_points == failing_points
-    assert ours.projection_moduli == theirs.projection_moduli
-    assert ours.restriction_moduli == theirs.restriction_moduli
     for b in report.b_levels:
         for x, cert in enumerate(report.certificates[b]):
             if cert is not None:
@@ -776,11 +733,11 @@ class TestWholeGridScan:
         assert after == "False"
 
 
-def reference_interval_modulus(smp, lo, starts, stops, weighted, norm):
-    """One range's edges, the reference for ``_RunEdges``: each missing edge
-    builds its two images with one ``_spectral_functions`` call, in the form
-    its own two points give it, and norms their difference with ``norm``."""
-    memo = smp.restriction_moduli if weighted else smp.projection_moduli
+def reference_interval_modulus(smp, lo, starts, stops, weighted, norm, memo):
+    """One range's edges, the reference for ``_RunEdges``: each edge missing
+    from ``memo`` builds its two images with one ``_spectral_functions`` call,
+    in the form its own two points give it, norms their difference with
+    ``norm`` and stores it in ``memo``."""
     first, last = starts.tolist(), stops.tolist()
     keys = list(zip(range(lo, lo + len(first) - 1), first, last, first[1:], last[1:]))
     index = np.arange(smp.dim)
@@ -799,9 +756,10 @@ def reference_interval_modulus(smp, lo, starts, stops, weighted, norm):
     return modulus, lo + values.index(modulus)
 
 
-def reference_certify(smp, lo, hi, level, cap, norm):
+def reference_certify(smp, lo, hi, level, cap, norm, memos):
     """One pair certified by a loop over its points, the reference for
-    ``_certify_pairs``; refusals are returned, not raised."""
+    ``_certify_pairs``; refusals are returned, not raised.  ``memos`` maps
+    ``weighted`` to the edge norms of the pairs certified before."""
     ev = smp.eigenvalue_matrix[lo:hi + 1]
     margins = level_margins(ev, level)
     ranks = level_ranks(ev, level)
@@ -814,8 +772,8 @@ def reference_certify(smp, lo, hi, level, cap, norm):
         prev_rank = rank
     starts = (ev < -level).sum(axis=1)
     stops = starts + ranks
-    proj, proj_at = reference_interval_modulus(smp, lo, starts, stops, False, norm)
-    rest, rest_at = reference_interval_modulus(smp, lo, starts, stops, True, norm)
+    proj, proj_at = reference_interval_modulus(smp, lo, starts, stops, False, norm, memos[False])
+    rest, rest_at = reference_interval_modulus(smp, lo, starts, stops, True, norm, memos[True])
     if cap is not None and proj > cap:
         return ModulusExceeded("projection", proj, cap, proj_at)
     if cap is not None and rest > cap:
@@ -836,7 +794,7 @@ def assert_same_outcome(ours, theirs):
 
 class TestBatchCertification:
     """``_certify_pairs`` gives every key the outcome a per-pair loop gives
-    it, in the same order, and leaves the same stores."""
+    it, in the same order, and norms the same edges to the same bits."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), dim=st.integers(1, 5), points=st.integers(2, 8),
@@ -871,29 +829,32 @@ class TestBatchCertification:
         keys += data.draw(st.lists(st.sampled_from(keys), max_size=3)) if keys else []
         keys = data.draw(st.permutations(keys))
 
-        grid = ParameterGrid.linspace(0.0, 1.0, points)
-        ours, theirs = FamilySample(grid, tuple(ops)), FamilySample(grid, tuple(ops))
+        smp = FamilySample(ParameterGrid.linspace(0.0, 1.0, points), tuple(ops))
         with pytest.MonkeyPatch.context() as mp:
             our_norms = count_norms(mp, specfam.adapted)
+            log = record_edge_norms(mp)
             # small sizes take the points in several blocks
             mp.setattr(specfam.adapted, "_TABLE_ENTRIES", entries)
-            outcomes = _certify_pairs(ours, keys, cap)
+            outcomes = _certify_pairs(smp, keys, cap)
         their_norms = []
 
         def norm(m):
             their_norms.append(m.shape)
             return hermitian_norm(m)
 
-        expected = [reference_certify(theirs, lo, hi, lvl, cap, norm) for lo, hi, lvl in keys]
+        memos = {False: {}, True: {}}
+        expected = [reference_certify(smp, lo, hi, lvl, cap, norm, memos)
+                    for lo, hi, lvl in keys]
         assert len(outcomes) == len(expected)
         for got, want in zip(outcomes, expected):
             assert_same_outcome(got, want)
-        # each missing edge is normed once, in its own form
+        # each distinct edge is normed once, in its own form
         assert our_norms == their_norms
-        for store in ("projection_moduli", "restriction_moduli"):
-            bits = [{key: value.hex() for key, value in getattr(smp, store).items()}
-                    for smp in (ours, theirs)]
-            assert bits[0] == bits[1]
+        ours = {weighted: {key: value.hex() for key, value in by_key.items()}
+                for _, weighted, by_key in log if by_key}
+        theirs = {weighted: {key: value.hex() for key, value in memo.items()}
+                  for weighted, memo in memos.items() if memo}
+        assert ours == theirs
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), dim=st.integers(1, 6), rows=st.integers(1, 9),
@@ -946,7 +907,7 @@ class TestDiagonalEdgeNorms:
     @given(data=st.data(), dim=st.integers(1, 7), points=st.integers(2, 6),
            scale=st.sampled_from(IN_BAND_SCALES + OUT_OF_BAND_SCALES),
            weighted=st.booleans())
-    def test_memo_values_equal_the_dense_oracle(self, data, dim, points, scale, weighted):
+    def test_edge_norms_equal_the_dense_oracle(self, data, dim, points, scale, weighted):
         # few distinct entries, so ties within and across fibres are common
         entry = st.integers(-6, 6).map(lambda k: 0.375 * k * scale)
         ops = []
@@ -960,9 +921,10 @@ class TestDiagonalEdgeNorms:
 
         with pytest.MonkeyPatch.context() as mp:
             calls = count_norms(mp, specfam.adapted)
+            log = record_edge_norms(mp)
             modulus, left = _interval_modulus(smp, 0, starts, stops, weighted=weighted)
-        memo = smp.restriction_moduli if weighted else smp.projection_moduli
-        values = [memo[(y, starts[y], stops[y], starts[y + 1], stops[y + 1])]
+        ((_, _, by_key),) = log
+        values = [by_key[(y, starts[y], stops[y], starts[y + 1], stops[y + 1])]
                   for y in range(points - 1)]
         assert (modulus, left) == (max(values), values.index(max(values)))
 
@@ -991,21 +953,22 @@ class TestDiagonalEdgeNorms:
                     for form, v in zip(forms, values))
         smp = FamilySample(ParameterGrid.linspace(0.0, 1.0, len(forms)), ops)
         calls = count_norms(monkeypatch, specfam.adapted)
+        log = record_edge_norms(monkeypatch)
         cert = certify_adapted_pair(smp, GridRange(0, len(forms) - 1), 3.5)
         assert cert.rank == 3 and cert.projection_modulus == 1.0
         # an edge with a dense end is dense; the others are vector differences
         dense_edges = sum("D" in pair for pair in zip(forms, forms[1:]))
         assert len(calls) == 2 * dense_edges
-        assert_stores_match_dense_oracle(smp)
+        assert_norms_match_dense_oracle(log)
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), dim=st.integers(1, 6), points=st.integers(3, 7),
            scale=st.sampled_from(IN_BAND_SCALES + OUT_OF_BAND_SCALES),
            weighted=st.booleans())
-    def test_stores_do_not_depend_on_which_range_came_first(self, data, dim, points, scale,
-                                                            weighted):
+    def test_an_edge_shared_by_two_ranges_gets_the_same_bits(self, data, dim, points, scale,
+                                                              weighted):
         # a permutation-form sub-range and one dense point outside it: the
-        # sub-range's edges are vectors whichever range norms them first
+        # sub-range's edges are vectors in either range
         length = data.draw(st.integers(2, points - 1))
         sub_lo = data.draw(st.integers(0, points - length))
         sub = range(sub_lo, sub_lo + length)
@@ -1020,28 +983,23 @@ class TestDiagonalEdgeNorms:
             ops.append(HermitianOperator(np.diag(values)) if dense else diagonal_operator(values))
         starts = np.array([data.draw(st.integers(0, dim)) for _ in range(points)])
         stops = np.array([data.draw(st.integers(int(a), dim)) for a in starts])
-        grid = ParameterGrid.linspace(0.0, 1.0, points)
-        whole_first, sub_first = FamilySample(grid, tuple(ops)), FamilySample(grid, tuple(ops))
+        smp = FamilySample(ParameterGrid.linspace(0.0, 1.0, points), tuple(ops))
         part = slice(sub.start, sub.stop)
 
-        decs = whole_first.decompositions
+        decs = smp.decompositions
         dense_edges = sum(decs[y].order is None or decs[y + 1].order is None
                           for y in range(points - 1))
         with pytest.MonkeyPatch.context() as mp:
             calls = count_norms(mp, specfam.adapted)
-            _interval_modulus(whole_first, 0, starts, stops, weighted=weighted)
+            log = record_edge_norms(mp)
+            _interval_modulus(smp, 0, starts, stops, weighted=weighted)
             assert len(calls) == dense_edges
-            _interval_modulus(sub_first, sub.start, starts[part], stops[part], weighted=weighted)
+            _interval_modulus(smp, sub.start, starts[part], stops[part], weighted=weighted)
             assert len(calls) == dense_edges
-        _interval_modulus(whole_first, sub.start, starts[part], stops[part], weighted=weighted)
-        _interval_modulus(sub_first, 0, starts, stops, weighted=weighted)
-
-        def bits(smp):
-            memo = smp.restriction_moduli if weighted else smp.projection_moduli
-            return {key: value.hex() for key, value in memo.items()}
-
-        assert len(bits(whole_first)) == points - 1
-        assert bits(whole_first) == bits(sub_first)
+        (_, _, whole), (_, _, shared) = log
+        assert len(whole) == points - 1 and len(shared) == length - 1
+        assert {key: value.hex() for key, value in shared.items()} == {
+            key: whole[key].hex() for key in shared}
 
 
 class TestEdgeClearance:

@@ -17,6 +17,7 @@ from specfam import (
     truncation_ceiling,
     weak_discrete_spectrum_certify,
 )
+from specfam import polarized
 from specfam.errors import FamilyModelError, PolarizationCheckFailed
 
 from conftest import constant_sample
@@ -140,6 +141,19 @@ class TestTransformCorrespondence:
     def test_requires_both_signs(self):
         with pytest.raises(FamilyModelError):
             transform_correspondence_check(constant_sample([1.0, 2.0, 3.0]), [0.5])
+
+    @pytest.mark.parametrize("b_levels, named", [
+        # the transform of 1e9 rounds to 1, and 6e7 and 6.1e7 share one
+        ([1e9], "[1000000000.0]"),
+        ([0.5, 6.1e7, 6e7], "[60000000.0, 61000000.0]"),
+    ])
+    def test_levels_the_weak_scan_cannot_take_are_refused_first(self, monkeypatch, b_levels,
+                                                                 named):
+        monkeypatch.setattr(polarized, "discrete_spectrum_certify", None)
+        with pytest.raises(ValueError) as err:
+            transform_correspondence_check(dirac_sample(), b_levels)
+        assert str(err.value) == (f"b_levels {named} do not map to distinct transformed "
+                                  "levels inside (0, 1)")
 
     def test_rank_mismatch_is_reported(self, monkeypatch):
         # one transformed eigenvalue inside the window at grid point 5 is moved

@@ -424,6 +424,12 @@ class TestValidateConfig:
         ("generated", {"kind": "polarized", "params": {"b_levels": [0.5, 0.5]}}, "b_levels"),
         ("generated", {"kind": "polarized",
                        "params": {"b_levels": [1.5, 1.5], "mode": "correspondence"}}, "b_levels"),
+        # the bounded transform of 1e9 rounds to 1, and 6e7 and 6.1e7 share one
+        ("generated", {"kind": "polarized",
+                       "params": {"b_levels": [1e9], "mode": "correspondence"}}, "b_levels"),
+        ("generated", {"kind": "polarized",
+                       "params": {"b_levels": [0.5, 6e7, 6.1e7], "mode": "correspondence"}},
+         "b_levels"),
     ])
     def test_param_types_refused_with_their_path(self, tmp_path, family, analysis, field):
         config = base_config(analyses=[analysis])

@@ -32,7 +32,7 @@ from specfam import (
     strict_adaptedness_certify,
     transform_clearing_level,
 )
-from specfam import spectral, topology
+from specfam import adapted, spectral, topology
 from specfam.adapted import shrink_toward
 from specfam.errors import BoundViolated, CertificationError, NoGap, StrictAdaptednessFailed
 from specfam.spectral import (
@@ -370,6 +370,50 @@ class TestRieszContinuityCertify:
             riesz_continuity_certify(smp, 2, 0.2, cap=0.5)
         assert err.value.which == "upper_split_residual"
         assert err.value.value > TAU_RECONSTRUCT
+
+
+class TestChainEdgeNorms:
+    """A chain reads only the range, level and rank of its adapted pair, so
+    it norms none of the pair's edges: the graph chain norms no edge at all,
+    the Riesz chain only the upper projections of its strict checks."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        norms, stricts = [], []
+        run_norms, strict = adapted._RunEdges.norms, topology.strict_adaptedness_certify
+
+        def counting_norms(edges, smp, weighted):
+            norms.append((len(edges.counts), weighted))
+            return run_norms(edges, smp, weighted)
+
+        def counting_strict(*args, **kwargs):
+            stricts.append(strict(*args, **kwargs))
+            return stricts[-1]
+
+        monkeypatch.setattr(adapted._RunEdges, "norms", counting_norms)
+        monkeypatch.setattr(topology, "strict_adaptedness_certify", counting_strict)
+        return norms, stricts
+
+    def test_graph_chain_norms_no_edge(self, calls):
+        smp = sample(FamilySpec("harmonic_perturbed", 16, {"coupling": (0.0, 0.6)}),
+                     ParameterGrid.linspace(0.0, 1.0, 41))
+        cert = graph_continuity_certify(smp, 20, 0.45)
+        norms, _ = calls
+        assert norms == []
+        pair = find_adapted_pair(smp, 20, 1 / 0.45)
+        assert (cert.level, cert.window_rank) == (pair.level, pair.rank)
+        assert cert.range.intersect(pair.range) == cert.range
+
+    def test_riesz_chain_norms_only_its_strict_checks(self, calls):
+        smp = sample(FamilySpec("harmonic_perturbed", 24, {"coupling": (0.0, 0.3)}),
+                     ParameterGrid.linspace(0.0, 1.0, 81))
+        cert = riesz_continuity_certify(smp, 40, 0.2, cap=0.5)
+        norms, stricts = calls
+        # each strict check that reaches its modulus norms one run, unweighted
+        assert stricts and norms == [(1, False)] * len(stricts)
+        assert cert.strict_modulus == stricts[-1].modulus
+        pair = find_adapted_pair(smp, 40, transform_clearing_level(0.2))
+        assert (cert.level, cert.window_rank) == (pair.level, pair.rank)
 
 
 class TestStrictLevelBelowWindowLevel:
