@@ -2,7 +2,7 @@
 then print one "file sha256" line per written file, sorted by path.
 
 The configs are the benchmark workloads at seeds 1 and 2, the demo configs,
-and the hand-written configs below (172 files in all).  The inputs come from
+and the hand-written configs below (176 files in all).  The inputs come from
 ``bench/workloads.py`` of the current directory, the program from the
 ``src`` directory that ``PYTHONPATH`` names, so one script compares two
 trees.  Run from the root of a checkout::
@@ -255,6 +255,21 @@ def main(out: Path) -> None:
                                                   "window": [-0.45, 0.45]}},
             ],
         }))
+    # a dense family at dim 41, the largest dense shape of the gate: the
+    # scan's adapted blocks hold two edges each there, and the chains' and
+    # distances' images of 61 points take several stacked products per
+    # eigen-index interval
+    configs.append(("dense/harmonic_dim41", {
+        "family": {"kind": "harmonic_perturbed", "dim": 41, "params": {"coupling": [0.0, 0.6]}},
+        "grid": {"start": 0.0, "end": 1.0, "points": 61},
+        "seed": 0,
+        "analyses": [
+            {"kind": "discrete-spectrum", "params": {"b_levels": [2.0, 6.0, 10.0]}},
+            {"kind": "graph-continuity", "params": {"delta": 0.2, "x_index": 30}},
+            {"kind": "riesz-continuity", "params": {"delta": 0.2, "x_index": 30}},
+            {"kind": "distances", "params": {}},
+        ],
+    }))
     # analyses that read edges a scan before them normed: a dense
     # random_crossings family scanned first, then one range and level the
     # scan certified (points 7 to 27, level 0.4455...) certified again under

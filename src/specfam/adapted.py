@@ -21,7 +21,8 @@ strict adaptedness, is an interval of eigen-indices.  One edge routine,
 of points at once, each distinct (edge, left interval, right interval) once,
 so overlapping ranges, as in the discrete-spectrum scan, share their edges.
 It builds them as the topology chains build images, with
-``spectral._spectral_functions``, and norms them with
+``spectral._spectral_functions``, whose dense images are stacked products
+over the points that share an eigen-index interval, and norms them with
 ``spectral._difference_norms``.  Each edge takes its own form, diagonal when
 both of its points hold their eigenbasis as a permutation and dense
 otherwise, so its norm depends on the edge alone.  No norm is kept between

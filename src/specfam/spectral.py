@@ -29,18 +29,22 @@ eigenpairs, is built for a run of points at once by ``_spectral_functions``,
 in one form for the whole run.  When every point holds its eigenbasis as a
 permutation, row k is the length-d diagonal of point k's image (w_j at
 standard index ``order[j]``), and the run is one (r, d) scatter; when any
-point is dense, every row is ``projector``'s dense d x d matrix
-(``_dense_range``).  A topology chain builds a whole range in one form; an
-adapted-pair edge is a run of its own two points.  Both forms hold the same
-values, since a projector built from the permuted identity columns has exact
-entries.  ``_difference_norms`` norms each row or slice of a difference of
-such images.  ``projector`` builds every dense V f(Lambda) V*;
-``resolvent_at_i`` and the dense ``bounded_transform`` are one-point calls of
-it.  All three give dense d x d matrices (``bounded_transform(...).entries``);
+point is dense, every row is a dense d x d matrix (``_dense_range``).  A
+topology chain builds a whole range in one form; an adapted-pair edge is a
+run of its own two points.  Both forms hold the same values, since a
+projector built from the permuted identity columns has exact entries.
+``_difference_norms`` norms each row or slice of a difference of such
+images.  ``_dense_images`` builds every dense V f(Lambda) V*: the rows whose
+masks select one eigen-index interval are stacked products of that
+interval's basis columns, and each row keeps the bits of building it alone.
+``projector`` is its one-point call, and ``resolvent_at_i`` and the dense
+``bounded_transform`` are one-point calls of ``projector``.  All three give
+dense d x d matrices (``bounded_transform(...).entries``);
 ``bounded_transform`` of an operator in permutation form is itself in
 diagonal form.
 
-``hermitian_norm`` always calls the eigensolver.  On a diagonal difference
+``hermitian_norm`` always calls the eigensolver, once, and reads the largest
+modulus off the two ends of the ascending spectrum.  On a diagonal difference
 it returns max |Re a_ii|, the diagonal form's value, bit for bit while the
 entries lie within about [1e-146, 1e146]; beyond that band LAPACK rescales
 the matrix and rounds.  ``operator_norm`` keeps the SVD on every input; a
@@ -84,6 +88,9 @@ _EIGH_EXACT_BAND = (2.0 ** -484, 2.0 ** 484)
 # bounds max(|Re z|, |Im z|), which is within a factor sqrt(2) of the modulus,
 # and is kept at least one binade inside those limits
 _SVD_EXACT_BAND = (2.0 ** -458, 2.0 ** 457)
+# basis entries per stacked product of ``_dense_images``: a larger product
+# leaves the cache, and its fresh temporaries are paged in on every call
+_PRODUCT_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,12 +382,57 @@ def projector(dec: SpectralDecomposition, mask: np.ndarray,
     """Sum of rank-one projectors over the masked eigenpairs.
 
     With ``weights`` given, returns sum_j w_j v_j v_j* instead, i.e. a
-    function of the operator supported on the selected eigenspaces.
+    function of the operator supported on the selected eigenspaces.  This is
+    the one-point call of ``_dense_images``, which builds every dense image.
     """
-    vecs = dec.eigenvectors[:, mask]
-    if weights is None:
-        return vecs @ vecs.conj().T
-    return (vecs * np.asarray(weights)[mask]) @ vecs.conj().T
+    w = None if weights is None else np.asarray(weights)[None]
+    return _dense_images([dec], np.asarray(mask, dtype=bool)[None], w)[0]
+
+
+def _dense_images(decs, masks: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """The (r, d, d) stack whose row k is sum_j w_j v_j v_j* over the
+    eigenpairs of ``decs[k]`` that ``masks[k]`` selects, w = ``weights[k]``
+    (1 without weights).
+
+    Rows with equal masks are one group.  A group whose mask selects the
+    eigen-index interval [start, stop) is built by stacked products of the
+    basis columns start to stop, (V * w) @ V*, each over a chunk of at most
+    ``_PRODUCT_ENTRIES`` basis entries: a run whose rows all share one small
+    interval is a single product, returned as it is.  Every caller passes masks
+    over ascending eigenvalues cut at values, which are intervals; a mask
+    that is not an interval is built exactly as well, its group taking the
+    columns it selects by index.  Each row holds the bits of the one-point
+    formula ``(V[:, m] * w[m]) @ V[:, m].conj().T``: a stacked matmul makes
+    one BLAS call per row on operands laid out as that formula's are.
+    """
+    r, d = masks.shape
+    groups: dict = {}
+    for k, mask in enumerate(masks):
+        groups.setdefault(mask.tobytes(), []).append(k)
+    out = None
+    for rows in groups.values():
+        columns = np.flatnonzero(masks[rows[0]])
+        width = len(columns)
+        if width and columns[-1] - columns[0] == width - 1:
+            columns = slice(columns[0], columns[-1] + 1)
+        step = max(1, _PRODUCT_ENTRIES // (d * max(1, width)))
+        for j in range(0, len(rows), step):
+            chunk = rows[j:j + step]
+            # consecutive rows are read and written through a slice, which
+            # costs a fraction of a fancy index on the few rows of an edge
+            consecutive = chunk[-1] - chunk[0] == len(chunk) - 1
+            at = slice(chunk[0], chunk[-1] + 1) if consecutive else chunk
+            # np.array of the equal-shape views costs half of np.stack's call
+            left = np.array([decs[k].eigenvectors[:, columns] for k in chunk])
+            right = left.conj().transpose(0, 2, 1)
+            if weights is not None:
+                left *= weights[at][:, None, columns]
+            if len(chunk) == r:
+                return left @ right
+            if out is None:
+                out = np.empty((r, d, d), dtype=complex)
+            out[at] = left @ right
+    return out
 
 
 def _dense_range(decompositions) -> bool:
@@ -400,12 +452,11 @@ def _spectral_functions(decs, masks: np.ndarray, weights: np.ndarray | None = No
     runs of one form are built at once.  Unless ``dense``, every
     decomposition is in permutation form, and the result is one (r, d)
     scatter of the masked weights into the standard indices, of the weights'
-    dtype.  With ``dense``
-    it is the (r, d, d) stack of ``projector``'s matrices.
+    dtype.  With ``dense`` it is the (r, d, d) stack ``_dense_images``
+    builds, in stacked products per eigen-index interval.
     """
     if dense:
-        return np.stack([projector(dec, mask, None if weights is None else weights[k])
-                         for k, (dec, mask) in enumerate(zip(decs, masks))])
+        return _dense_images(decs, masks, weights)
     values = masks.astype(float) if weights is None else np.where(masks, weights, 0)
     out = np.zeros(values.shape, dtype=values.dtype)
     # np.array of the equal-length orders costs a fifth of np.stack's call
@@ -545,11 +596,14 @@ def hermitian_norm(m: np.ndarray) -> float:
     """Spectral norm of a Hermitian matrix via eigenvalues (cheaper than SVD).
 
     ``eigvalsh`` reads only the lower triangle, and of the diagonal only the
-    real part.  An empty matrix has norm 0.
+    real part.  Its eigenvalues are ascending, so the largest modulus is that
+    of the first or the last, the bits of the largest over all of them.  An
+    empty matrix has norm 0.
     """
     if m.size == 0:
         return 0.0
-    return float(np.max(np.abs(np.linalg.eigvalsh(m))))
+    w = np.linalg.eigvalsh(m)
+    return max(abs(float(w[0])), abs(float(w[-1])))
 
 
 def _off_diagonal_zero(m: np.ndarray) -> bool:

@@ -21,9 +21,9 @@ is the (r, d, d) stack of each point's dense matrix, normed one slice per
 LAPACK call.  Either way the values, and so every certificate field and
 distance, are the same bits while the entries lie within about
 [1e-146, 1e146], where ``eigvalsh`` returns a diagonal's entries exactly.
-A dense resolvent at +i or bounded transform is built from decompositions
-alone by ``projector``, with the bits of the public ``resolvent_at_i(op)`` or
-``bounded_transform(op).entries``.
+A dense range's resolvents at +i or bounded transforms are built from
+decompositions alone, one stacked product per chunk of points, with the bits
+of the public ``resolvent_at_i(op)`` or ``bounded_transform(op).entries``.
 
 Both chains first contract the range around the base point: ``_contract``
 walks outward from it on each side and stops at the first point where an

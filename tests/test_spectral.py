@@ -467,8 +467,117 @@ class TestHermitianNorm:
             assert hermitian_norm(m) == expected
         assert len(calls) == 1
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 41),
+           kind=st.sampled_from(["random", "zeros", "ties", "diagonal"]))
+    def test_reads_the_ends_of_the_spectrum_bit_for_bit(self, data, dim, kind):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if kind == "random":
+            raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            m = (raw + raw.conj().T) / 2.0
+        elif kind == "zeros":
+            # the zero matrix, its signed zeros drawn entry by entry
+            m = np.where(rng.random((dim, dim)) < 0.5, -0.0, 0.0).astype(complex)
+        elif kind == "ties":
+            # +-s: the two ends of the spectrum tie in modulus
+            s = data.draw(st.sampled_from(IN_BAND_SCALES))
+            m = np.diag(s * rng.choice([-1.0, 1.0], dim)).astype(complex)
+        else:
+            m = np.diag(np.array(data.draw(st.lists(
+                st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5]),
+                min_size=dim, max_size=dim))))
+        expected = float(np.max(np.abs(np.linalg.eigvalsh(m))))
+        assert _bytes(hermitian_norm(m)) == _bytes(expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 41),
+           bad=st.sampled_from([np.nan, complex(np.nan, 1.0), complex(1.0, np.nan)]))
+    def test_a_nan_entry_keeps_the_eigensolver_outcome(self, data, dim, bad):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        m = (raw + raw.conj().T) / 2.0
+        i, j = data.draw(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)))
+        m[i, j] = bad
+        try:
+            expected = float(np.max(np.abs(np.linalg.eigvalsh(m))))
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                hermitian_norm(m)
+            return
+        got = hermitian_norm(m)
+        assert (math.isnan(got) and math.isnan(expected)) or _bytes(got) == _bytes(expected)
+
     def test_empty_matrix(self):
         assert hermitian_norm(np.zeros((0, 0), dtype=complex)) == 0.0
+
+
+def _one_point_image(dec, mask, weights):
+    """The one-point formula every row of ``_dense_images`` must equal:
+    (V[:, m] * w[m]) @ V[:, m]*, without the product when there are no
+    weights."""
+    v = dec.eigenvectors[:, mask]
+    if weights is None:
+        return v @ v.conj().T
+    return (v * weights[mask]) @ v.conj().T
+
+
+@st.composite
+def dense_runs(draw):
+    """Decompositions of dims 1-41 on 1-60 points, most dense and some in
+    permutation form, with interval masks of several widths in one call
+    (empty and full windows among them) and weights None, real or complex."""
+    dim, points = draw(st.integers(1, 41)), draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.standard_normal((points, dim, dim)) + 1j * rng.standard_normal((points, dim, dim))
+    ops = list(spectral._decomposed_stack(raw + raw.conj().transpose(0, 2, 1)))
+    for y in draw(st.sets(st.integers(0, points - 1), max_size=3)):
+        ops[y] = diagonal_operator(rng.standard_normal(dim))
+    decs = [decompose(op) for op in ops]
+    ends = st.integers(0, dim)
+    widths = [(0, 0), (0, dim)] + [tuple(sorted(draw(st.tuples(ends, ends))))
+                                   for _ in range(draw(st.integers(0, 3)))]
+    picks = draw(st.lists(st.integers(0, len(widths) - 1), min_size=points,
+                          max_size=points))
+    index = np.arange(dim)
+    masks = np.array([(index >= widths[k][0]) & (index < widths[k][1]) for k in picks])
+    kind = draw(st.sampled_from([None, "real", "complex"]))
+    weights = None
+    if kind is not None:
+        weights = rng.standard_normal((points, dim))
+        if kind == "complex":
+            weights = weights + 1j * rng.standard_normal((points, dim))
+    return decs, masks, weights
+
+
+class TestDenseImages:
+    """``_dense_images`` builds each eigen-index interval's rows as stacked
+    products and keeps, row by row, the bits of the one-point formula;
+    ``projector`` is its one-point call."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(run=dense_runs())
+    def test_rows_equal_the_one_point_formula(self, run):
+        decs, masks, weights = run
+        images = spectral._spectral_functions(decs, masks, weights, dense=True)
+        assert images.shape == (len(decs), masks.shape[1], masks.shape[1])
+        for k, (dec, mask, row) in enumerate(zip(decs, masks, images)):
+            w = None if weights is None else weights[k]
+            expected = _one_point_image(dec, mask, w).tobytes()
+            assert row.tobytes() == expected
+            assert projector(dec, mask, w).tobytes() == expected
+
+    def test_a_mask_that_is_not_an_interval_is_built_exactly(self, rng):
+        dim = 7
+        decs = [decompose(random_hermitian(rng, dim)) for _ in range(4)]
+        index = np.arange(dim)
+        gapped = np.isin(index, [0, 2, 3, 6])
+        masks = np.array([gapped, index < 3, gapped, ~gapped])
+        weights = rng.standard_normal((4, dim)) + 1j * rng.standard_normal((4, dim))
+        for w in (None, weights):
+            images = spectral._dense_images(decs, masks, w)
+            for k, (dec, mask) in enumerate(zip(decs, masks)):
+                wk = None if w is None else w[k]
+                assert images[k].tobytes() == _one_point_image(dec, mask, wk).tobytes()
 
 
 class TestOperatorNorm:

@@ -169,8 +169,9 @@ def dense_samples(draw):
 
 
 class TestDenseImages:
-    """Every dense resolvent and bounded-transform image is built by
-    ``projector`` and keeps the bits of forming each one on its own."""
+    """Every dense resolvent and bounded-transform image of a range is built
+    by the stacked products of ``spectral._dense_images`` and keeps the bits
+    of forming each one on its own."""
 
     @given(ops=dense_samples())
     @settings(max_examples=60, deadline=None)
