@@ -2,7 +2,7 @@
 then print one "file sha256" line per written file, sorted by path.
 
 The configs are the benchmark workloads at seeds 1 and 2, the demo configs,
-and the hand-written configs below (176 files in all).  The inputs come from
+and the hand-written configs below (186 files in all).  The inputs come from
 ``bench/workloads.py`` of the current directory, the program from the
 ``src`` directory that ``PYTHONPATH`` names, so one script compares two
 trees.  Run from the root of a checkout::
@@ -212,6 +212,42 @@ def main(out: Path) -> None:
         "family": {"kind": "matrix_path_file", "dim": dim, "params": {"path": str(family)}},
         "seed": 0,
         "analyses": [{"kind": "flow", "params": {}}, {"kind": "distances", "params": {}}],
+    }))
+    # two files for the reader's literal 0.0 tokens. A real symmetric dense
+    # file of several 64 KiB reads, written by json.dumps, so every imaginary
+    # part is " 0.0" between two other tokens; and a compact diagonal file
+    # whose zeros are spelled 0.0, -0.0 and 0, so the zeros the reader fills
+    # sit next to zeros it leaves to the scanner
+    dim, grid = 20, [k / 20 for k in range(21)]
+    family = Path("bench/_work/report_bytes/real_dense.json")
+    family.write_text(json.dumps({"dim": dim, "grid": grid, "matrices": [
+        [[[(i - 9.5 + 1.5 * x if i == j else (-1) ** (i + j) * (0.3 + x) / (1 + i + j)), 0.0]
+          for j in range(dim)] for i in range(dim)] for x in grid]}))
+    configs.append(("files/real_dense", {
+        "family": {"kind": "matrix_path_file", "dim": dim, "params": {"path": str(family)}},
+        "seed": 0,
+        "analyses": [{"kind": "flow", "params": {}}, {"kind": "distances", "params": {}}],
+    }))
+    dim, grid = 9, [k / 40 - 0.5 for k in range(41)]
+
+    def zero(*key):
+        return ("0.0", "0.0", "-0.0", "0.0", "0.0", "0", "0.0", "0.0")[sum(key) % 8]
+    matrices = ",".join(
+        "[" + ",".join("[" + ",".join(f"[{i - 4 + 2.25 * x!r},{zero(y, i)}]" if i == j
+                                      else f"[{zero(y, i, j)},{zero(y, i, j, 1)}]"
+                                      for j in range(dim)) + "]"
+                       for i in range(dim)) + "]" for y, x in enumerate(grid))
+    family = Path("bench/_work/report_bytes/diagonal_zeros.json")
+    family.write_text('{"dim":%d,"grid":%s,"matrices":[%s]}'
+                      % (dim, json.dumps(grid), matrices))
+    configs.append(("files/diagonal_zeros", {
+        "family": {"kind": "matrix_path_file", "dim": dim, "params": {"path": str(family)}},
+        "seed": 0,
+        "analyses": [
+            {"kind": "flow", "params": {}},
+            {"kind": "graph-continuity", "params": {"delta": 0.2, "x_index": 20}},
+            {"kind": "distances", "params": {}},
+        ],
     }))
     # two dense files refused at grid index 15, past the first 64 KiB read:
     # the reader has made the operators of the blocks before it, then reads

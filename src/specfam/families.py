@@ -250,7 +250,9 @@ def load_matrix_path(path: str, build=list) -> tuple[ParameterGrid, list]:
     builds the nested lists of ``json``; only a file it does not certify is
     read whole, by ``_json_matrix_path``, whose errors are the reader's
     errors.  Both read every number token with ``json``'s own number
-    scanner, integers as floats, so they agree bit for bit.  The fast route
+    scanner, integers as floats, except that the fast route fills a token
+    spelled exactly ``0.0`` with the +0.0 that the scanner would read, so
+    they agree bit for bit.  The fast route
     reads the file in two passes of ``_CHUNK`` bytes at a time: the first
     checks every byte and locates the matrices, the second checks their
     structure and decodes their numbers from the same bytes.  Each block of
@@ -437,6 +439,14 @@ _BRACKETS_AS_SPACE = bytes.maketrans(b"[]", b"  ")
 _CHUNK = 1 << 16
 #: the number scanner of ``_json_matrix_path``, which reads integers as floats too
 _NUMBER_READER = json.JSONDecoder(parse_int=float)
+#: bytes at the front of a piece whose zero slots decide how it is read
+_ZERO_PROBE = 2048
+#: the share of zero slots in the probe from which the zero scan pays.  On
+#: real 201 x 41^2 files, every imaginary part 0.0, the scan took 1.07-1.23
+#: times as long as reading every slot with the scanner at a share of 0.50,
+#: 0.98 times at 0.63, 0.83-0.93 times at 0.70-0.76, and 0.46 times on a
+#: diagonal file (0.99)
+_ZERO_SHARE = 0.6
 
 
 def _matrix_numbers(fh, start: int, end: int, count: int, dim: int, build) -> list | None:
@@ -445,10 +455,11 @@ def _matrix_numbers(fh, start: int, end: int, count: int, dim: int, build) -> li
     The value inside its outer brackets is read ``_CHUNK`` bytes at a time
     and cut after the last comma read, the rest carried to the next read, so
     no token is split.  Each piece is checked by ``_piece_checked`` and read
-    by ``json`` as a comma-separated list, with the brackets read as spaces:
-    an empty slot, two tokens in one slot or a malformed token is an error,
-    and a piece of one empty slot reads as no number, which leaves the count
-    short.  Structure and numbers are thus checked on the same bytes, and
+    by ``_piece_numbers``: its ``0.0`` tokens are filled as +0.0 and the
+    others read by ``json`` as a comma-separated list, where an empty slot,
+    two tokens in one slot or a malformed token is an error, and so is a
+    piece of one empty slot, or it leaves the count short.  Structure and
+    numbers are thus checked on the same bytes, and
     the items are returned only if ``json`` would read the whole as
     ``count`` dim x dim matrices of [re, im] pairs, all finite, and
     ``build`` refused none of them.
@@ -486,19 +497,24 @@ def _matrix_numbers(fh, start: int, end: int, count: int, dim: int, build) -> li
         done = _piece_checked(piece, unit, done)
         if not 0 <= done <= count * len(unit):
             return None
-        try:
-            numbers = _NUMBER_READER.decode(f"[{piece.translate(_BRACKETS_AS_SPACE).decode()}]")
-        except ValueError:
-            return None
+        read = _piece_numbers(piece)
         del piece
-        filled += len(numbers)
-        size = held + len(numbers)
+        if read is None:
+            return None
+        zero, numbers = read
+        slots = len(numbers) if zero is None else zero.size
+        filled += slots
+        size = held + slots
         if size > buffer.size:
             grown = np.empty(size)
             grown[:held] = buffer[:held]
             buffer = grown
-        buffer[held:size] = numbers
-        del numbers  # freed before the block is made complex
+        if zero is None:
+            buffer[held:size] = numbers
+        else:
+            buffer[held:size] = 0.0
+            buffer[held:size][~zero] = numbers
+        del numbers, zero  # freed before the block is made complex
         # checked as floats: 1j * inf would make a NaN, with a warning
         if not np.isfinite(buffer[held:size]).all():
             return None
@@ -514,6 +530,57 @@ def _matrix_numbers(fh, start: int, end: int, count: int, dim: int, build) -> li
         held = size - whole
         buffer[:held] = buffer[whole:size]
     return items if done == count * len(unit) and filled == count * per else None
+
+
+def _piece_numbers(piece: bytes) -> tuple[np.ndarray | None, list] | None:
+    """A checked piece's numbers as ``(zero, numbers)``, or None if ``json`` refuses a slot.
+
+    ``_piece_checked`` has put every number alone in a pair slot, so with
+    the brackets deleted each slot lies between two commas.  A piece whose
+    first ``_ZERO_PROBE`` bytes show fewer than ``_ZERO_SHARE`` zero slots
+    is read whole by the scanner, its brackets read as spaces, and ``zero``
+    is None.  Otherwise ``zero`` marks the slots that are exactly ``0.0`` or
+    `` 0.0``, which ``json`` reads as +0.0, and ``numbers`` are the scanner's
+    reads of the other slots, gathered in order; every other spelling of a
+    zero goes to the scanner too, and a kept slot that reads as no number
+    (an empty one, alone) is refused by the count.  Read whole, a piece of
+    one empty slot reads as no number, which leaves the caller's count short.
+    """
+    probe = piece[:_ZERO_PROBE].translate(None, b"[]")
+    # with every comma doubled, no two zero slots share one
+    doubled = probe.replace(b",", b",,")
+    if doubled.count(b",0.0,") + doubled.count(b", 0.0,") < _ZERO_SHARE * probe.count(b","):
+        zero, text = None, f"[{piece.translate(_BRACKETS_AS_SPACE).decode()}]"
+    else:
+        zero, kept = _zero_slots(piece)
+        text = f"[{kept[:-1].decode()}]"
+    try:
+        numbers = _NUMBER_READER.decode(text)
+    except ValueError:
+        return None
+    if zero is not None and len(numbers) + np.count_nonzero(zero) != zero.size:
+        return None
+    return zero, numbers
+
+
+def _zero_slots(piece: bytes) -> tuple[np.ndarray, bytes]:
+    """Which slots of ``piece``, its brackets deleted, are ``0.0`` or `` 0.0``, and the
+    other slots, each with a comma after it."""
+    # four bytes before the first slot, so that no index below falls under 0,
+    # and a comma after the last, so that every slot ends at one
+    b = np.frombuffer(b"    " + piece.translate(None, b"[]") + b",", np.uint8)
+    ends = np.flatnonzero(b == ord(","))
+    widths = np.diff(ends, prepend=3)
+    # tail[k]: b[k:k + 3] is 0.0
+    tail = (b[:-2] == ord("0")) & (b[1:-1] == ord(".")) & (b[2:] == ord("0"))
+    # shifted in place, as one piece's arrays set the reader's peak
+    ends -= 3  # where each slot's last three bytes start
+    zero = tail[ends]
+    del tail
+    ends -= 1  # the byte before them, a space in `` 0.0``
+    zero &= (widths == 4) | (widths == 5) & (b[ends] == ord(" "))
+    del ends
+    return zero, b[4:][np.repeat(~zero, widths)].tobytes()
 
 
 def _piece_checked(piece: bytes, unit: bytes, done: int) -> int:

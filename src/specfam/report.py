@@ -331,10 +331,17 @@ def validate_config(config: dict) -> None:
                   "must be a non-negative integer or null")
         elif kind == "truncation":
             dims = need("dims")
-            _require(isinstance(dims, list) and len(dims) >= 2
-                     and all(_integer(d) and d >= 1 for d in dims)
+            _require(isinstance(dims, list) and all(_integer(d) and d >= 1 for d in dims)
                      and sorted(dims) == dims,
                      f"{base}.dims", "must be an increasing array of positive integers")
+            _require(len(dims) >= 2, f"{base}.dims", "needs at least two entries")
+            if family["kind"] == "dirac_circle":
+                _require(all(d >= 3 and d % 2 == 1 for d in dims), f"{base}.dims",
+                         "must be odd and at least 3 for dirac_circle")
+            if family["kind"] == "matrix_path_file":
+                # family.dim must be the file's dimension, whose leading blocks are compared
+                _require(dims[-1] <= family["dim"], f"{base}.dims",
+                         "must not exceed family.dim, the file's dimension")
             window = need("window")
             _require(isinstance(window, list) and len(window) == 2
                      and all(_real(w) for w in window) and window[0] <= window[1],

@@ -417,6 +417,9 @@ _VALUES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                     st.sampled_from(_EDGE_FLOATS),
                     st.integers(-10**20, 10**20).map(float))
 
+#: zeros the reader must leave to the scanner, next to the literal ``0.0`` it fills itself
+_OTHER_ZEROS = ["-0.0", "0", "-0", "0.00", "0e0", "0E+00"]
+
 
 def _dump(value, layout, rnd, depth=0) -> str:
     """Nested lists of raw token strings as JSON text, in one of five layouts."""
@@ -505,7 +508,12 @@ def matrix_files(draw, corruption=None):
     values = draw(st.lists(_VALUES, min_size=count * dim * dim * 2,
                            max_size=count * dim * dim * 2))
     forms = draw(st.lists(st.integers(0, 5), min_size=len(values), max_size=len(values)))
-    tokens = iter([_number_token(v, f) for v, f in zip(values, forms)])
+    # about half the tokens are zeros, half of those the literal 0.0, so that
+    # zeros come in runs, also across the reads' cuts
+    zeros = draw(st.lists(st.tuples(st.booleans(), st.booleans(), st.sampled_from(_OTHER_ZEROS)),
+                          min_size=len(values), max_size=len(values)))
+    tokens = iter([("0.0" if literal else other) if zero else _number_token(v, f)
+                   for v, f, (zero, literal, other) in zip(values, forms, zeros)])
     matrices = [[[[next(tokens), next(tokens)] for _ in range(dim)] for _ in range(dim)]
                 for _ in range(count)]
     layout = draw(st.sampled_from(["compact", "dumps", "indent", "spaces", "tabs"]))
@@ -547,6 +555,32 @@ class TestMatrixPathReader:
         assert (_outcome(lambda: fast)
                 == _outcome(lambda: families._json_matrix_path("family.json", data)))
 
+    @given(matrix_files(), st.one_of(st.just(families._CHUNK), st.integers(1, 64)),
+           st.sampled_from([0.0, math.inf]))
+    @settings(max_examples=200, deadline=None)
+    def test_either_route_of_a_piece_reads_the_bits_of_json(self, text, chunk, share):
+        # a zero share sends every piece through the zero scan, an infinite one none
+        data = text.encode()
+        with (mock.patch.object(families, "_CHUNK", chunk),
+              mock.patch.object(families, "_ZERO_SHARE", share)):
+            fast = families._fast_matrix_path("family.json", io.BytesIO(data))
+        assert fast is not None, text
+        assert (_outcome(lambda: fast)
+                == _outcome(lambda: families._json_matrix_path("family.json", data)))
+
+    @given(st.sampled_from(_TEXT_CORRUPTIONS + _MATRIX_CORRUPTIONS).flatmap(matrix_files),
+           st.integers(1, 64))
+    @settings(max_examples=200, deadline=None)
+    def test_corrupted_files_fail_as_json_does_through_the_zero_scan(self, tmp_path_factory,
+                                                                      text, chunk):
+        path = tmp_path_factory.getbasetemp() / "corrupted.json"
+        path.write_bytes(text.encode())
+        with (mock.patch.object(families, "_CHUNK", chunk),
+              mock.patch.object(families, "_ZERO_SHARE", 0.0)):
+            got = _outcome(lambda: families.load_matrix_path(str(path)))
+        assert got == _outcome(lambda: families._json_matrix_path(str(path),
+                                                                   path.read_bytes()))
+
     @given(st.sampled_from(_TEXT_CORRUPTIONS + _MATRIX_CORRUPTIONS).flatmap(matrix_files))
     @settings(max_examples=300, deadline=None)
     def test_corrupted_files_fail_as_json_does(self, tmp_path_factory, text):
@@ -577,6 +611,9 @@ class TestMatrixPathReader:
         # the brackets, commas and count are right, but a number sits outside its pair
         '{"dim": 1, "grid": [0, 1], "matrices": [[[[1, 2]]], [[7 [, 0]]]]}',
         '{"dim": 1, "grid": [0, 1], "matrices": [[[[1, ]2]], [[[2, 0]]]]}',
+        # zero look-alikes json refuses, among enough 0.0 tokens for the zero scan
+        *('{"dim": 1, "grid": [0, 1], "matrices": [[[[0.0,%s]]],[[[0.0,0.0]]]]}' % bad
+          for bad in ("00.0", "0.0.0", "0..0", "0.0 0.0", ".0", "0.", "0.0-")),
     ])
     def test_what_the_fast_path_refuses(self, text):
         # each would be misread (or read at all) by a parse that skipped a check,
@@ -585,6 +622,30 @@ class TestMatrixPathReader:
             with mock.patch.object(families, "_CHUNK", chunk):
                 assert families._fast_matrix_path("family.json",
                                                   io.BytesIO(text.encode())) is None, chunk
+
+    @pytest.mark.parametrize("chunk", [512, families._CHUNK])
+    def test_the_scanner_reads_only_the_non_zero_tokens_of_a_diagonal_file(self, chunk):
+        # the benchmark's layout: compact, with every off-diagonal pair and
+        # every imaginary part the literal 0.0
+        count, dim = 40, 7
+        diagonals = [[repr(1.5 + i + k / 8) for i in range(dim)] for k in range(count)]
+        matrices = ",".join(
+            "[" + ",".join("[" + ",".join(f"[{d[i]},0.0]" if i == j else "[0.0,0.0]"
+                                          for j in range(dim)) + "]"
+                           for i in range(dim)) + "]" for d in diagonals)
+        data = ('{"dim":%d,"grid":%s,"matrices":[%s]}'
+                % (dim, json.dumps(list(range(count))), matrices)).encode()
+        assert len(data) > 10 * 512
+        decode = families._NUMBER_READER.decode
+        with (mock.patch.object(families, "_CHUNK", chunk),
+              mock.patch.object(families._NUMBER_READER, "decode", wraps=decode) as scanner):
+            fast = families._fast_matrix_path("family.json", io.BytesIO(data))
+        assert fast is not None
+        handed = [t for call in scanner.call_args_list
+                  for t in call.args[0].strip("[]").split(",") if t]
+        assert handed == [d for diagonal in diagonals for d in diagonal]
+        assert (_outcome(lambda: fast)
+                == _outcome(lambda: families._json_matrix_path("family.json", data)))
 
     def test_peak_memory_is_the_matrices_and_one_chunk(self, tmp_path):
         # a dense file of many chunks; numpy reports its buffers to tracemalloc

@@ -453,6 +453,46 @@ class TestValidateConfig:
             assert path in result.output
         assert not (tmp_path / "out" / "report.json").exists()
 
+    @pytest.mark.parametrize("family, dims, message", [
+        # dirac_circle builds odd dimensions from 3 on, as it does for family.dim;
+        # analyze exited 1 with the generator's FamilyModelError
+        ({"kind": "dirac_circle", "dim": 5}, [3, 4], "must be odd and at least 3 for dirac_circle"),
+        ({"kind": "dirac_circle", "dim": 5}, [1, 5], "must be odd and at least 3 for dirac_circle"),
+        ({"kind": "dirac_circle", "dim": 5}, [2, 6], "must be odd and at least 3 for dirac_circle"),
+        # a file is compared in leading blocks of its own dimension, which
+        # family.dim must equal; the run failed with "cannot truncate ... up to 2"
+        ({"kind": "matrix_path_file", "dim": 1}, [1, 2],
+         "must not exceed family.dim, the file's dimension"),
+        ({"kind": "linear_crossing", "dim": 5}, [5], "needs at least two entries"),
+        ({"kind": "linear_crossing", "dim": 5}, [], "needs at least two entries"),
+        ({"kind": "dirac_circle", "dim": 5}, [3, 5], None),
+        ({"kind": "matrix_path_file", "dim": 1}, [1, 1], None),
+        ({"kind": "linear_crossing", "dim": 5}, [2, 4, 8], None),
+    ])
+    def test_truncation_dims_the_family_cannot_build(self, tmp_path, family, dims, message):
+        family = dict(family)
+        config = base_config(family=family, analyses=[
+            {"kind": "truncation", "params": {"dims": dims, "window": [-1, 1]}}])
+        if family["kind"] == "matrix_path_file":
+            path = tmp_path / "family.json"
+            path.write_text(json.dumps({"dim": 1, "grid": [0, 1],
+                                        "matrices": [[[[0.5, 0]]], [[[1.5, 0]]]]}))
+            family["params"] = {"path": str(path)}
+            del config["grid"]
+        if message is None:
+            validate_config(config)
+            return
+        with pytest.raises(ConfigError) as err:
+            validate_config(config)
+        assert str(err.value) == f"analyses[0].params.dims {message}"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        result = CliRunner().invoke(main, ["analyze", str(cfg), "--output-dir",
+                                           str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "analyses[0].params.dims" in result.output
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_missing_x_index_rejected(self):
         config = base_config(analyses=[
             {"kind": "graph-continuity", "params": {"delta": 0.4}}
